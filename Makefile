@@ -5,16 +5,24 @@ GO ?= go
 
 .PHONY: all build test vet staticcheck race cover bench bench-json \
 	bench-baseline figures report examples clean check fmt-check \
-	fuzz-smoke chaos-smoke serve
+	fuzz-smoke chaos-smoke serve bench-module
 
 all: build vet test
 
 # The CI gate: formatting, vet, staticcheck (when installed),
-# race-enabled tests, and a short fuzz smoke pass over every fuzz target.
-check: fmt-check vet staticcheck
+# race-enabled tests, the nested bench module, and a short fuzz smoke pass
+# over every fuzz target.
+check: fmt-check vet staticcheck bench-module
 	$(GO) test -race ./...
 	$(MAKE) fuzz-smoke
 	$(MAKE) chaos-smoke
+
+# bench/ is a Go module of its own (it replaces ppnpart with ../), so the
+# root `go build ./...` and `go test ./...` never compile it: an export the
+# benchmark uses could vanish unnoticed. Vet and test it explicitly.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # staticcheck is optional locally (CI installs it): skip with a notice
 # when the binary is absent rather than failing the gate.

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"ppnpart/internal/core"
+	"ppnpart/internal/engine"
 	"ppnpart/internal/experiments"
 	"ppnpart/internal/fpga"
 	"ppnpart/internal/gen"
@@ -173,10 +174,10 @@ func BenchmarkScaleGP(b *testing.B) {
 		}
 		for _, m := range []struct {
 			name string
-			mode core.RefineMode
+			mode engine.RefineMode
 		}{
-			{"serial", core.RefineSerial},
-			{"batch", core.RefineBatch},
+			{"serial", engine.RefineSerial},
+			{"batch", engine.RefineBatch},
 		} {
 			b.Run(m.name, func(b *testing.B) {
 				b.ResetTimer()

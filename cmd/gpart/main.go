@@ -162,7 +162,7 @@ func run(cfg config) error {
 		if cfg.tracePath != "" {
 			tr = &engine.Trace{}
 		}
-		refineMode, err := core.ParseRefineMode(cfg.refine)
+		refineMode, err := engine.ParseRefineMode(cfg.refine)
 		if err != nil {
 			return err
 		}

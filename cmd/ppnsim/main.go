@@ -212,7 +212,7 @@ func run(cfg config) error {
 		if cfg.trace {
 			tr = &engine.Trace{}
 		}
-		refineMode, err := core.ParseRefineMode(cfg.refine)
+		refineMode, err := engine.ParseRefineMode(cfg.refine)
 		if err != nil {
 			return err
 		}

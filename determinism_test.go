@@ -131,7 +131,7 @@ func TestDeterminismGoldenTrace(t *testing.T) {
 		Seed:        3,
 		MaxCycles:   8,
 		Parallelism: 2,
-		Prune:       core.PruneOff,
+		Prune:       engine.PruneOff,
 	}
 	run := func() []byte {
 		// Wall times vary run to run; OmitTiming zeroes them so the JSON
@@ -195,7 +195,7 @@ func TestDeterminismGoldenTrace(t *testing.T) {
 	// work (mode, pipeline sentinel, applied rounds) — determinism that
 	// the concurrent gain sweep is explicitly designed to preserve.
 	batchOpts := opts
-	batchOpts.Refine = core.RefineBatch
+	batchOpts.Refine = engine.RefineBatch
 	runBatch := func() []byte {
 		tr := &engine.Trace{OmitTiming: true}
 		if _, err := core.PartitionTraceCtx(context.Background(), g, batchOpts, tr); err != nil {
@@ -262,7 +262,7 @@ func TestDeterminismStreamSeededGoldenTrace(t *testing.T) {
 		Seed:                3,
 		MaxCycles:           8,
 		Parallelism:         2,
-		Prune:               core.PruneOff,
+		Prune:               engine.PruneOff,
 		StreamSeedThreshold: 1,
 	}
 	run := func() []byte {

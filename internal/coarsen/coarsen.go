@@ -244,9 +244,9 @@ func (h *Hierarchy) ProjectTo(parts []int, fromLevel, toLevel int) ([]int, error
 	return cur, nil
 }
 
-// BestMatching runs the competing heuristics on g and returns the matching
-// that hides the most edge weight (ties: most pairs, then heuristic
-// order). This is the paper's per-level comparison of the three
+// bestMatchingWS runs the competing heuristics on g and returns the
+// matching that hides the most edge weight (ties: most pairs, then
+// heuristic order). This is the paper's per-level comparison of the three
 // strategies.
 //
 // The heuristics run concurrently on the shared worker pool with a
@@ -255,27 +255,16 @@ func (h *Hierarchy) ProjectTo(parts []int, fromLevel, toLevel int) ([]int, error
 // draws are exactly those of a serial run), while RNG-free heuristics fan
 // out as their own tasks. Results are reduced in heuristic order, which
 // makes the winner — and therefore the whole hierarchy — bit-identical to
-// a serial execution for a fixed seed and any pool width.
-func BestMatching(g *graph.Graph, opts Options, rng *rand.Rand) (match.Matching, match.Heuristic) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return BestMatchingWS(ws, g, opts, rng)
-}
-
-// BestMatchingWS is BestMatching with heuristic scratch drawn from ws:
-// the RNG-consuming chain (which runs on one goroutine while the caller
-// waits) uses ws itself, and each RNG-free heuristic uses a persistent
-// child workspace so repeated levels and cycles reuse the same buffers.
-func BestMatchingWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand) (match.Matching, match.Heuristic) {
-	m, h, _ := bestMatchingScoredWS(ws, g, opts, rng, false)
-	return m, h
-}
-
-// bestMatchingScoredWS is BestMatchingWS plus, when record is set, the
-// per-heuristic quality table the trace surfaces. Recording reuses the
-// weights/pairs the reduction computes anyway, so it cannot change the
-// winner or any RNG draw.
-func bestMatchingScoredWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand, record bool) (match.Matching, match.Heuristic, []MatchCandidate) {
+// a serial execution for a fixed seed and any pool width. The RNG chain
+// (which runs on one goroutine while the caller waits) draws scratch from
+// ws itself, and each RNG-free heuristic uses a persistent child
+// workspace so repeated levels and cycles reuse the same buffers.
+//
+// Under opts.RecordCandidates it also returns the per-heuristic quality
+// table the trace surfaces. Recording reuses the weights/pairs the
+// reduction computes anyway, so it cannot change the winner or any RNG
+// draw.
+func bestMatchingWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand) (match.Matching, match.Heuristic, []MatchCandidate) {
 	opts = opts.withDefaults()
 	results := make([]match.Matching, len(opts.Heuristics))
 	var rngChain []int // indexes of RNG-consuming heuristics, in order
@@ -311,7 +300,7 @@ func bestMatchingScoredWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng
 	var bestW int64 = -1
 	bestPairs := -1
 	var cands []MatchCandidate
-	if record {
+	if opts.RecordCandidates {
 		cands = make([]MatchCandidate, 0, len(opts.Heuristics))
 	}
 	for i, m := range results {
@@ -320,7 +309,7 @@ func bestMatchingScoredWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng
 		}
 		w := m.MatchedWeight(g)
 		p := m.Pairs()
-		if record {
+		if opts.RecordCandidates {
 			cands = append(cands, MatchCandidate{Heuristic: opts.Heuristics[i], MatchedWeight: w, Pairs: p})
 		}
 		if w > bestW || (w == bestW && p > bestPairs) {
@@ -330,22 +319,16 @@ func bestMatchingScoredWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng
 	return bestM, bestH, cands
 }
 
-// Build constructs a hierarchy by repeated best-of-three contraction until
-// the coarse graph reaches opts.TargetSize nodes or contraction stalls.
-func Build(g *graph.Graph, opts Options, rng *rand.Rand) (*Hierarchy, error) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return BuildWS(ws, g, opts, rng)
-}
-
-// BuildWS is Build with all matching and contraction scratch drawn from
-// ws; the Hierarchy itself outlives the call and is heap-allocated.
+// BuildWS constructs a hierarchy by repeated best-of-three contraction
+// until the coarse graph reaches opts.TargetSize nodes or contraction
+// stalls. All matching and contraction scratch is drawn from ws; the
+// Hierarchy itself outlives the call and is heap-allocated.
 func BuildWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand) (*Hierarchy, error) {
 	opts = opts.withDefaults()
 	h := &Hierarchy{Original: g}
 	cur := g
 	for cur.NumNodes() > opts.TargetSize {
-		m, heur, cands := bestMatchingScoredWS(ws, cur, opts, rng, opts.RecordCandidates)
+		m, heur, cands := bestMatchingWS(ws, cur, opts, rng)
 		if m.Pairs() == 0 {
 			break // nothing contractible (no edges)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/match"
 	"ppnpart/internal/metrics"
@@ -34,6 +35,15 @@ func randomConnected(rng *rand.Rand, n int) *graph.Graph {
 		}
 	}
 	return g
+}
+
+func mustCompute(tb testing.TB, h match.Heuristic, g *graph.Graph, rng *rand.Rand) match.Matching {
+	tb.Helper()
+	m, err := match.Compute(h, g, 0, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }
 
 func TestContractPair(t *testing.T) {
@@ -76,7 +86,7 @@ func TestContractPair(t *testing.T) {
 func TestContractPreservesNodeWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnected(rng, 40)
-	m := match.Random(g, rng)
+	m := mustCompute(t, match.HeuristicRandom, g, rng)
 	lvl, err := Contract(g, m)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +136,7 @@ func TestProjectUp(t *testing.T) {
 func TestBuildHierarchyReachesTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomConnected(rng, 300)
-	h, err := Build(g, Options{TargetSize: 50}, rng)
+	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +161,7 @@ func TestBuildHierarchyReachesTarget(t *testing.T) {
 func TestBuildNoContractionNeeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := pathGraph(5)
-	h, err := Build(g, Options{TargetSize: 100}, rng)
+	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 100}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +176,7 @@ func TestBuildNoContractionNeeded(t *testing.T) {
 func TestBuildEdgelessGraphStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.New(500) // no edges: nothing contractible
-	h, err := Build(g, Options{TargetSize: 10}, rng)
+	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +188,7 @@ func TestBuildEdgelessGraphStops(t *testing.T) {
 func TestProjectToFinestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomConnected(rng, 200)
-	h, err := Build(g, Options{TargetSize: 20}, rng)
+	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 20}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +223,7 @@ func TestProjectToFinestRoundTrip(t *testing.T) {
 func TestProjectToErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomConnected(rng, 100)
-	h, err := Build(g, Options{TargetSize: 10}, rng)
+	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +235,12 @@ func TestProjectToErrors(t *testing.T) {
 func TestBestMatchingPicksHighestHiddenWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnected(rng, 60)
-	m, h := BestMatching(g, Options{}, rng)
+	m, h, _ := bestMatchingWS(new(arena.Workspace), g, Options{}, rng)
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	// Must be at least as heavy as pure HEM (HEM is one of the entrants).
-	hem := match.HeavyEdge(g)
+	hem := mustCompute(t, match.HeuristicHeavyEdge, g, nil)
 	if m.MatchedWeight(g) < hem.MatchedWeight(g) {
 		t.Fatalf("best-of-three %d lighter than HEM %d (heuristic %v)",
 			m.MatchedWeight(g), hem.MatchedWeight(g), h)
@@ -240,7 +250,7 @@ func TestBestMatchingPicksHighestHiddenWeight(t *testing.T) {
 func TestBuildRestrictedHeuristics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomConnected(rng, 150)
-	h, err := Build(g, Options{TargetSize: 30, Heuristics: []match.Heuristic{match.HeuristicHeavyEdge}}, rng)
+	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 30, Heuristics: []match.Heuristic{match.HeuristicHeavyEdge}}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +265,7 @@ func TestPropertyHierarchyInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 30+rng.Intn(120))
-		h, err := Build(g, Options{TargetSize: 10 + rng.Intn(30)}, rng)
+		h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 10 + rng.Intn(30)}, rng)
 		if err != nil {
 			return false
 		}
@@ -282,7 +292,7 @@ func TestPropertyProjectionPreservesMetrics(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 40+rng.Intn(80))
-		h, err := Build(g, Options{TargetSize: 12}, rng)
+		h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 12}, rng)
 		if err != nil {
 			return false
 		}

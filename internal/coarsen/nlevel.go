@@ -21,21 +21,13 @@ type edgeItem struct {
 	w    int64
 }
 
-// BuildNLevel constructs an n-level hierarchy: one heaviest-edge
+// BuildNLevelWS constructs an n-level hierarchy: one heaviest-edge
 // contraction per level until targetSize nodes remain (or no edges are
 // left). Fully deterministic: ties break toward the lexicographically
-// smallest endpoint pair. Because Contract renumbers nodes each level, a
+// smallest endpoint pair. Because ContractWS renumbers nodes each level, a
 // cross-level priority queue cannot be reused; a per-level scan keeps the
 // implementation exact, which is ample for the ablation-scale workloads
-// this variant serves.
-func BuildNLevel(g *graph.Graph, targetSize int) (*Hierarchy, error) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return BuildNLevelWS(ws, g, targetSize)
-}
-
-// BuildNLevelWS is BuildNLevel with per-level contraction scratch drawn
-// from ws.
+// this variant serves. Per-level contraction scratch is drawn from ws.
 func BuildNLevelWS(ws *arena.Workspace, g *graph.Graph, targetSize int) (*Hierarchy, error) {
 	if targetSize <= 1 {
 		targetSize = 100

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
 )
@@ -11,7 +12,7 @@ import (
 func TestBuildNLevelContractsOneEdgePerLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnected(rng, 50)
-	h, err := BuildNLevel(g, 10)
+	h, err := BuildNLevelWS(new(arena.Workspace), g, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestBuildNLevelPicksHeaviestEdge(t *testing.T) {
 	g.MustAddEdge(0, 1, 5)
 	g.MustAddEdge(1, 2, 100)
 	g.MustAddEdge(2, 3, 7)
-	h, err := BuildNLevel(g, 3)
+	h, err := BuildNLevelWS(new(arena.Workspace), g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +54,8 @@ func TestBuildNLevelPicksHeaviestEdge(t *testing.T) {
 func TestBuildNLevelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomConnected(rng, 40)
-	h1, _ := BuildNLevel(g, 8)
-	h2, _ := BuildNLevel(g, 8)
+	h1, _ := BuildNLevelWS(new(arena.Workspace), g, 8)
+	h2, _ := BuildNLevelWS(new(arena.Workspace), g, 8)
 	if h1.Depth() != h2.Depth() {
 		t.Fatal("depth differs")
 	}
@@ -70,7 +71,7 @@ func TestBuildNLevelDeterministic(t *testing.T) {
 func TestBuildNLevelProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnected(rng, 60)
-	h, err := BuildNLevel(g, 12)
+	h, err := BuildNLevelWS(new(arena.Workspace), g, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestBuildNLevelProjection(t *testing.T) {
 
 func TestBuildNLevelEdgelessStops(t *testing.T) {
 	g := graph.New(20)
-	h, err := BuildNLevel(g, 5)
+	h, err := BuildNLevelWS(new(arena.Workspace), g, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

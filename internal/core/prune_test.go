@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ppnpart/internal/engine"
 	"ppnpart/internal/metrics"
 )
 
@@ -15,12 +16,15 @@ import (
 
 func TestValidateRejectsUnknownPruneMode(t *testing.T) {
 	g := randomConnected(rand.New(rand.NewSource(1)), 20)
-	_, err := Partition(g, Options{K: 2, Prune: PruneMode(42)})
-	if !errors.Is(err, ErrUnknownPruneMode) {
-		t.Fatalf("err = %v, want ErrUnknownPruneMode", err)
-	}
-	if !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("err = %v does not wrap ErrInvalidOptions", err)
+	// 2 was the retired aggressive mode; it is now as unknown as 42.
+	for _, mode := range []engine.PruneMode{2, 42} {
+		_, err := Partition(g, Options{K: 2, Prune: mode})
+		if !errors.Is(err, ErrUnknownPruneMode) {
+			t.Fatalf("mode %d: err = %v, want ErrUnknownPruneMode", mode, err)
+		}
+		if !errors.Is(err, ErrInvalidOptions) {
+			t.Fatalf("mode %d: err = %v does not wrap ErrInvalidOptions", mode, err)
+		}
 	}
 }
 
@@ -34,7 +38,7 @@ func TestPruneDeterministicMatchesPruneOff(t *testing.T) {
 			MaxCycles: 8, MinimizeAfterFeasible: minimize,
 		}
 		off := base
-		off.Prune = PruneOff
+		off.Prune = engine.PruneOff
 		a, err := Partition(g, base)
 		if err != nil {
 			t.Fatal(err)

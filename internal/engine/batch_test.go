@@ -122,6 +122,9 @@ func TestBatchModeSolvesAndTraces(t *testing.T) {
 // TestBatchModeDeterministic runs the batch-mode solve twice with the same
 // seed and demands identical partitions and identical traces — the
 // engine-level determinism contract the golden-trace test builds on.
+// Pruning is off, as in the golden-trace tests: whether a discarded
+// overshoot cycle notices the incumbent before or after its coarsening is
+// timing, so its pruned marker is not part of the reproducible trace.
 func TestBatchModeDeterministic(t *testing.T) {
 	g := testGraph(t, 300, 900, 33)
 	cons := metrics.Constraints{
@@ -129,7 +132,7 @@ func TestBatchModeDeterministic(t *testing.T) {
 		Bmax: 2 * g.TotalEdgeWeight() / 4,
 	}
 	run := func() ([]int, []byte) {
-		s := New(Config{K: 4, Constraints: cons, Seed: 9, MaxCycles: 4, Refine: RefineBatch})
+		s := New(Config{K: 4, Constraints: cons, Seed: 9, MaxCycles: 4, Refine: RefineBatch, Prune: PruneOff})
 		tr := &Trace{OmitTiming: true}
 		out := s.Solve(context.Background(), g, tr)
 		b, err := tr.JSON()

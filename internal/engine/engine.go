@@ -8,7 +8,7 @@
 // free when disabled.
 //
 // The solver is a pure search core: option validation, defaulting of the
-// public API surface, polishing, and result/report assembly stay in
+// public API surface, replication, and result/report assembly stay in
 // internal/core, which adapts Config/Outcome to its stable Options/Result
 // types. Determinism is contract, not accident — the batch-parallel cycle
 // loop, per-cycle RNG streams, and strict-improvement reductions are
@@ -37,8 +37,8 @@ import (
 )
 
 // Config parameterizes a Solver. It mirrors the search-relevant subset of
-// core.Options (polishing is a core-level extension layered on top of the
-// engine's outcome).
+// core.Options (replication is a core-level extension layered on top of
+// the engine's outcome).
 type Config struct {
 	// K is the number of partitions. Required, validated by the caller.
 	K int
@@ -151,7 +151,7 @@ func (c *Config) stateConfig(parts []int) pstate.Config {
 
 // Evaluate scores an assignment and checks every constraint from a single
 // incremental state build; bit-identical to composing metrics.Goodness
-// with metrics.VectorExcess. core uses it to re-score after polishing.
+// with metrics.VectorExcess.
 func (c Config) Evaluate(csr *graph.CSR, parts []int) (float64, bool) {
 	s, err := pstate.New(csr, parts, c.stateConfig(parts))
 	if err != nil {
@@ -280,9 +280,6 @@ type Cycle struct {
 	CSR *graph.CSR
 	// Parts is the current level's assignment.
 	Parts []int
-	// LevelScore is the goodness of the latest refined level (+Inf before
-	// the first refinement); aggressive pruning consults it.
-	LevelScore float64
 
 	// Feasible/Goodness score the finished cycle (set by the solver
 	// before PhaseRetry runs); StopSearch is PhaseRetry's verdict.
@@ -301,7 +298,7 @@ func (cy *Cycle) Trace() *CycleTrace { return cy.trace }
 
 // abandon polls the shared incumbent.
 func (cy *Cycle) abandon() bool {
-	return cy.inc.shouldAbandon(cy.Cfg, cy.Index, cy.LevelScore)
+	return cy.inc.shouldAbandon(cy.Cfg, cy.Index)
 }
 
 // now reads the clock only when per-stage timing is on.
@@ -539,14 +536,13 @@ func (s *Solver) runCycle(ctx context.Context, g *graph.Graph, fcsr *graph.CSR, 
 		}
 	}()
 	cy := &Cycle{
-		Ctx:        ctx,
-		Cfg:        &s.cfg,
-		Graph:      g,
-		Index:      cycle,
-		RNG:        rng,
-		WS:         ws,
-		LevelScore: math.Inf(1),
-		inc:        inc,
+		Ctx:   ctx,
+		Cfg:   &s.cfg,
+		Graph: g,
+		Index: cycle,
+		RNG:   rng,
+		WS:    ws,
+		inc:   inc,
 	}
 	if tr != nil {
 		cy.trace = &CycleTrace{Cycle: cycle}

@@ -24,13 +24,6 @@ const (
 	PruneDeterministic PruneMode = iota
 	// PruneOff never abandons cycles.
 	PruneOff
-	// PruneAggressive additionally abandons a cycle when a lower-indexed
-	// cycle's completed feasible goodness already beats the cycle's
-	// current level score. Level scores can still improve at finer
-	// levels, so this can discard cycles a full run would have kept —
-	// faster, but the chosen partition may vary between runs with
-	// MinimizeAfterFeasible.
-	PruneAggressive
 )
 
 // String names the mode.
@@ -40,8 +33,6 @@ func (p PruneMode) String() string {
 		return "deterministic"
 	case PruneOff:
 		return "off"
-	case PruneAggressive:
-		return "aggressive"
 	default:
 		return "prune(?)"
 	}
@@ -50,7 +41,7 @@ func (p PruneMode) String() string {
 // Valid reports whether p names a known mode.
 func (p PruneMode) Valid() bool {
 	switch p {
-	case PruneDeterministic, PruneOff, PruneAggressive:
+	case PruneDeterministic, PruneOff:
 		return true
 	}
 	return false
@@ -102,9 +93,7 @@ func (inc *incumbent) publish(cycle int, goodness float64) {
 }
 
 // shouldAbandon reports whether the cycle may stop refining now.
-// levelScore is the cycle's most recent level goodness (+Inf when none
-// yet); it is only consulted in aggressive mode.
-func (inc *incumbent) shouldAbandon(cfg *Config, cycle int, levelScore float64) bool {
+func (inc *incumbent) shouldAbandon(cfg *Config, cycle int) bool {
 	if inc == nil || cfg.Prune == PruneOff {
 		return false
 	}
@@ -114,14 +103,8 @@ func (inc *incumbent) shouldAbandon(cfg *Config, cycle int, levelScore float64) 
 		// result is discarded regardless of what it produces.
 		return inc.feasibleAt.Load() < int64(cycle)
 	}
+	// A perfect lower-cycle incumbent: goodness is never negative and ties
+	// go to the lower cycle, so this cycle cannot win.
 	rec := inc.best.Load()
-	if rec == nil || rec.cycle >= cycle {
-		return false
-	}
-	if rec.goodness == 0 {
-		// A perfect lower-cycle incumbent: goodness is never negative
-		// and ties go to the lower cycle, so this cycle cannot win.
-		return true
-	}
-	return cfg.Prune == PruneAggressive && rec.goodness < levelScore
+	return rec != nil && rec.cycle < cycle && rec.goodness == 0
 }

@@ -13,7 +13,7 @@ func TestPruneModeStringAndValid(t *testing.T) {
 	}{
 		{PruneDeterministic, "deterministic", true},
 		{PruneOff, "off", true},
-		{PruneAggressive, "aggressive", true},
+		{PruneMode(2), "prune(?)", false}, // the retired aggressive mode
 		{PruneMode(42), "prune(?)", false},
 	}
 	for _, c := range cases {
@@ -62,35 +62,31 @@ func TestShouldAbandonPerMode(t *testing.T) {
 	}
 	det := &Config{Prune: PruneDeterministic}
 	detMin := &Config{Prune: PruneDeterministic, MinimizeAfterFeasible: true}
-	agg := &Config{Prune: PruneAggressive, MinimizeAfterFeasible: true}
 	off := &Config{Prune: PruneOff}
 
 	cases := []struct {
-		name       string
-		inc        *incumbent
-		cfg        *Config
-		cycle      int
-		levelScore float64
-		want       bool
+		name  string
+		inc   *incumbent
+		cfg   *Config
+		cycle int
+		want  bool
 	}{
-		{"off never", firstFeasible(0, 5), off, 9, 100, false},
-		{"no incumbent", newIncumbent(), det, 9, 100, false},
-		{"stop-at-first: higher cycle pruned", firstFeasible(2, 5), det, 3, 100, true},
-		{"stop-at-first: same cycle kept", firstFeasible(2, 5), det, 2, 100, false},
-		{"stop-at-first: lower cycle kept", firstFeasible(2, 5), det, 1, 100, false},
-		{"minimize: imperfect incumbent keeps cycle", firstFeasible(0, 5), detMin, 3, 100, false},
-		{"minimize: perfect incumbent prunes", firstFeasible(0, 0), detMin, 3, 100, true},
-		{"minimize: perfect incumbent from higher cycle kept", firstFeasible(5, 0), detMin, 3, 100, false},
-		{"aggressive: incumbent beats level score", firstFeasible(0, 5), agg, 3, 100, true},
-		{"aggressive: level score still ahead", firstFeasible(0, 5), agg, 3, 2, false},
+		{"off never", firstFeasible(0, 5), off, 9, false},
+		{"no incumbent", newIncumbent(), det, 9, false},
+		{"stop-at-first: higher cycle pruned", firstFeasible(2, 5), det, 3, true},
+		{"stop-at-first: same cycle kept", firstFeasible(2, 5), det, 2, false},
+		{"stop-at-first: lower cycle kept", firstFeasible(2, 5), det, 1, false},
+		{"minimize: imperfect incumbent keeps cycle", firstFeasible(0, 5), detMin, 3, false},
+		{"minimize: perfect incumbent prunes", firstFeasible(0, 0), detMin, 3, true},
+		{"minimize: perfect incumbent from higher cycle kept", firstFeasible(5, 0), detMin, 3, false},
 	}
 	for _, c := range cases {
-		if got := c.inc.shouldAbandon(c.cfg, c.cycle, c.levelScore); got != c.want {
+		if got := c.inc.shouldAbandon(c.cfg, c.cycle); got != c.want {
 			t.Errorf("%s: shouldAbandon = %v, want %v", c.name, got, c.want)
 		}
 	}
 	var nilInc *incumbent
-	if nilInc.shouldAbandon(det, 5, 0) {
+	if nilInc.shouldAbandon(det, 5) {
 		t.Error("nil incumbent must never abandon")
 	}
 }

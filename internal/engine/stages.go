@@ -207,7 +207,6 @@ func (refineStage) Run(cy *Cycle) error {
 	} else {
 		win = bestRefinement(cy.CSR, cy.Parts, cy.Cfg, cy.WS, cy.abandon, cy.trace != nil)
 	}
-	cy.LevelScore = win.score
 	if ct := cy.trace; ct != nil {
 		ct.Refines = append(ct.Refines, RefineTrace{
 			Level:           cy.Level,
@@ -345,7 +344,7 @@ func (retryStage) Run(cy *Cycle) error {
 type refinePipeline []func(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, fm *refine.Stats)
 
 func stageCut(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, fm *refine.Stats) {
-	st := refine.KWayFMCapsWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
+	st := refine.KWayFMWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
 	if fm != nil {
 		fm.Passes += st.Passes
 		fm.Moves += st.Moves
@@ -357,7 +356,7 @@ func stageBandwidth(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspac
 }
 
 func stageResources(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, _ *refine.Stats) {
-	refine.RebalanceResourcesCapsWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
+	refine.RebalanceResourcesWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
 }
 
 // stageVector repairs multi-resource overflow; it only applies at the

@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"ppnpart/internal/core"
+	"ppnpart/internal/engine"
 	"ppnpart/internal/gen"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/match"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/refine"
 )
 
 // newRand builds a deterministic source for the harness.
@@ -147,29 +149,65 @@ func AblationCycles() ([]AblationRow, error) {
 	return out, nil
 }
 
+// polishStrategy is one A5 final local-search pass over a finished GP
+// partition; a nil run is the paper's faithful no-polish configuration.
+type polishStrategy struct {
+	name string
+	run  func(csr *graph.CSR, parts []int, k int, c metrics.Constraints, seed int64)
+}
+
+// polishStrategies are the A5 configurations: none, constrained Tabu
+// Search, and constrained simulated annealing (the local-search strategies
+// §II-A surveys as related work).
+var polishStrategies = []polishStrategy{
+	{"polish-none", nil},
+	{"polish-tabu", func(csr *graph.CSR, parts []int, k int, c metrics.Constraints, _ int64) {
+		refine.TabuSearchCSR(csr, parts, k, c, refine.TabuOptions{})
+	}},
+	{"polish-anneal", func(csr *graph.CSR, parts []int, k int, c metrics.Constraints, seed int64) {
+		refine.AnnealCSR(csr, parts, k, c, refine.AnnealOptions{}, rand.New(rand.NewSource(seed^0x5DEECE66D)))
+	}},
+}
+
+// partitionPolished runs GP, then p's pass over the winning partition, and
+// re-scores the polished assignment the way GP scores its own result.
+// opts must carry K, Constraints and a non-zero Seed (the annealer's RNG
+// derives from it). A stopped run is returned unpolished.
+func partitionPolished(g *graph.Graph, opts core.Options, p polishStrategy) (*core.Result, error) {
+	res, err := core.Partition(g, opts)
+	if err != nil || p.run == nil || res.Stopped {
+		return res, err
+	}
+	start := time.Now()
+	csr := g.ToCSR()
+	p.run(csr, res.Parts, opts.K, opts.Constraints, opts.Seed)
+	res.Goodness, res.Feasible = engine.Config{K: opts.K, Constraints: opts.Constraints}.Evaluate(csr, res.Parts)
+	res.Report = metrics.Evaluate(g, res.Parts, opts.K, opts.Constraints)
+	res.Runtime += time.Since(start)
+	return res, nil
+}
+
 // AblationPolish (A5, extension) compares GP without polishing against
-// Tabu Search and simulated-annealing final passes (the local-search
-// strategies §II-A surveys) on the ablation workload.
+// Tabu Search and simulated-annealing final passes on the ablation
+// workload.
 func AblationPolish() ([]AblationRow, error) {
 	g, c, k, err := ablationWorkload()
 	if err != nil {
 		return nil, err
 	}
-	configs := []struct {
-		name string
-		p    core.PolishStrategy
-	}{
-		{"polish-none", core.PolishNone},
-		{"polish-tabu", core.PolishTabu},
-		{"polish-anneal", core.PolishAnneal},
-	}
 	var out []AblationRow
-	for _, cfg := range configs {
-		row, err := runConfig(g, c, k, cfg.name, core.Options{MaxCycles: 2, Polish: cfg.p})
+	for _, p := range polishStrategies {
+		res, err := partitionPolished(g, core.Options{K: k, Constraints: c, Seed: 1, MaxCycles: 2}, p)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, row)
+		out = append(out, AblationRow{
+			Config:   p.name,
+			Cut:      res.Report.EdgeCut,
+			Feasible: res.Feasible,
+			Cycles:   res.Cycles,
+			Time:     res.Runtime,
+		})
 	}
 	return out, nil
 }

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"time"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/initpart"
 	"ppnpart/internal/metrics"
@@ -114,6 +115,14 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	start := time.Now()
 	rng := rand.New(rand.NewSource(opts.Seed))
+	// g never changes, so one workspace and CSR snapshot serve every
+	// seeding and offspring improvement.
+	ws := arena.Get()
+	defer arena.Put(ws)
+	csr := g.ToCSR()
+	// The memetic k-way FM and rebalance steps bound parts by the scalar
+	// Rmax only; fitness still scores the full constraint set.
+	scalarRmax := metrics.Constraints{Rmax: opts.Constraints.Rmax}
 
 	evalFit := func(parts []int) float64 {
 		return metrics.Goodness(g, parts, opts.K, opts.Constraints)
@@ -122,9 +131,9 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		if opts.DisableMemetic {
 			return
 		}
-		refine.KWayFM(g, parts, opts.K, opts.Constraints.Rmax, 2)
-		refine.RebalanceResources(g, parts, opts.K, opts.Constraints.Rmax, 2)
-		refine.RepairBandwidth(g, parts, opts.K, opts.Constraints, 2)
+		refine.KWayFMWS(ws, csr, parts, opts.K, scalarRmax, 2)
+		refine.RebalanceResourcesWS(ws, csr, parts, opts.K, scalarRmax, 2)
+		refine.RepairBandwidthWS(ws, csr, parts, opts.K, opts.Constraints, 2)
 	}
 
 	// Seed the population: a few greedy individuals for quality, the rest
@@ -134,12 +143,13 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		var parts []int
 		var err error
 		if i < 4 {
-			parts, err = initpart.GreedyGrow(g, initpart.GreedyOptions{
+			// The ws-backed winner is kept, never put back.
+			parts, err = initpart.GreedyGrowWS(ws, g, csr, initpart.GreedyOptions{
 				K: opts.K, Rmax: opts.Constraints.Rmax, Restarts: 2,
 				Constraints: opts.Constraints,
 			}, rng)
 		} else {
-			parts, err = initpart.RandomPartition(g, opts.K, rng)
+			parts, err = initpart.RandomPartitionWS(ws, g, opts.K, rng)
 		}
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/metrics"
 )
 
@@ -12,9 +13,10 @@ func BenchmarkGreedyGrow(b *testing.B) {
 	g := randomConnected(rng, 200) // coarsest-graph scale
 	opts := GreedyOptions{K: 4, Restarts: 10,
 		Constraints: metrics.Constraints{Rmax: g.TotalNodeWeight() / 3}}
+	ws, csr := new(arena.Workspace), g.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GreedyGrow(g, opts, rand.New(rand.NewSource(2))); err != nil {
+		if _, err := GreedyGrowWS(ws, g, csr, opts, rand.New(rand.NewSource(2))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,7 +21,7 @@ import (
 // Unassigned marks a node not yet placed by the greedy grower.
 const Unassigned = -1
 
-// GreedyOptions configures GreedyGrow.
+// GreedyOptions configures GreedyGrowWS.
 type GreedyOptions struct {
 	// K is the number of partitions. Required.
 	K int
@@ -43,27 +43,21 @@ func (o GreedyOptions) withDefaults() GreedyOptions {
 	return o
 }
 
-// GreedyGrow implements the paper's initial partitioning: start from the
-// heaviest node, grow the first partition by absorbing neighbors while
+// GreedyGrowWS implements the paper's initial partitioning: start from
+// the heaviest node, grow the first partition by absorbing neighbors while
 // Rmax permits, then grow the remaining partitions the same way; place
 // leftovers best-fit by free space, force-place if nothing fits, then run
 // an FM-based bandwidth repair. The whole procedure is repeated Restarts
 // times with random seeds and the goodness-best assignment wins.
-func GreedyGrow(g *graph.Graph, opts GreedyOptions, rng *rand.Rand) ([]int, error) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return GreedyGrowWS(ws, g, nil, opts, rng)
-}
-
-// GreedyGrowWS is GreedyGrow with every restart's assignment, resource
-// totals, frontier tables, repair state, and scoring state drawn from
-// ws; one frontier serves all grows of all restarts (it drains to empty
-// after every grow, so reuse needs no clearing). csr, when non-nil,
-// must be a snapshot of g and saves the call its own ToCSR — the
-// multilevel driver passes the coarsest-level snapshot it already
-// built. The winning assignment is returned still backed by ws memory:
-// callers that outlive the workspace must copy it, callers that share
-// the workspace (the GP cycle) may keep it and Put it back when done.
+//
+// csr must be a CSR snapshot of g; it serves the repair and scoring of
+// every restart. Every restart's assignment, resource totals, frontier
+// tables, repair state, and scoring state are drawn from ws; one frontier
+// serves all grows of all restarts (it drains to empty after every grow,
+// so reuse needs no clearing). The winning assignment is returned still
+// backed by ws memory and is never put back by this call: callers may
+// keep it past the workspace's return to the pool, and callers that share
+// the workspace (the GP cycle) may Put it back when done.
 func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts GreedyOptions, rng *rand.Rand) ([]int, error) {
 	opts = opts.withDefaults()
 	n := g.NumNodes()
@@ -90,12 +84,8 @@ func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts Gree
 			lims[p] = rmax
 		}
 	}
-	// One CSR snapshot serves the repair and scoring of every restart;
-	// scoring through a pstate build costs a single adjacency sweep and is
+	// Scoring through a pstate build costs a single adjacency sweep and is
 	// bit-identical to metrics.Goodness.
-	if csr == nil {
-		csr = g.ToCSR()
-	}
 	f := frontier{
 		weight: ws.Int64s.Get(n),
 		in:     ws.Bools.Get(n),
@@ -437,20 +427,13 @@ func (f *frontier) popMaxHeap() graph.Node {
 	}
 }
 
-// RandomPartition assigns every node uniformly at random, then repairs
+// RandomPartitionWS assigns every node uniformly at random, then repairs
 // empty parts. The simplest seeding; used by the cyclic re-partitioning
 // step of the paper's un-coarsening phase ("we go back to coarsening
-// phase and then partitioning phase (randomly), cyclically").
-func RandomPartition(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return RandomPartitionWS(ws, g, k, rng)
-}
-
-// RandomPartitionWS is RandomPartition with the assignment drawn from
-// ws.Ints. The returned buffer is never released back to ws, so it safely
-// outlives the workspace's return to the pool (the same escape pattern as
-// GreedyGrowWS).
+// phase and then partitioning phase (randomly), cyclically"). The
+// assignment is drawn from ws.Ints and never released back to ws, so it
+// safely outlives the workspace's return to the pool (the same escape
+// pattern as GreedyGrowWS).
 func RandomPartitionWS(ws *arena.Workspace, g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
 	n := g.NumNodes()
 	if k <= 0 {
@@ -472,6 +455,17 @@ func RandomPartitionWS(ws *arena.Workspace, g *graph.Graph, k int, rng *rand.Ran
 // resources. k need not be a power of two: each split allocates part ids
 // proportionally.
 func RecursiveBisect(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
+	return recursiveKWay(g, k, rng, growBisection)
+}
+
+// bisector splits a subgraph into sides 0 and 1, aiming for targetLeft
+// resources on side 0.
+type bisector func(sub *graph.Graph, targetLeft int64, rng *rand.Rand) []int
+
+// recursiveKWay is the k-way recursion shared by RecursiveBisect and
+// SpectralKWay: bisect splits every induced subgraph, FM cleans up each
+// split, and the result is repaired for empty parts and rebalanced.
+func recursiveKWay(g *graph.Graph, k int, rng *rand.Rand, bisect bisector) ([]int, error) {
 	n := g.NumNodes()
 	if k <= 0 {
 		return nil, fmt.Errorf("initpart: K = %d must be positive", k)
@@ -479,27 +473,29 @@ func RecursiveBisect(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
 	if n < k {
 		return nil, fmt.Errorf("initpart: cannot split %d nodes into %d parts", n, k)
 	}
+	ws := arena.Get()
+	defer arena.Put(ws)
 	parts := make([]int, n)
 	nodes := make([]graph.Node, n)
 	for i := range nodes {
 		nodes[i] = graph.Node(i)
 	}
-	recursiveBisect(g, nodes, 0, k, parts, rng)
+	recursiveSplit(ws, g, nodes, 0, k, parts, rng, bisect)
 	fixEmptyParts(g, parts, k, rng)
-	rebalanceToIdeal(g, parts, k)
+	rebalanceToIdeal(ws, g, parts, k)
 	return parts, nil
 }
 
 // rebalanceToIdeal drives every part under ideal-share-plus-one-node,
 // the balance a k-way seeder is expected to deliver.
-func rebalanceToIdeal(g *graph.Graph, parts []int, k int) {
+func rebalanceToIdeal(ws *arena.Workspace, g *graph.Graph, parts []int, k int) {
 	bound := g.TotalNodeWeight()/int64(k) + g.MaxNodeWeight()
-	refine.RebalanceResources(g, parts, k, bound, 8)
+	refine.RebalanceResourcesWS(ws, g.ToCSR(), parts, k, metrics.Constraints{Rmax: bound}, 8)
 }
 
-// recursiveBisect splits the node set into kLeft+kRight shares and
+// recursiveSplit splits the node set into kLeft+kRight shares and
 // recurses; base case assigns the whole set to one part id.
-func recursiveBisect(g *graph.Graph, nodes []graph.Node, firstPart, k int, parts []int, rng *rand.Rand) {
+func recursiveSplit(ws *arena.Workspace, g *graph.Graph, nodes []graph.Node, firstPart, k int, parts []int, rng *rand.Rand, bisect bisector) {
 	if k == 1 {
 		for _, u := range nodes {
 			parts[u] = firstPart
@@ -512,11 +508,11 @@ func recursiveBisect(g *graph.Graph, nodes []graph.Node, firstPart, k int, parts
 	// Target share of resources proportional to part counts.
 	total := sub.TotalNodeWeight()
 	targetLeft := total * int64(kLeft) / int64(k)
-	bi := growBisection(sub, targetLeft, rng)
+	bi := bisect(sub, targetLeft, rng)
 	// Refine with FM under a resource bound with slack.
 	slack := sub.MaxNodeWeight()
 	bound := maxI64(targetLeft, total-targetLeft) + slack
-	refine.FMBisect(sub, bi, bound, 6)
+	refine.FMBisectWS(ws, sub.ToCSR(), bi, bound, 6)
 	var left, right []graph.Node
 	for i, u := range nodes {
 		if bi[i] == 0 {
@@ -534,8 +530,8 @@ func recursiveBisect(g *graph.Graph, nodes []graph.Node, firstPart, k int, parts
 		right = append(right, left[len(left)-1])
 		left = left[:len(left)-1]
 	}
-	recursiveBisect(g, left, firstPart, kLeft, parts, rng)
-	recursiveBisect(g, right, firstPart+kLeft, kRight, parts, rng)
+	recursiveSplit(ws, g, left, firstPart, kLeft, parts, rng, bisect)
+	recursiveSplit(ws, g, right, firstPart+kLeft, kRight, parts, rng, bisect)
 }
 
 // growBisection seeds side 0 from a random node and BFS-grows it until the

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"ppnpart/internal/graph"
-	"ppnpart/internal/refine"
 )
 
 // SpectralBisect computes a bisection from the Fiedler vector (the
@@ -129,65 +128,17 @@ func normalize(x []float64) {
 // with FM cleanup on each split, mirroring RecursiveBisect but seeded
 // spectrally.
 func SpectralKWay(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
-	n := g.NumNodes()
-	if k <= 0 {
-		return nil, fmt.Errorf("initpart: K = %d must be positive", k)
-	}
-	if n < k {
-		return nil, fmt.Errorf("initpart: cannot split %d nodes into %d parts", n, k)
-	}
-	parts := make([]int, n)
-	nodes := make([]graph.Node, n)
-	for i := range nodes {
-		nodes[i] = graph.Node(i)
-	}
-	spectralRecurse(g, nodes, 0, k, parts, rng)
-	fixEmptyParts(g, parts, k, rng)
-	rebalanceToIdeal(g, parts, k)
-	return parts, nil
+	return recursiveKWay(g, k, rng, spectralBisection)
 }
 
-func spectralRecurse(g *graph.Graph, nodes []graph.Node, firstPart, k int, parts []int, rng *rand.Rand) {
-	if k == 1 {
-		for _, u := range nodes {
-			parts[u] = firstPart
-		}
-		return
-	}
-	kLeft := k / 2
-	kRight := k - kLeft
-	sub, _ := g.InducedSubgraph(nodes)
-	var bi []int
+// spectralBisection is SpectralKWay's bisector: a Fiedler split, or a
+// resource-halving BFS growth when the subgraph has no edges or the
+// spectral split fails. The split's resource target is left to FM.
+func spectralBisection(sub *graph.Graph, _ int64, rng *rand.Rand) []int {
 	if sub.NumNodes() >= 2 && sub.NumEdges() > 0 {
-		var err error
-		bi, err = SpectralBisect(sub, rng)
-		if err != nil {
-			bi = nil
+		if bi, err := SpectralBisect(sub, rng); err == nil && bi != nil {
+			return bi
 		}
 	}
-	if bi == nil {
-		bi = growBisection(sub, sub.TotalNodeWeight()/2, rng)
-	}
-	total := sub.TotalNodeWeight()
-	targetLeft := total * int64(kLeft) / int64(k)
-	bound := maxI64(targetLeft, total-targetLeft) + sub.MaxNodeWeight()
-	refine.FMBisect(sub, bi, bound, 6)
-	var left, right []graph.Node
-	for i, u := range nodes {
-		if bi[i] == 0 {
-			left = append(left, u)
-		} else {
-			right = append(right, u)
-		}
-	}
-	for len(left) < kLeft && len(right) > kRight {
-		left = append(left, right[len(right)-1])
-		right = right[:len(right)-1]
-	}
-	for len(right) < kRight && len(left) > kLeft {
-		right = append(right, left[len(left)-1])
-		left = left[:len(left)-1]
-	}
-	spectralRecurse(g, left, firstPart, kLeft, parts, rng)
-	spectralRecurse(g, right, firstPart+kLeft, kRight, parts, rng)
+	return growBisection(sub, sub.TotalNodeWeight()/2, rng)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 )
 
@@ -29,25 +30,28 @@ func benchGraph(n int) *graph.Graph {
 func BenchmarkRandomMatching(b *testing.B) {
 	g := benchGraph(10000)
 	rng := rand.New(rand.NewSource(2))
+	ws := new(arena.Workspace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Random(g, rng)
+		_ = randomWS(ws, g, rng)
 	}
 }
 
 func BenchmarkHeavyEdgeMatching(b *testing.B) {
 	g := benchGraph(10000)
+	ws := new(arena.Workspace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = HeavyEdge(g)
+		_ = heavyEdgeWS(ws, g)
 	}
 }
 
 func BenchmarkKMeansMatching(b *testing.B) {
 	g := benchGraph(10000)
 	rng := rand.New(rand.NewSource(3))
+	ws := new(arena.Workspace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = KMeans(g, 4, rng)
+		_ = kMeansWS(ws, g, 4, rng)
 	}
 }

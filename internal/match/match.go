@@ -86,43 +86,6 @@ func (m Matching) MatchedWeight(g *graph.Graph) int64 {
 	return s
 }
 
-// Random computes a Random Maximal Matching: nodes are visited in random
-// order; each unmatched node grabs a random unmatched neighbor. The result
-// is maximal: no edge has both endpoints unmatched.
-func Random(g *graph.Graph, rng *rand.Rand) Matching {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return randomWS(ws, g, rng)
-}
-
-// HeavyEdge computes a Heavy-Edge Matching: edges are visited in
-// descending weight order (ties broken by endpoint ids for determinism)
-// and selected when both endpoints are free. This is the matching that
-// most reduces the exposed edge weight, per Karypis–Kumar.
-//
-// The comparator is a total order (edges are unique by endpoint pair), so
-// the sorted sequence — and hence the matching — is independent of the
-// sorting algorithm; the generic non-stable sort avoids the reflection
-// overhead that used to dominate coarsening time.
-func HeavyEdge(g *graph.Graph) Matching {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return heavyEdgeWS(ws, g)
-}
-
-// KMeans computes the paper's K-Means Matching: nodes are clustered by
-// node weight into nClusters groups (1-D k-means on the weight axis), and
-// matching is attempted preferentially inside a cluster — pairing
-// similar-weight processes keeps coarse node weights homogeneous, which
-// eases the resource-balancing of the initial partitioner. Nodes whose
-// cluster offers no free adjacent partner fall back to any free neighbor
-// so the matching stays maximal.
-func KMeans(g *graph.Graph, nClusters int, rng *rand.Rand) Matching {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return kMeansWS(ws, g, nClusters, rng)
-}
-
 func absF(x float64) float64 {
 	if x < 0 {
 		return -x
@@ -223,7 +186,10 @@ func permInto(rng *rand.Rand, out []int) {
 	}
 }
 
-// randomWS is Random with the visit order and candidate list pooled.
+// randomWS computes a Random Maximal Matching: nodes are visited in
+// random order; each unmatched node grabs a random unmatched neighbor. The
+// result is maximal: no edge has both endpoints unmatched. The visit order
+// and candidate list are pooled.
 func randomWS(ws *arena.Workspace, g *graph.Graph, rng *rand.Rand) Matching {
 	n := g.NumNodes()
 	m := NewMatching(n)
@@ -252,12 +218,22 @@ func randomWS(ws *arena.Workspace, g *graph.Graph, rng *rand.Rand) Matching {
 	return m
 }
 
-// heavyEdgeWS is HeavyEdge with the edge sort array pooled. When the sort
-// key fits, edges are packed into single int64 keys — (inverted weight,
-// u, v) in descending-weight lexicographic layout — and sorted with the
-// branch-lean primitive sort; the packed integer order is exactly the
-// struct comparator's total order, so the matching is bit-identical to
-// the comparator path, which remains as the general fallback.
+// heavyEdgeWS computes a Heavy-Edge Matching: edges are visited in
+// descending weight order (ties broken by endpoint ids for determinism)
+// and selected when both endpoints are free. This is the matching that
+// most reduces the exposed edge weight, per Karypis–Kumar.
+//
+// The comparator is a total order (edges are unique by endpoint pair), so
+// the sorted sequence — and hence the matching — is independent of the
+// sorting algorithm; the generic non-stable sort avoids the reflection
+// overhead that used to dominate coarsening time.
+//
+// The edge sort array is pooled. When the sort key fits, edges are packed
+// into single int64 keys — (inverted weight, u, v) in descending-weight
+// lexicographic layout — and sorted with the branch-lean primitive sort;
+// the packed integer order is exactly the struct comparator's total
+// order, so the matching is bit-identical to the comparator path, which
+// remains as the general fallback.
 func heavyEdgeWS(ws *arena.Workspace, g *graph.Graph) Matching {
 	n := g.NumNodes()
 	if idBits := bits.Len(uint(n)); n > 0 && 2*idBits < 63 &&
@@ -327,8 +303,14 @@ func heavyEdgePackedWS(ws *arena.Workspace, g *graph.Graph, idBits uint) Matchin
 	return m
 }
 
-// kMeansWS is KMeans with the cluster table, visit order, candidate
-// lists, and Lloyd-iteration scratch pooled.
+// kMeansWS computes the paper's K-Means Matching: nodes are clustered by
+// node weight into nClusters groups (1-D k-means on the weight axis), and
+// matching is attempted preferentially inside a cluster — pairing
+// similar-weight processes keeps coarse node weights homogeneous, which
+// eases the resource-balancing of the initial partitioner. Nodes whose
+// cluster offers no free adjacent partner fall back to any free neighbor
+// so the matching stays maximal. The cluster table, visit order,
+// candidate lists, and Lloyd-iteration scratch are pooled.
 func kMeansWS(ws *arena.Workspace, g *graph.Graph, nClusters int, rng *rand.Rand) Matching {
 	n := g.NumNodes()
 	m := NewMatching(n)

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/coarsen"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/initpart"
@@ -81,9 +82,11 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	start := time.Now()
 	rng := rand.New(rand.NewSource(opts.Seed))
+	ws := arena.Get()
+	defer arena.Put(ws)
 
 	// Coarsening: heavy-edge matching only, the METIS default.
-	hier, err := coarsen.Build(g, coarsen.Options{
+	hier, err := coarsen.BuildWS(ws, g, coarsen.Options{
 		TargetSize: opts.CoarsenTarget,
 		Heuristics: []match.Heuristic{match.HeuristicHeavyEdge},
 	}, rng)
@@ -97,8 +100,11 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mlkp: initial partitioning: %v", err)
 	}
-	bound := balanceBound(g, opts)
-	refine.KWayFM(coarsest, parts, opts.K, bound, opts.RefinePasses)
+	bound := metrics.Constraints{Rmax: balanceBound(g, opts)}
+	// One CSR snapshot per level; the finest one also serves the final
+	// balance enforcement and refinement below.
+	csr := coarsest.ToCSR()
+	refine.KWayFMWS(ws, csr, parts, opts.K, bound, opts.RefinePasses)
 
 	// Uncoarsening with per-level k-way FM refinement.
 	for lvl := hier.Depth(); lvl > 0; lvl-- {
@@ -106,12 +112,13 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mlkp: projection: %v", err)
 		}
-		refine.KWayFM(hier.GraphAt(lvl-1), parts, opts.K, bound, opts.RefinePasses)
+		csr = hier.GraphAt(lvl - 1).ToCSR()
+		refine.KWayFMWS(ws, csr, parts, opts.K, bound, opts.RefinePasses)
 	}
 	// Final balance enforcement (projection cannot unbalance, but the
 	// initial partition might exceed the factor on odd k).
-	refine.RebalanceResources(g, parts, opts.K, bound, 8)
-	refine.KWayFM(g, parts, opts.K, bound, opts.RefinePasses)
+	refine.RebalanceResourcesWS(ws, csr, parts, opts.K, bound, 8)
+	refine.KWayFMWS(ws, csr, parts, opts.K, bound, opts.RefinePasses)
 
 	res := &Result{
 		Parts:   parts,

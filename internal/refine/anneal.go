@@ -9,7 +9,7 @@ import (
 	"ppnpart/internal/pstate"
 )
 
-// AnnealOptions configures Anneal.
+// AnnealOptions configures AnnealCSR.
 type AnnealOptions struct {
 	// Iterations is the number of proposed moves (default 200·n).
 	Iterations int
@@ -21,16 +21,11 @@ type AnnealOptions struct {
 	Cooling float64
 }
 
-// Anneal refines a k-way partition by simulated annealing on the same
-// constrained objective as TabuSearch: random single-node moves, always
-// accepted when improving, accepted with probability exp(-Δ/T) when
-// worsening, geometric cooling. The best state seen is restored at the
-// end. The rng makes runs reproducible.
-func Anneal(g *graph.Graph, parts []int, k int, c metrics.Constraints, opts AnnealOptions, rng *rand.Rand) (Stats, bool) {
-	return AnnealCSR(g.ToCSR(), parts, k, c, opts, rng)
-}
-
-// AnnealCSR is Anneal on a prebuilt CSR snapshot.
+// AnnealCSR refines a k-way partition of the CSR snapshot by simulated
+// annealing on the same constrained objective as TabuSearchCSR: random
+// single-node moves, always accepted when improving, accepted with
+// probability exp(-Δ/T) when worsening, geometric cooling. The best state
+// seen is restored at the end. The rng makes runs reproducible.
 func AnnealCSR(csr *graph.CSR, parts []int, k int, c metrics.Constraints, opts AnnealOptions, rng *rand.Rand) (Stats, bool) {
 	n := csr.NumNodes()
 	if opts.Iterations <= 0 {

@@ -22,25 +22,18 @@ type BandwidthStats struct {
 	Feasible bool
 }
 
-// RepairBandwidth greedily moves boundary nodes between parts to drive
-// every pairwise bandwidth under c.Bmax, while respecting c.Rmax on the
+// RepairBandwidthWS greedily moves boundary nodes between parts to drive
+// every pairwise bandwidth under c.Bmax, while respecting c.RmaxFor on the
 // destination part when possible (the paper's FM-based bandwidth-repair
 // step of §IV-B/§IV-C: "Partitions will be changed and nodes will move
 // between partitions as far as constraints met"). Each pass considers all
 // nodes incident to an over-budget pair and applies the move with the best
 // (excess reduction, cut reduction) lexicographic gain; a node moves at
 // most once per pass. Stops when feasible, when a pass makes no progress,
-// or after maxPasses (default 16).
-func RepairBandwidth(g *graph.Graph, parts []int, k int, c metrics.Constraints, maxPasses int) BandwidthStats {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return RepairBandwidthWS(ws, g.ToCSR(), parts, k, c, maxPasses)
-}
-
-// RepairBandwidthWS is RepairBandwidth on a prebuilt CSR snapshot — the
-// form the multilevel driver uses, building one CSR per hierarchy level
-// and sharing it across every refinement stage at that level — drawing
-// the partition state and the per-pass moved set from ws.
+// or after maxPasses (default 16). It reads adjacency through a prebuilt
+// CSR snapshot — the multilevel driver builds one per hierarchy level and
+// shares it across every refinement stage at that level — and draws the
+// partition state and the per-pass moved set from ws.
 func RepairBandwidthWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) BandwidthStats {
 	st := BandwidthStats{}
 	if c.Bmax <= 0 {
@@ -146,41 +139,15 @@ func repairBandwidthState(s *pstate.State, csr *graph.CSR, c metrics.Constraints
 	return st
 }
 
-// RebalanceResources moves nodes out of parts whose resource total
-// exceeds rmax into the part with the most free space, preferring moves
-// that increase the cut least. It is the repair used after the greedy
-// initial partitioning when forced placement overfilled a part. Stops
-// when all parts fit, when stuck, or after maxPasses (default 16).
-// Returns the number of moves applied and whether all parts now fit.
-func RebalanceResources(g *graph.Graph, parts []int, k int, rmax int64, maxPasses int) (int, bool) {
-	if rmax <= 0 {
-		return 0, true
-	}
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return RebalanceResourcesWS(ws, g.ToCSR(), parts, k, rmax, maxPasses)
-}
-
-// RebalanceResourcesWS is RebalanceResources on a prebuilt CSR snapshot
-// with the per-part totals and connectivity scratch drawn from ws.
-func RebalanceResourcesWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, rmax int64, maxPasses int) (int, bool) {
-	if rmax <= 0 {
-		return 0, true
-	}
-	lims := ws.Int64s.Get(k)
-	defer ws.Int64s.Put(lims)
-	for p := range lims {
-		lims[p] = rmax
-	}
-	return rebalanceLims(ws, csr, parts, k, lims, maxPasses)
-}
-
-// RebalanceResourcesCapsWS is RebalanceResourcesWS under heterogeneous
-// per-part bounds (c.RmaxFor): a part is overfull relative to its own
-// capacity, and destinations are sized by theirs. Parts with no active
-// bound are never overfull and accept any node. Returns (0, true) when no
-// part has an active bound.
-func RebalanceResourcesCapsWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) (int, bool) {
+// RebalanceResourcesWS moves nodes out of parts whose resource total
+// exceeds their bound c.RmaxFor(p) into the part with the most free space,
+// preferring moves that increase the cut least. It is the repair used
+// after the greedy initial partitioning when forced placement overfilled a
+// part. A part with no active bound is never overfull and accepts any
+// node. Stops when all parts fit, when stuck, or after maxPasses (default
+// 16). Returns the number of moves applied and whether all parts now fit;
+// (0, true) when no part has an active bound.
+func RebalanceResourcesWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) (int, bool) {
 	lims := ws.Int64s.Get(k)
 	defer ws.Int64s.Put(lims)
 	active := false
@@ -193,12 +160,6 @@ func RebalanceResourcesCapsWS(ws *arena.Workspace, csr *graph.CSR, parts []int, 
 	if !active {
 		return 0, true
 	}
-	return rebalanceLims(ws, csr, parts, k, lims, maxPasses)
-}
-
-// rebalanceLims is the shared rebalance implementation; lims[p] bounds
-// part p (<= 0 = unbounded: never overfull, unlimited destination room).
-func rebalanceLims(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, lims []int64, maxPasses int) (int, bool) {
 	if maxPasses <= 0 {
 		maxPasses = 16
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
 	"ppnpart/internal/pstate"
@@ -131,7 +132,7 @@ func TestRepairBandwidthFixesViolation(t *testing.T) {
 	if metrics.Feasible(g, parts, 3, c) {
 		t.Fatal("test setup: expected initial violation")
 	}
-	st := RepairBandwidth(g, parts, 3, c, 0)
+	st := RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, 3, c, 0)
 	if !st.Feasible {
 		t.Fatalf("repair failed: %+v, bw=%v", st, metrics.BandwidthMatrix(g, parts, 3))
 	}
@@ -154,12 +155,12 @@ func TestRepairBandwidthNoopWhenFeasible(t *testing.T) {
 		parts[i] = i % 2
 	}
 	huge := metrics.Constraints{Bmax: 1 << 40}
-	st := RepairBandwidth(g, parts, 2, huge, 0)
+	st := RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, 2, huge, 0)
 	if !st.Feasible || st.Moves != 0 {
 		t.Fatalf("feasible input should be a no-op: %+v", st)
 	}
 	// Bmax <= 0 disables the pass entirely.
-	st2 := RepairBandwidth(g, parts, 2, metrics.Constraints{}, 0)
+	st2 := RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, 2, metrics.Constraints{}, 0)
 	if !st2.Feasible || st2.Moves != 0 {
 		t.Fatalf("unconstrained input should be a no-op: %+v", st2)
 	}
@@ -182,7 +183,7 @@ func TestRepairBandwidthRespectsRmax(t *testing.T) {
 			}
 		}
 		c := metrics.Constraints{Bmax: 10, Rmax: rmax}
-		RepairBandwidth(g, parts, k, c, 4)
+		RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, k, c, 4)
 		for p, r := range metrics.PartResources(g, parts, k) {
 			if r > rmax {
 				t.Fatalf("trial %d: part %d resource %d > Rmax %d", trial, p, r, rmax)
@@ -203,7 +204,7 @@ func TestRepairBandwidthNeverIncreasesExcess(t *testing.T) {
 		bmax := int64(1 + rng.Intn(30))
 		c := metrics.Constraints{Bmax: bmax}
 		before := bwExcessOf(g, parts, k, bmax)
-		st := RepairBandwidth(g, parts, k, c, 4)
+		st := RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, k, c, 4)
 		if st.ExcessBefore != before {
 			return false
 		}
@@ -223,7 +224,7 @@ func TestRebalanceResources(t *testing.T) {
 		g.MustAddEdge(graph.Node(i-1), graph.Node(i), 1)
 	}
 	parts := []int{0, 0, 0, 0, 1, 2}
-	moves, ok := RebalanceResources(g, parts, 3, 20, 0)
+	moves, ok := RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, 3, metrics.Constraints{Rmax: 20}, 0)
 	if !ok {
 		t.Fatalf("rebalance failed; res=%v", metrics.PartResources(g, parts, 3))
 	}
@@ -242,7 +243,7 @@ func TestRebalanceResourcesImpossible(t *testing.T) {
 	g := graph.NewWithWeights([]int64{100, 1})
 	g.MustAddEdge(0, 1, 1)
 	parts := []int{0, 1}
-	_, ok := RebalanceResources(g, parts, 2, 50, 0)
+	_, ok := RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, 2, metrics.Constraints{Rmax: 50}, 0)
 	if ok {
 		t.Fatal("impossible instance reported balanced")
 	}
@@ -252,12 +253,12 @@ func TestRebalanceResourcesNoopWhenFits(t *testing.T) {
 	g := graph.NewWithWeights([]int64{5, 5})
 	g.MustAddEdge(0, 1, 1)
 	parts := []int{0, 1}
-	moves, ok := RebalanceResources(g, parts, 2, 10, 0)
+	moves, ok := RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, 2, metrics.Constraints{Rmax: 10}, 0)
 	if !ok || moves != 0 {
 		t.Fatalf("fitting input should be a no-op: moves=%d ok=%v", moves, ok)
 	}
 	// rmax <= 0 disables the pass.
-	moves, ok = RebalanceResources(g, parts, 2, 0, 0)
+	moves, ok = RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, 2, metrics.Constraints{Rmax: 0}, 0)
 	if !ok || moves != 0 {
 		t.Fatal("disabled pass should be a no-op")
 	}
@@ -274,7 +275,7 @@ func TestPropertyRebalanceNeverOverflowsFittingParts(t *testing.T) {
 		}
 		// Generous bound: total/k * 2.
 		rmax := 2 * g.TotalNodeWeight() / int64(k)
-		RebalanceResources(g, parts, k, rmax, 8)
+		RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, k, metrics.Constraints{Rmax: rmax}, 8)
 		return metrics.Validate(g, parts, k) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -76,19 +76,12 @@ func batchBuckets(ws *arena.Workspace) *gainBuckets {
 	return gb
 }
 
-// BatchKWay is BatchKWayWS with a throwaway workspace and CSR snapshot.
-func BatchKWay(g *graph.Graph, parts []int, opts BatchOptions) BatchStats {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return BatchKWayWS(ws, g.ToCSR(), parts, opts)
-}
-
 // BatchKWayWS runs data-parallel batch k-way refinement on a prebuilt CSR
 // snapshot, mutating parts in place. Each round:
 //
 //  1. Gain sweep: boundary vertices are scanned in chunked CSR sweeps
 //     fanned over the shared worker pool; each vertex's best
-//     positive-gain destination (KWayFM's gain rule: connectivity delta,
+//     positive-gain destination (KWayFMWS's gain rule: connectivity delta,
 //     ties to the lowest part id) lands in a per-node slot of a pooled
 //     buffer, so the sweep result is independent of the worker count and
 //     chunk split. A vertex's candidate depends only on its own and its
@@ -394,7 +387,7 @@ rounds:
 }
 
 // sweepGains computes each scanned node's best single-move candidate
-// under KWayFM's gain rule (connectivity delta, ties to the lowest part
+// under KWayFMWS's gain rule (connectivity delta, ties to the lowest part
 // id) against the current assignment. With list nil it scans nodes
 // [lo, hi); otherwise it scans exactly the nodes in list (an incremental
 // re-sweep). The candidate is a pure function of the node's own and its

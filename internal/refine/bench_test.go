@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/metrics"
 )
 
@@ -15,10 +16,11 @@ func BenchmarkFMBisect(b *testing.B) {
 		base[i] = i % 2
 	}
 	bound := g.TotalNodeWeight()/2 + g.MaxNodeWeight()
+	ws, csr := new(arena.Workspace), g.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		parts := append([]int(nil), base...)
-		FMBisect(g, parts, bound, 4)
+		FMBisectWS(ws, csr, parts, bound, 4)
 	}
 }
 
@@ -30,10 +32,11 @@ func BenchmarkKWayFM(b *testing.B) {
 		base[i] = i % 8
 	}
 	bound := g.TotalNodeWeight()/8 + g.MaxNodeWeight()
+	ws, csr := new(arena.Workspace), g.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		parts := append([]int(nil), base...)
-		KWayFM(g, parts, 8, bound, 4)
+		KWayFMWS(ws, csr, parts, 8, metrics.Constraints{Rmax: bound}, 4)
 	}
 }
 
@@ -45,10 +48,11 @@ func BenchmarkRepairBandwidth(b *testing.B) {
 		base[i] = rng.Intn(4)
 	}
 	c := metrics.Constraints{Bmax: g.TotalEdgeWeight() / 8}
+	ws, csr := new(arena.Workspace), g.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		parts := append([]int(nil), base...)
-		RepairBandwidth(g, parts, 4, c, 4)
+		RepairBandwidthWS(ws, csr, parts, 4, c, 4)
 	}
 }
 
@@ -60,10 +64,11 @@ func BenchmarkTabuSearch(b *testing.B) {
 		base[i] = rng.Intn(4)
 	}
 	c := metrics.Constraints{Bmax: g.TotalEdgeWeight() / 4, Rmax: g.TotalNodeWeight()}
+	csr := g.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		parts := append([]int(nil), base...)
-		TabuSearch(g, parts, 4, c, TabuOptions{Iterations: 200})
+		TabuSearchCSR(csr, parts, 4, c, TabuOptions{Iterations: 200})
 	}
 }
 
@@ -75,23 +80,10 @@ func BenchmarkAnneal(b *testing.B) {
 		base[i] = rng.Intn(4)
 	}
 	c := metrics.Constraints{Bmax: g.TotalEdgeWeight() / 4, Rmax: g.TotalNodeWeight()}
+	csr := g.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		parts := append([]int(nil), base...)
-		Anneal(g, parts, 4, c, AnnealOptions{Iterations: 5000}, rand.New(rand.NewSource(9)))
-	}
-}
-
-func BenchmarkKernighanLin(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	g := randomConnected(rng, 300) // KL is O(n^2) per pass
-	base := make([]int, 300)
-	for i := range base {
-		base[i] = i % 2
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts := append([]int(nil), base...)
-		KernighanLin(g, parts, 2)
+		AnnealCSR(csr, parts, 4, c, AnnealOptions{Iterations: 5000}, rand.New(rand.NewSource(9)))
 	}
 }

@@ -19,21 +19,14 @@ type Stats struct {
 // Improved reports whether the refinement reduced the cut.
 func (s Stats) Improved() bool { return s.CutAfter < s.CutBefore }
 
-// FMBisect runs Fiduccia–Mattheyses passes on a 2-way partition
-// (parts[u] ∈ {0,1}), mutating parts in place. Each pass moves every node
-// at most once, always taking the highest-gain admissible move, allowing
-// negative-gain moves (hill climbing), and finally rolls back to the best
-// prefix seen. maxResource bounds the node-weight total of each side
-// (<= 0: the only bound is that no side may be emptied); maxPasses <= 0
-// defaults to 8. Terminates when a pass yields no improvement.
-func FMBisect(g *graph.Graph, parts []int, maxResource int64, maxPasses int) Stats {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return FMBisectWS(ws, g.ToCSR(), parts, maxResource, maxPasses)
-}
-
-// FMBisectWS is FMBisect on a prebuilt CSR snapshot with the per-pass
-// gain and lock tables drawn from ws.
+// FMBisectWS runs Fiduccia–Mattheyses passes on a 2-way partition
+// (parts[u] ∈ {0,1}) of the CSR snapshot, mutating parts in place. Each
+// pass moves every node at most once, always taking the highest-gain
+// admissible move, allowing negative-gain moves (hill climbing), and
+// finally rolls back to the best prefix seen. maxResource bounds the
+// node-weight total of each side (<= 0: the only bound is that no side
+// may be emptied); maxPasses <= 0 defaults to 8. Terminates when a pass
+// yields no improvement. The per-pass gain and lock tables come from ws.
 func FMBisectWS(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource int64, maxPasses int) Stats {
 	if maxPasses <= 0 {
 		maxPasses = 8
@@ -159,46 +152,22 @@ func fmBisectPass(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource 
 	return bestCut < startCut, bestCut, bestLen
 }
 
-// KWayFM runs greedy k-way FM refinement: repeated passes over boundary
-// nodes, each pass moving nodes (at most once each) to the neighbor part
-// with the best positive gain, subject to the resource bound. Unlike
-// 2-way FM it does not hill-climb — this mirrors the coarse-grained
-// k-way refinement used in multilevel k-way partitioners. maxResource
-// <= 0 disables the bound; maxPasses <= 0 defaults to 8.
-func KWayFM(g *graph.Graph, parts []int, k int, maxResource int64, maxPasses int) Stats {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return KWayFMWS(ws, g.ToCSR(), parts, k, maxResource, maxPasses)
-}
-
-// KWayFMWS is KWayFM on a prebuilt CSR snapshot with the per-part totals
-// and connectivity scratch drawn from ws. The cut is tracked
+// KWayFMWS runs greedy k-way FM refinement on a CSR snapshot: repeated
+// passes over boundary nodes, each pass moving nodes (at most once each)
+// to the neighbor part with the best positive gain, subject to the
+// destination's resource bound c.RmaxFor(to) (<= 0: unbounded), so a big
+// part can absorb nodes a small one cannot. Unlike 2-way FM it does not
+// hill-climb — this mirrors the coarse-grained k-way refinement used in
+// multilevel k-way partitioners. maxPasses <= 0 defaults to 8. Per-part
+// totals and connectivity scratch come from ws; the cut is tracked
 // incrementally from the applied gains, so the only full adjacency sweep
 // is the initial cut count.
-func KWayFMWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, maxResource int64, maxPasses int) Stats {
-	lims := ws.Int64s.Get(k)
-	defer ws.Int64s.Put(lims)
-	for p := range lims {
-		lims[p] = maxResource
-	}
-	return kwayFMLims(ws, csr, parts, k, lims, maxPasses)
-}
-
-// KWayFMCapsWS is KWayFMWS under heterogeneous per-part resource bounds:
-// the destination check uses c.RmaxFor(to), so a big part can absorb
-// nodes a small one cannot. With a nil RmaxPart it is exactly KWayFMWS.
-func KWayFMCapsWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) Stats {
+func KWayFMWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) Stats {
 	lims := ws.Int64s.Get(k)
 	defer ws.Int64s.Put(lims)
 	for p := range lims {
 		lims[p] = c.RmaxFor(p)
 	}
-	return kwayFMLims(ws, csr, parts, k, lims, maxPasses)
-}
-
-// kwayFMLims is the shared k-way FM implementation; lims[p] bounds part
-// p's resource total (<= 0 = unbounded).
-func kwayFMLims(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, lims []int64, maxPasses int) Stats {
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ppnpart/internal/arena"
+	"ppnpart/internal/exact"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
 )
@@ -53,7 +55,7 @@ func TestFMBisectFindsClusterSplit(t *testing.T) {
 	for i := range parts {
 		parts[i] = i % 2
 	}
-	st := FMBisect(g, parts, 9, 0)
+	st := FMBisectWS(new(arena.Workspace), g.ToCSR(), parts, 9, 0)
 	if st.CutAfter != 1 {
 		t.Fatalf("cut after FM = %d, want 1 (bridge only); stats %+v", st.CutAfter, st)
 	}
@@ -83,7 +85,7 @@ func TestFMBisectRespectsResourceBound(t *testing.T) {
 		if r[1] > rmax {
 			rmax = r[1]
 		}
-		FMBisect(g, parts, rmax, 0)
+		FMBisectWS(new(arena.Workspace), g.ToCSR(), parts, rmax, 0)
 		after := metrics.PartResources(g, parts, 2)
 		if after[0] > rmax || after[1] > rmax {
 			t.Fatalf("trial %d: FM overflowed resource bound %d: %v", trial, rmax, after)
@@ -98,7 +100,7 @@ func TestFMBisectNeverEmptiesASide(t *testing.T) {
 	parts := []int{0, 1, 1}
 	// Merging everything into one side would zero the cut, but a bisection
 	// must keep both sides non-empty.
-	FMBisect(g, parts, 0, 0)
+	FMBisectWS(new(arena.Workspace), g.ToCSR(), parts, 0, 0)
 	sizes := metrics.PartSizes(parts, 2)
 	if sizes[0] == 0 || sizes[1] == 0 {
 		t.Fatalf("FM emptied a side: %v", sizes)
@@ -114,13 +116,51 @@ func TestFMBisectNeverWorsens(t *testing.T) {
 			parts[i] = rng.Intn(2)
 		}
 		before := metrics.EdgeCut(g, parts)
-		st := FMBisect(g, parts, 0, 0)
+		st := FMBisectWS(new(arena.Workspace), g.ToCSR(), parts, 0, 0)
 		after := metrics.EdgeCut(g, parts)
 		if after > before {
 			t.Fatalf("trial %d: FM worsened cut %d -> %d", trial, before, after)
 		}
 		if st.CutBefore != before || st.CutAfter != after {
 			t.Fatalf("trial %d: stats mismatch %+v vs %d->%d", trial, st, before, after)
+		}
+	}
+}
+
+// TestFMBisectNeverBeatsExactOptimum checks FM against the exact branch
+// and bound on small seeded instances: FM's bisection is always a feasible
+// point of the exact problem (both sides non-empty, and within the side
+// bound when one is set and the start respects it), so its cut can never
+// fall below the proven optimum — a lower cut would mean FM's incremental
+// gain bookkeeping mis-reports the cut.
+func TestFMBisectNeverBeatsExactOptimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 40; trial++ {
+		n := 4 + rng.Intn(11) // 4..14 nodes
+		g := randomConnected(rng, n)
+		parts := make([]int, n)
+		for i := range parts {
+			parts[i] = i % 2
+		}
+		var bound int64
+		if trial%2 == 1 {
+			r := metrics.PartResources(g, parts, 2)
+			bound = max(r[0], r[1])
+		}
+		st := FMBisectWS(new(arena.Workspace), g.ToCSR(), parts, bound, 0)
+		if got := metrics.EdgeCut(g, parts); got != st.CutAfter {
+			t.Fatalf("trial %d: reported cut %d != recomputed %d", trial, st.CutAfter, got)
+		}
+		opt, err := exact.Solve(g, exact.Options{K: 2, Constraints: metrics.Constraints{Rmax: bound}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !opt.Feasible || !opt.Proven {
+			t.Fatalf("trial %d: exact found no proven optimum for a feasible FM result", trial)
+		}
+		if st.CutAfter < opt.Cut {
+			t.Fatalf("trial %d (n=%d, bound %d): FM cut %d below the exact optimum %d",
+				trial, n, bound, st.CutAfter, opt.Cut)
 		}
 	}
 }
@@ -142,7 +182,7 @@ func TestKWayFMImprovesAndRespectsBounds(t *testing.T) {
 				rmax = r
 			}
 		}
-		st := KWayFM(g, parts, k, rmax, 0)
+		st := KWayFMWS(new(arena.Workspace), g.ToCSR(), parts, k, metrics.Constraints{Rmax: rmax}, 0)
 		after := metrics.EdgeCut(g, parts)
 		if after > before {
 			t.Fatalf("trial %d: k-way FM worsened cut", trial)
@@ -169,52 +209,10 @@ func TestKWayFMKeepsPartsNonEmpty(t *testing.T) {
 	for i := range parts {
 		parts[i] = i % k
 	}
-	KWayFM(g, parts, k, 0, 0)
+	KWayFMWS(new(arena.Workspace), g.ToCSR(), parts, k, metrics.Constraints{Rmax: 0}, 0)
 	for p, s := range metrics.PartSizes(parts, k) {
 		if s == 0 {
 			t.Fatalf("part %d emptied", p)
-		}
-	}
-}
-
-func TestKernighanLinImprovesInterleavedClusters(t *testing.T) {
-	g := twoClusters(6)
-	parts := make([]int, g.NumNodes())
-	for i := range parts {
-		parts[i] = i % 2
-	}
-	before := metrics.EdgeCut(g, parts)
-	st := KernighanLin(g, parts, 0)
-	after := metrics.EdgeCut(g, parts)
-	if after >= before {
-		t.Fatalf("KL did not improve: %d -> %d", before, after)
-	}
-	if after != 1 {
-		t.Fatalf("KL cut = %d, want 1", after)
-	}
-	if st.CutAfter != after {
-		t.Fatal("KL stats mismatch")
-	}
-	// KL preserves exact side sizes.
-	sizes := metrics.PartSizes(parts, 2)
-	if sizes[0] != sizes[1] {
-		t.Fatalf("KL changed side sizes: %v", sizes)
-	}
-}
-
-func TestKernighanLinNeverWorsens(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		g := randomConnected(rng, 24)
-		parts := make([]int, 24)
-		for i := range parts {
-			parts[i] = i % 2
-		}
-		before := metrics.EdgeCut(g, parts)
-		KernighanLin(g, parts, 0)
-		after := metrics.EdgeCut(g, parts)
-		if after > before {
-			t.Fatalf("trial %d: KL worsened %d -> %d", trial, before, after)
 		}
 	}
 }
@@ -227,7 +225,7 @@ func TestPropertyFMPreservesAssignmentValidity(t *testing.T) {
 		for i := range parts {
 			parts[i] = rng.Intn(2)
 		}
-		FMBisect(g, parts, 0, 3)
+		FMBisectWS(new(arena.Workspace), g.ToCSR(), parts, 0, 3)
 		if metrics.Validate(g, parts, 2) != nil {
 			return false
 		}
@@ -236,7 +234,7 @@ func TestPropertyFMPreservesAssignmentValidity(t *testing.T) {
 		for i := range kparts {
 			kparts[i] = rng.Intn(k)
 		}
-		KWayFM(g, kparts, k, 0, 3)
+		KWayFMWS(new(arena.Workspace), g.ToCSR(), kparts, k, metrics.Constraints{Rmax: 0}, 3)
 		return metrics.Validate(g, kparts, k) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -244,26 +242,30 @@ func TestPropertyFMPreservesAssignmentValidity(t *testing.T) {
 	}
 }
 
+// klAggregateCut is Kernighan–Lin's summed cut over the 20 instances of
+// TestPropertyFMAtLeastAsGoodAsKLOnBalancedStarts (default 4 passes from
+// the same alternating starts), measured when KL still lived here as the
+// historical pair-swap baseline. It keeps the FM-versus-KL comparison
+// without carrying an O(n²) implementation nothing else calls.
+const klAggregateCut = 2671
+
 func TestPropertyFMAtLeastAsGoodAsKLOnBalancedStarts(t *testing.T) {
 	// Not a strict theorem, but FM with hill-climbing and rollback should
-	// rarely lose to a plain greedy on the same instance; we assert the
-	// aggregate over several seeds to avoid flakes from individual cases.
+	// rarely lose to KL's exact-bisection swaps on the same instances; we
+	// assert the aggregate over several seeds to avoid flakes from
+	// individual cases.
 	rng := rand.New(rand.NewSource(99))
-	var fmTotal, klTotal int64
+	var fmTotal int64
 	for trial := 0; trial < 20; trial++ {
 		g := randomConnected(rng, 26)
-		base := make([]int, 26)
-		for i := range base {
-			base[i] = i % 2
+		parts := make([]int, 26)
+		for i := range parts {
+			parts[i] = i % 2
 		}
-		pf := append([]int(nil), base...)
-		pk := append([]int(nil), base...)
-		FMBisect(g, pf, 0, 0)
-		KernighanLin(g, pk, 0)
-		fmTotal += metrics.EdgeCut(g, pf)
-		klTotal += metrics.EdgeCut(g, pk)
+		FMBisectWS(new(arena.Workspace), g.ToCSR(), parts, 0, 0)
+		fmTotal += metrics.EdgeCut(g, parts)
 	}
-	if fmTotal > klTotal*11/10 {
-		t.Fatalf("FM aggregate cut %d much worse than KL %d", fmTotal, klTotal)
+	if fmTotal > klAggregateCut*11/10 {
+		t.Fatalf("FM aggregate cut %d much worse than KL %d", fmTotal, klAggregateCut)
 	}
 }

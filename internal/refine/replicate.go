@@ -50,13 +50,17 @@ type ReplicateStats struct {
 // Improved reports whether any replica was committed.
 func (s ReplicateStats) Improved() bool { return s.Clones > 0 }
 
-// ReplicateWS runs the replication pass over a settled assignment. The
+// Replicate runs the replication pass over a settled assignment of g. The
 // assignment itself is never changed — replication is an overlay — and
 // the returned vector maps each node to its replica part (-1 = none).
 // cfg carries the constraint set; a clone that would breach it inflates
-// the score's dominant penalty and is therefore never committed.
-func ReplicateWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, cfg pstate.Config, opts ReplicateOptions) ([]int, ReplicateStats, error) {
+// the score's dominant penalty and is therefore never committed. The pass
+// runs once per solve, so it checks out its own workspace and CSR.
+func Replicate(g *graph.Graph, parts []int, k int, cfg pstate.Config, opts ReplicateOptions) ([]int, ReplicateStats, error) {
 	opts = opts.withDefaults()
+	ws := arena.Get()
+	defer arena.Put(ws)
+	csr := g.ToCSR()
 	st := ReplicateStats{}
 	s, err := pstate.NewWS(ws, csr, parts, cfg)
 	if err != nil {
@@ -153,11 +157,4 @@ func ReplicateWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, cfg ps
 	st.ScoreAfter = cur
 	st.ObjectiveAfter = s.Objective()
 	return replicas, st, nil
-}
-
-// Replicate is ReplicateWS with a workspace drawn from the shared pool.
-func Replicate(g *graph.Graph, parts []int, k int, cfg pstate.Config, opts ReplicateOptions) ([]int, ReplicateStats, error) {
-	ws := arena.Get()
-	defer arena.Put(ws)
-	return ReplicateWS(ws, g.ToCSR(), parts, k, cfg, opts)
 }

@@ -17,7 +17,7 @@ import (
 // through the shared incremental partition state (internal/pstate), so a
 // candidate move costs O(deg + K) rather than a fresh matrix rebuild.
 
-// TabuOptions configures TabuSearch.
+// TabuOptions configures TabuSearchCSR.
 type TabuOptions struct {
 	// Iterations bounds the number of moves considered (default 100·n).
 	Iterations int
@@ -42,17 +42,12 @@ func objective(cut, excess, penalty int64) int64 {
 	return cut + excess*penalty
 }
 
-// TabuSearch refines a k-way partition under the constraints: each
-// iteration applies the best non-tabu single-node move (by objective
-// delta, even if worsening), marks the node tabu for Tenure iterations
-// (aspiration: a tabu move that improves the best-known state is
-// allowed), and finally restores the best state seen. Returns Stats on
+// TabuSearchCSR refines a k-way partition of the CSR snapshot under the
+// constraints: each iteration applies the best non-tabu single-node move
+// (by objective delta, even if worsening), marks the node tabu for Tenure
+// iterations (aspiration: a tabu move that improves the best-known state
+// is allowed), and finally restores the best state seen. Returns Stats on
 // the cut plus whether the final state is feasible.
-func TabuSearch(g *graph.Graph, parts []int, k int, c metrics.Constraints, opts TabuOptions) (Stats, bool) {
-	return TabuSearchCSR(g.ToCSR(), parts, k, c, opts)
-}
-
-// TabuSearchCSR is TabuSearch on a prebuilt CSR snapshot.
 func TabuSearchCSR(csr *graph.CSR, parts []int, k int, c metrics.Constraints, opts TabuOptions) (Stats, bool) {
 	n := csr.NumNodes()
 	if opts.Iterations <= 0 {

@@ -15,7 +15,7 @@ func TestTabuSearchImprovesInterleavedClusters(t *testing.T) {
 	for i := range parts {
 		parts[i] = i % 2
 	}
-	st, feasible := TabuSearch(g, parts, 2, metrics.Constraints{}, TabuOptions{})
+	st, feasible := TabuSearchCSR(g.ToCSR(), parts, 2, metrics.Constraints{}, TabuOptions{})
 	if !feasible {
 		t.Fatal("unconstrained run must end feasible")
 	}
@@ -42,7 +42,7 @@ func TestTabuSearchRepairsConstraints(t *testing.T) {
 			Bmax: 2 * g.TotalEdgeWeight() / int64(k),
 			Rmax: g.TotalNodeWeight()/int64(k) + g.MaxNodeWeight()*2,
 		}
-		_, feasible := TabuSearch(g, parts, k, c, TabuOptions{})
+		_, feasible := TabuSearchCSR(g.ToCSR(), parts, k, c, TabuOptions{})
 		if err := metrics.Validate(g, parts, k); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -66,7 +66,7 @@ func TestTabuSearchNeverWorsensObjective(t *testing.T) {
 		}
 		c := metrics.Constraints{Bmax: g.TotalEdgeWeight() / 2, Rmax: g.TotalNodeWeight()}
 		before := metrics.Goodness(g, parts, k, c)
-		TabuSearch(g, parts, k, c, TabuOptions{Iterations: 500})
+		TabuSearchCSR(g.ToCSR(), parts, k, c, TabuOptions{Iterations: 500})
 		after := metrics.Goodness(g, parts, k, c)
 		if after > before {
 			t.Fatalf("trial %d: tabu worsened goodness %v -> %v", trial, before, after)
@@ -81,7 +81,7 @@ func TestAnnealImprovesInterleavedClusters(t *testing.T) {
 		parts[i] = i % 2
 	}
 	rng := rand.New(rand.NewSource(3))
-	st, feasible := Anneal(g, parts, 2, metrics.Constraints{}, AnnealOptions{}, rng)
+	st, feasible := AnnealCSR(g.ToCSR(), parts, 2, metrics.Constraints{}, AnnealOptions{}, rng)
 	if !feasible {
 		t.Fatal("unconstrained run must end feasible")
 	}
@@ -101,7 +101,7 @@ func TestAnnealNeverWorsensBest(t *testing.T) {
 		}
 		c := metrics.Constraints{Bmax: g.TotalEdgeWeight(), Rmax: g.TotalNodeWeight()}
 		before := metrics.Goodness(g, parts, k, c)
-		Anneal(g, parts, k, c, AnnealOptions{Iterations: 2000}, rng)
+		AnnealCSR(g.ToCSR(), parts, k, c, AnnealOptions{Iterations: 2000}, rng)
 		after := metrics.Goodness(g, parts, k, c)
 		// Best-state restoration guarantees no regression.
 		if after > before {
@@ -121,8 +121,8 @@ func TestAnnealDeterministicForSeed(t *testing.T) {
 	}
 	p1 := append([]int(nil), base...)
 	p2 := append([]int(nil), base...)
-	Anneal(g, p1, 3, metrics.Constraints{}, AnnealOptions{}, rand.New(rand.NewSource(9)))
-	Anneal(g, p2, 3, metrics.Constraints{}, AnnealOptions{}, rand.New(rand.NewSource(9)))
+	AnnealCSR(g.ToCSR(), p1, 3, metrics.Constraints{}, AnnealOptions{}, rand.New(rand.NewSource(9)))
+	AnnealCSR(g.ToCSR(), p2, 3, metrics.Constraints{}, AnnealOptions{}, rand.New(rand.NewSource(9)))
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatal("same seed produced different anneal results")
@@ -132,13 +132,13 @@ func TestAnnealDeterministicForSeed(t *testing.T) {
 
 func TestAnnealDegenerateInputs(t *testing.T) {
 	g := graph.New(0)
-	st, feasible := Anneal(g, nil, 1, metrics.Constraints{}, AnnealOptions{}, rand.New(rand.NewSource(1)))
+	st, feasible := AnnealCSR(g.ToCSR(), nil, 1, metrics.Constraints{}, AnnealOptions{}, rand.New(rand.NewSource(1)))
 	if !feasible || st.Moves != 0 {
 		t.Fatal("empty graph should be a feasible no-op")
 	}
 	g2 := graph.New(3)
 	parts := []int{0, 0, 0}
-	_, ok := Anneal(g2, parts, 1, metrics.Constraints{}, AnnealOptions{}, rand.New(rand.NewSource(1)))
+	_, ok := AnnealCSR(g2.ToCSR(), parts, 1, metrics.Constraints{}, AnnealOptions{}, rand.New(rand.NewSource(1)))
 	if !ok {
 		t.Fatal("k=1 unconstrained should be feasible")
 	}
@@ -168,12 +168,12 @@ func TestPropertyTabuAndAnnealPreserveValidity(t *testing.T) {
 			Rmax: g.TotalNodeWeight()/int64(k) + int64(rng.Intn(50)),
 		}
 		pt := append([]int(nil), parts...)
-		TabuSearch(g, pt, k, c, TabuOptions{Iterations: 200})
+		TabuSearchCSR(g.ToCSR(), pt, k, c, TabuOptions{Iterations: 200})
 		if metrics.Validate(g, pt, k) != nil {
 			return false
 		}
 		pa := append([]int(nil), parts...)
-		Anneal(g, pa, k, c, AnnealOptions{Iterations: 500}, rng)
+		AnnealCSR(g.ToCSR(), pa, k, c, AnnealOptions{Iterations: 500}, rng)
 		return metrics.Validate(g, pa, k) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -3,6 +3,7 @@ package refine
 import (
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
 )
@@ -22,7 +23,7 @@ func TestRebalanceVectorFixesOverflow(t *testing.T) {
 	if metrics.VectorFeasible(vecs, parts, 2, vc) {
 		t.Fatal("setup: expected initial overflow (part 0 BRAM 12 > 8)")
 	}
-	moves, ok := RebalanceVector(g, vecs, parts, 2, vc, 0)
+	moves, ok := RebalanceVectorWS(new(arena.Workspace), g.ToCSR(), vecs, parts, 2, vc, 0)
 	if !ok {
 		t.Fatalf("rebalance failed; totals=%v", metrics.PartResourceVectors(vecs, parts, 2))
 	}
@@ -40,7 +41,7 @@ func TestRebalanceVectorImpossible(t *testing.T) {
 	vecs := [][]int64{{100, 1}, {1, 1}}
 	parts := []int{0, 1}
 	vc := metrics.VectorConstraints{Rmax: []int64{50, 10}}
-	_, ok := RebalanceVector(g, vecs, parts, 2, vc, 0)
+	_, ok := RebalanceVectorWS(new(arena.Workspace), g.ToCSR(), vecs, parts, 2, vc, 0)
 	if ok {
 		t.Fatal("impossible instance reported balanced")
 	}
@@ -51,11 +52,11 @@ func TestRebalanceVectorNoop(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	vecs := [][]int64{{1, 1}, {1, 1}}
 	parts := []int{0, 1}
-	moves, ok := RebalanceVector(g, vecs, parts, 2, metrics.VectorConstraints{Rmax: []int64{5, 5}}, 0)
+	moves, ok := RebalanceVectorWS(new(arena.Workspace), g.ToCSR(), vecs, parts, 2, metrics.VectorConstraints{Rmax: []int64{5, 5}}, 0)
 	if !ok || moves != 0 {
 		t.Fatal("fitting input should be a no-op")
 	}
-	moves, ok = RebalanceVector(g, vecs, parts, 2, metrics.VectorConstraints{}, 0)
+	moves, ok = RebalanceVectorWS(new(arena.Workspace), g.ToCSR(), vecs, parts, 2, metrics.VectorConstraints{}, 0)
 	if !ok || moves != 0 {
 		t.Fatal("inactive constraints should be a no-op")
 	}
@@ -73,7 +74,7 @@ func TestRebalanceVectorPrefersCheapMoves(t *testing.T) {
 	parts := []int{0, 0, 0, 0, 1}
 	vc := metrics.VectorConstraints{Rmax: []int64{10, 2}}
 	// Part 0 BRAM = 4 > 2: must shed node 2 or 3.
-	_, ok := RebalanceVector(g, vecs, parts, 2, vc, 0)
+	_, ok := RebalanceVectorWS(new(arena.Workspace), g.ToCSR(), vecs, parts, 2, vc, 0)
 	if !ok {
 		t.Fatal("rebalance failed")
 	}

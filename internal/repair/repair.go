@@ -182,9 +182,9 @@ func Repair(g *graph.Graph, parts []int, topo *fpga.Topology, failed []int, opts
 	if m > 1 {
 		ws := arena.Get()
 		csr := g.ToCSR()
-		refine.KWayFMCapsWS(ws, csr, compact, m, constraints, opts.RefinePasses)
+		refine.KWayFMWS(ws, csr, compact, m, constraints, opts.RefinePasses)
 		refine.RepairBandwidthWS(ws, csr, compact, m, constraints, opts.RefinePasses)
-		refine.RebalanceResourcesCapsWS(ws, csr, compact, m, constraints, opts.RefinePasses)
+		refine.RebalanceResourcesWS(ws, csr, compact, m, constraints, opts.RefinePasses)
 		arena.Put(ws)
 	}
 	assignment := make([]int, len(compact))

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ppnpart/internal/core"
+	"ppnpart/internal/engine"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
 )
@@ -242,7 +243,7 @@ func (req *JobRequest) Validate(g *graph.Graph) error {
 	if req.Options.RefinePasses < 0 {
 		return fmt.Errorf("%w: refine_passes = %d is negative", ErrBadRequest, req.Options.RefinePasses)
 	}
-	if _, err := core.ParseRefineMode(req.Options.Refine); err != nil {
+	if _, err := engine.ParseRefineMode(req.Options.Refine); err != nil {
 		return fmt.Errorf("%w: refine %q (want auto, serial or batch)", ErrBadRequest, req.Options.Refine)
 	}
 	if _, err := core.ParseAlgorithm(req.Options.Algo); err != nil {
@@ -264,7 +265,7 @@ func (req *JobRequest) CoreOptions() core.Options {
 	// Validate runs ParseRefineMode/ParseAlgorithm first; an unparseable
 	// value never reaches the solver, so the errors can only echo the
 	// zero modes here.
-	refineMode, _ := core.ParseRefineMode(req.Options.Refine)
+	refineMode, _ := engine.ParseRefineMode(req.Options.Refine)
 	algo, _ := core.ParseAlgorithm(req.Options.Algo)
 	return core.Options{
 		K:                     req.K,
@@ -337,7 +338,7 @@ func (req *JobRequest) CacheKey(g *graph.Graph) string {
 	wi(int64(req.Options.RefinePasses))
 	// Modes are hashed in parsed form so "" and "auto"/"gp" (the same
 	// effective configurations) share a cache entry.
-	refineMode, _ := core.ParseRefineMode(req.Options.Refine)
+	refineMode, _ := engine.ParseRefineMode(req.Options.Refine)
 	wi(int64(refineMode))
 	algo, _ := core.ParseAlgorithm(req.Options.Algo)
 	wi(int64(algo))

@@ -23,7 +23,7 @@ import (
 // only under the degraded retry configuration (serial, pruning off) —
 // the shape of a concurrency bug in the parallel search.
 func panickySolver(ctx context.Context, g *graph.Graph, opts core.Options, _ *engine.Trace) (*core.Result, error) {
-	if opts.Parallelism != 1 || opts.Prune != core.PruneOff {
+	if opts.Parallelism != 1 || opts.Prune != engine.PruneOff {
 		panic("injected solver bug in parallel search")
 	}
 	return fakeResult(g, opts, false), nil

@@ -681,8 +681,8 @@ func panicMessage(v any) string {
 // solve may have tripped over.
 func degradedOptions(opts core.Options) core.Options {
 	opts.Parallelism = 1
-	opts.Prune = core.PruneOff
-	opts.Refine = core.RefineSerial
+	opts.Prune = engine.PruneOff
+	opts.Refine = engine.RefineSerial
 	return opts
 }
 
