@@ -160,19 +160,13 @@ func (c Config) Evaluate(csr *graph.CSR, parts []int) (float64, bool) {
 	return s.Score(), s.Feasible()
 }
 
-// evaluateWS is Evaluate with the scoring state pooled on ws. When extra
-// is non-nil the candidate's cut and constraint excesses are captured
-// from the same state build (trace-only cost).
-func (c *Config) evaluateWS(ws *arena.Workspace, csr *graph.CSR, parts []int, extra *evalExtra) (float64, bool) {
+// evaluateWS is Evaluate with the scoring state pooled on ws.
+func (c *Config) evaluateWS(ws *arena.Workspace, csr *graph.CSR, parts []int) (float64, bool) {
 	s, err := pstate.NewWS(ws, csr, parts, c.stateConfig(parts))
 	if err != nil {
 		return math.Inf(1), false
 	}
 	score, feasible := s.Score(), s.Feasible()
-	if extra != nil {
-		extra.cut = s.Cut()
-		extra.bwExcess, extra.resExcess, _ = s.Excess()
-	}
 	s.Release(ws)
 	return score, feasible
 }
@@ -559,7 +553,7 @@ func (s *Solver) runCycle(ctx context.Context, g *graph.Graph, fcsr *graph.CSR, 
 		// assignment.
 		return candidate{cycle: cycle, goodness: math.Inf(1), pruned: pruned, trace: cy.trace}
 	}
-	goodness, feasible := s.cfg.evaluateWS(ws, fcsr, parts, nil)
+	goodness, feasible := s.cfg.evaluateWS(ws, fcsr, parts)
 	if feasible {
 		inc.publish(cycle, goodness)
 	}

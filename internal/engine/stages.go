@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"math"
+
 	"ppnpart/internal/arena"
 	"ppnpart/internal/chaos"
 	"ppnpart/internal/coarsen"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/initpart"
+	"ppnpart/internal/pstate"
 	"ppnpart/internal/refine"
 	"ppnpart/internal/stream"
 )
@@ -235,9 +238,11 @@ func (refineStage) Run(cy *Cycle) error {
 const batchApplyPoint = "engine.batch-apply"
 
 // batchRefinement runs the batch pass followed by one serial
-// polish-and-repair pipeline on the level's assignment. ok is false when
-// the batch pass panicked; cy.Parts is then still the projected
-// assignment the caller handed in, so the serial fallback starts clean.
+// polish-and-repair pipeline on one partition state built from the
+// level's assignment, and writes the result into cy.Parts only once both
+// finish. ok is false when the batch pass panicked; cy.Parts is then
+// still the projected assignment the caller handed in, so the serial
+// fallback starts clean.
 func batchRefinement(cy *Cycle) (win refineWin, bt *BatchTrace, ok bool) {
 	cfg := cy.Cfg
 	// The batch path replaces the pipeline race, so it reuses pipeline
@@ -249,14 +254,16 @@ func batchRefinement(cy *Cycle) (win refineWin, bt *BatchTrace, ok bool) {
 			win, bt, ok = refineWin{}, nil, false
 		}
 	}()
+	s, err := pstate.NewWS(ws, cy.CSR, cy.Parts, cfg.stateConfig(cy.Parts))
+	if err != nil {
+		return refineWin{}, nil, false
+	}
 	opts := refine.BatchOptions{
-		K:           cfg.K,
-		Constraints: cfg.Constraints,
-		Pool:        cfg.Pool,
-		Record:      tracing,
+		Pool:   cfg.Pool,
+		Record: tracing,
 	}
 	if chaos.Enabled() {
-		opts.PreApply = func(round, batch int) {
+		opts.PreApply = func(round, cands int) {
 			if err := chaos.Inject(batchApplyPoint); err != nil {
 				// Error-kind injections at a mid-apply boundary cannot be
 				// "returned" — the pass has no error path by design — so
@@ -265,7 +272,7 @@ func batchRefinement(cy *Cycle) (win refineWin, bt *BatchTrace, ok bool) {
 			}
 		}
 	}
-	st := refine.BatchKWayWS(ws, cy.CSR, cy.Parts, opts)
+	st := refine.BatchKWay(ws, s, opts)
 	if tracing {
 		bt = &BatchTrace{
 			Rounds:      st.Rounds,
@@ -293,19 +300,16 @@ func batchRefinement(cy *Cycle) (win refineWin, bt *BatchTrace, ok bool) {
 			break
 		}
 		if si == 0 {
-			stage(cy.CSR, cy.Parts, &polishCfg, ws, fm)
+			stage(s, &polishCfg, ws, fm)
 		} else {
-			stage(cy.CSR, cy.Parts, cfg, ws, fm)
+			stage(s, cfg, ws, fm)
 		}
 	}
-	var extra *evalExtra
-	win = refineWin{pipeline: -1}
-	if tracing {
-		extra = &win.extra
-	}
-	win.score, win.feasible = cfg.evaluateWS(ws, cy.CSR, cy.Parts, extra)
+	win = scoreWin(s, -1, tracing)
 	win.fmPasses = fmStats.Passes
 	win.fmMoves = fmStats.Moves
+	copy(cy.Parts, s.Parts())
+	s.Release(ws)
 	return win, bt, true
 }
 
@@ -336,36 +340,34 @@ func (retryStage) Run(cy *Cycle) error {
 	return nil
 }
 
-// refinePipeline is one ordering of the local-search stages. Stages read
-// adjacency through a CSR snapshot built once per hierarchy level and
-// shared by all pipelines at that level, and draw scratch from the
-// pipeline's workspace. fm, when non-nil, accumulates k-way FM work for
-// the trace.
-type refinePipeline []func(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, fm *refine.Stats)
+// refinePipeline is one ordering of the local-search stages. Every stage
+// moves through the pipeline's one partition state, built over the CSR
+// snapshot shared by all pipelines at the level, and draws scratch from
+// the pipeline's workspace. fm, when non-nil, accumulates k-way FM work
+// for the trace.
+type refinePipeline []func(s *pstate.State, cfg *Config, ws *arena.Workspace, fm *refine.Stats)
 
-func stageCut(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, fm *refine.Stats) {
-	st := refine.KWayFMWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
+func stageCut(s *pstate.State, cfg *Config, _ *arena.Workspace, fm *refine.Stats) {
+	st := refine.KWayFM(s, cfg.RefinePasses)
 	if fm != nil {
 		fm.Passes += st.Passes
 		fm.Moves += st.Moves
 	}
 }
 
-func stageBandwidth(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, _ *refine.Stats) {
-	refine.RepairBandwidthWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
+func stageBandwidth(s *pstate.State, cfg *Config, ws *arena.Workspace, _ *refine.Stats) {
+	refine.RepairBandwidth(ws, s, cfg.RefinePasses)
 }
 
-func stageResources(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, _ *refine.Stats) {
-	refine.RebalanceResourcesWS(ws, csr, parts, cfg.K, cfg.Constraints, cfg.RefinePasses)
+func stageResources(s *pstate.State, cfg *Config, _ *arena.Workspace, _ *refine.Stats) {
+	refine.RebalanceResources(s, cfg.RefinePasses)
 }
 
-// stageVector repairs multi-resource overflow; it only applies at the
-// finest level, where the assignment indexes the original nodes.
-func stageVector(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, _ *refine.Stats) {
-	if cfg.vectorActive() && len(parts) == len(cfg.VectorResources) {
-		refine.RebalanceVectorWS(ws, csr, cfg.VectorResources, parts, cfg.K,
-			cfg.VectorConstraints, cfg.RefinePasses)
-	}
+// stageVector repairs multi-resource overflow; it only acts at the finest
+// level, the one level whose state carries the vector table
+// (Config.stateConfig).
+func stageVector(s *pstate.State, cfg *Config, _ *arena.Workspace, _ *refine.Stats) {
+	refine.RebalanceVector(s, cfg.RefinePasses)
 }
 
 // pipelines are the candidate stage orderings compared at each level.
@@ -385,29 +387,37 @@ type refineWin struct {
 	extra    evalExtra
 }
 
-// bestRefinement runs every pipeline concurrently, each on its own copy
-// of the projected partition, writes the goodness-best outcome back into
-// parts, and returns the winning candidate's description. Every stage is
-// RNG-free and deterministic, each candidate is scored on its own
-// goroutine (a pure function of the candidate, so concurrency cannot
-// change the values), and the reduction scans candidates in pipeline
-// order with strict-improvement selection (ties keep the earlier
-// pipeline) — bit-identical to the serial loop.
+// scoreWin reads a refined state's score, feasibility and, when tracing,
+// its cut and constraint excesses.
+func scoreWin(s *pstate.State, pipeline int, tracing bool) refineWin {
+	win := refineWin{pipeline: pipeline, score: s.Score(), feasible: s.Feasible()}
+	if tracing {
+		win.extra.cut = s.Cut()
+		win.extra.bwExcess, win.extra.resExcess, _ = s.Excess()
+	}
+	return win
+}
+
+// bestRefinement runs every pipeline concurrently, each on its own
+// partition state built from the projected partition, writes the
+// goodness-best outcome back into parts, and returns the winning
+// candidate's description. Every stage is RNG-free and deterministic,
+// each candidate is scored from its own state (a pure function of the
+// candidate, so concurrency cannot change the values), and the reduction
+// scans candidates in pipeline order with strict-improvement selection
+// (ties keep the earlier pipeline) — bit-identical to the serial loop.
 //
-// Pipeline i draws its scratch from ws.Child(i), so repeated levels and
-// cycles on the same workspace reuse the same per-pipeline buffers.
-// abandon, when non-nil, is polled between stages: once it fires the
-// pipeline skips its remaining stages (the caller is about to discard
+// Pipeline i draws its state and scratch from ws.Child(i), so repeated
+// levels and cycles on the same workspace reuse the same per-pipeline
+// buffers. abandon, when non-nil, is polled between stages: once it fires
+// the pipeline skips its remaining stages (the caller is about to discard
 // the whole cycle). tracing adds cut/excess capture and FM stats to the
-// per-candidate evaluation; with tracing off the scoring is exactly the
-// legacy single-state build.
+// per-candidate result.
 func bestRefinement(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, abandon func() bool, tracing bool) refineWin {
 	type scored struct {
-		parts    []int
-		score    float64
-		feasible bool
-		fm       refine.Stats
-		extra    evalExtra
+		state *pstate.State
+		win   refineWin
+		fm    refine.Stats
 	}
 	cands := make([]scored, len(pipelines))
 	// Children must be materialized before the pool tasks fork: Child
@@ -416,9 +426,14 @@ func bestRefinement(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspac
 	for i := range pipelines {
 		children[i] = ws.Child(i)
 	}
+	stCfg := cfg.stateConfig(parts)
 	cfg.Pool.Run(len(pipelines), func(i int) {
 		pl, pws := pipelines[i], children[i]
-		cand := append(pws.Ints.Cap(len(parts)), parts...)
+		cands[i].win = refineWin{pipeline: i, score: math.Inf(1)}
+		s, err := pstate.NewWS(pws, csr, parts, stCfg)
+		if err != nil {
+			return
+		}
 		var fm *refine.Stats
 		if tracing {
 			fm = &cands[i].fm
@@ -427,34 +442,27 @@ func bestRefinement(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspac
 			if si > 0 && abandon != nil && abandon() {
 				break
 			}
-			stage(csr, cand, cfg, pws, fm)
+			stage(s, cfg, pws, fm)
 		}
-		var extra *evalExtra
-		if tracing {
-			extra = &cands[i].extra
-		}
-		score, feasible := cfg.evaluateWS(pws, csr, cand, extra)
-		cands[i].parts = cand
-		cands[i].score = score
-		cands[i].feasible = feasible
+		cands[i].state = s
+		cands[i].win = scoreWin(s, i, tracing)
 	})
 	best := 0
 	for i := 1; i < len(cands); i++ {
-		if cands[i].score < cands[best].score {
+		if cands[i].win.score < cands[best].win.score {
 			best = i
 		}
 	}
-	copy(parts, cands[best].parts)
-	win := refineWin{
-		pipeline: best,
-		score:    cands[best].score,
-		feasible: cands[best].feasible,
-		fmPasses: cands[best].fm.Passes,
-		fmMoves:  cands[best].fm.Moves,
-		extra:    cands[best].extra,
+	win := cands[best].win
+	win.fmPasses = cands[best].fm.Passes
+	win.fmMoves = cands[best].fm.Moves
+	if s := cands[best].state; s != nil {
+		copy(parts, s.Parts())
 	}
 	for i := range cands {
-		ws.Child(i).Ints.Put(cands[i].parts)
+		if s := cands[i].state; s != nil {
+			s.Release(children[i])
+		}
 	}
 	return win
 }

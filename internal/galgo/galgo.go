@@ -22,6 +22,7 @@ import (
 	"ppnpart/internal/graph"
 	"ppnpart/internal/initpart"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/pstate"
 	"ppnpart/internal/refine"
 )
 
@@ -120,9 +121,7 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
 	csr := g.ToCSR()
-	// The memetic k-way FM and rebalance steps bound parts by the scalar
-	// Rmax only; fitness still scores the full constraint set.
-	scalarRmax := metrics.Constraints{Rmax: opts.Constraints.Rmax}
+	stCfg := pstate.Config{K: opts.K, Constraints: opts.Constraints}
 
 	evalFit := func(parts []int) float64 {
 		return metrics.Goodness(g, parts, opts.K, opts.Constraints)
@@ -131,9 +130,15 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		if opts.DisableMemetic {
 			return
 		}
-		refine.KWayFMWS(ws, csr, parts, opts.K, scalarRmax, 2)
-		refine.RebalanceResourcesWS(ws, csr, parts, opts.K, scalarRmax, 2)
-		refine.RepairBandwidthWS(ws, csr, parts, opts.K, opts.Constraints, 2)
+		s, err := pstate.NewWS(ws, csr, parts, stCfg)
+		if err != nil {
+			return
+		}
+		refine.KWayFM(s, 2)
+		refine.RebalanceResources(s, 2)
+		refine.RepairBandwidth(ws, s, 2)
+		copy(parts, s.Parts())
+		s.Release(ws)
 	}
 
 	// Seed the population: a few greedy individuals for quality, the rest

@@ -52,7 +52,7 @@ func (o GreedyOptions) withDefaults() GreedyOptions {
 //
 // csr must be a CSR snapshot of g; it serves the repair and scoring of
 // every restart. Every restart's assignment, resource totals, frontier
-// tables, repair state, and scoring state are drawn from ws; one frontier
+// tables, and repair-and-scoring state are drawn from ws; one frontier
 // serves all grows of all restarts (it drains to empty after every grow,
 // so reuse needs no clearing). The winning assignment is returned still
 // backed by ws memory and is never put back by this call: callers may
@@ -106,12 +106,14 @@ func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts Gree
 			seed = graph.Node(rng.Intn(n))
 		}
 		parts := growOnce(ws, g, opts.K, lims, seed, rng, &f)
-		refine.RepairBandwidthWS(ws, csr, parts, opts.K, opts.Constraints, 4)
+		// One state serves the restart's bandwidth repair and scoring.
 		s, err := pstate.NewWS(ws, csr, parts, pstate.Config{K: opts.K, Constraints: opts.Constraints})
 		if err != nil {
 			return nil, fmt.Errorf("initpart: %v", err)
 		}
+		refine.RepairBandwidth(ws, s, 4)
 		score := s.Goodness()
+		copy(parts, s.Parts())
 		s.Release(ws)
 		if best == nil || score < bestScore {
 			if best != nil {
@@ -490,7 +492,13 @@ func recursiveKWay(g *graph.Graph, k int, rng *rand.Rand, bisect bisector) ([]in
 // the balance a k-way seeder is expected to deliver.
 func rebalanceToIdeal(ws *arena.Workspace, g *graph.Graph, parts []int, k int) {
 	bound := g.TotalNodeWeight()/int64(k) + g.MaxNodeWeight()
-	refine.RebalanceResourcesWS(ws, g.ToCSR(), parts, k, metrics.Constraints{Rmax: bound}, 8)
+	s, err := pstate.NewWS(ws, g.ToCSR(), parts, pstate.Config{K: k, Constraints: metrics.Constraints{Rmax: bound}})
+	if err != nil {
+		return
+	}
+	refine.RebalanceResources(s, 8)
+	copy(parts, s.Parts())
+	s.Release(ws)
 }
 
 // recursiveSplit splits the node set into kLeft+kRight shares and

@@ -17,6 +17,7 @@ import (
 	"ppnpart/internal/initpart"
 	"ppnpart/internal/match"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/pstate"
 	"ppnpart/internal/refine"
 )
 
@@ -100,11 +101,28 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mlkp: initial partitioning: %v", err)
 	}
-	bound := metrics.Constraints{Rmax: balanceBound(g, opts)}
-	// One CSR snapshot per level; the finest one also serves the final
-	// balance enforcement and refinement below.
-	csr := coarsest.ToCSR()
-	refine.KWayFMWS(ws, csr, parts, opts.K, bound, opts.RefinePasses)
+	cfg := pstate.Config{K: opts.K, Constraints: metrics.Constraints{Rmax: balanceBound(g, opts)}}
+	// refineLevel runs every refinement stage of one level on a single
+	// partition state. The finest level adds the final balance
+	// enforcement (projection cannot unbalance, but the initial partition
+	// might exceed the factor on odd k).
+	refineLevel := func(csr *graph.CSR, parts []int, finest bool) error {
+		s, err := pstate.NewWS(ws, csr, parts, cfg)
+		if err != nil {
+			return err
+		}
+		refine.KWayFM(s, opts.RefinePasses)
+		if finest {
+			refine.RebalanceResources(s, 8)
+			refine.KWayFM(s, opts.RefinePasses)
+		}
+		copy(parts, s.Parts())
+		s.Release(ws)
+		return nil
+	}
+	if err := refineLevel(coarsest.ToCSR(), parts, hier.Depth() == 0); err != nil {
+		return nil, fmt.Errorf("mlkp: refinement: %v", err)
+	}
 
 	// Uncoarsening with per-level k-way FM refinement.
 	for lvl := hier.Depth(); lvl > 0; lvl-- {
@@ -112,13 +130,10 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mlkp: projection: %v", err)
 		}
-		csr = hier.GraphAt(lvl - 1).ToCSR()
-		refine.KWayFMWS(ws, csr, parts, opts.K, bound, opts.RefinePasses)
+		if err := refineLevel(hier.GraphAt(lvl-1).ToCSR(), parts, lvl == 1); err != nil {
+			return nil, fmt.Errorf("mlkp: refinement: %v", err)
+		}
 	}
-	// Final balance enforcement (projection cannot unbalance, but the
-	// initial partition might exceed the factor on odd k).
-	refine.RebalanceResourcesWS(ws, csr, parts, opts.K, bound, 8)
-	refine.KWayFMWS(ws, csr, parts, opts.K, bound, opts.RefinePasses)
 
 	res := &Result{
 		Parts:   parts,

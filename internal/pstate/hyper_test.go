@@ -60,7 +60,11 @@ func checkHyperAgainstScratch(t *testing.T, g *graph.Graph, s *State, c metrics.
 		if s.Resource(p) != res[p] {
 			t.Fatalf("res[%d]: incremental %d, scratch %d", p, s.Resource(p), res[p])
 		}
-		if lim := c.RmaxFor(p); lim > 0 && res[p] > lim {
+		lim := max(c.RmaxFor(p), 0)
+		if s.Limit(p) != lim {
+			t.Fatalf("limit[%d]: state %d, constraints %d", p, s.Limit(p), lim)
+		}
+		if lim > 0 && res[p] > lim {
 			wantResEx += res[p] - lim
 		}
 	}

@@ -291,6 +291,33 @@ func (s *State) Resource(p int) int64 { return s.res[p] }
 // Count returns the number of nodes currently in part p.
 func (s *State) Count(p int) int { return s.cnt[p] }
 
+// Limit returns the scalar resource bound of part p (0: unbounded).
+func (s *State) Limit(p int) int64 { return s.rlim[p] }
+
+// Fits reports whether part `to` stays within its scalar resource bound
+// after absorbing u.
+func (s *State) Fits(u graph.Node, to int) bool {
+	lim := s.rlim[to]
+	return lim <= 0 || s.res[to]+s.C.NodeW[u] <= lim
+}
+
+// Bmax returns the pairwise bandwidth bound (<= 0: unbounded).
+func (s *State) Bmax() int64 { return s.cons.Bmax }
+
+// Dims returns the number of vector resource kinds the state maintains;
+// 0 when the vector extension is not engaged.
+func (s *State) Dims() int { return s.dims }
+
+// Demand returns node u's vector demand row (valid while Dims() > 0).
+func (s *State) Demand(u graph.Node) []int64 { return s.vectors[u] }
+
+// VectorTotal returns part p's maintained total of resource kind d.
+func (s *State) VectorTotal(p, d int) int64 { return s.vecTotals[p*s.dims+d] }
+
+// VectorLimit returns part p's bound on resource kind d, per-part caps
+// included (<= 0: unbounded).
+func (s *State) VectorLimit(p, d int) int64 { return s.vlim[p*s.dims+d] }
+
 // Excess returns the maintained total constraint excess split by origin:
 // pairwise bandwidth above Bmax, scalar resources above Rmax, and vector
 // resources above their per-kind bounds.

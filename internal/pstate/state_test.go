@@ -146,7 +146,7 @@ func TestVectorStateMatchesScratch(t *testing.T) {
 	for u := range vectors {
 		vectors[u] = []int64{int64(rng.Intn(10)), int64(rng.Intn(6))}
 	}
-	vc := metrics.VectorConstraints{Rmax: []int64{40, 25}}
+	vc := metrics.VectorConstraints{Rmax: []int64{40, 25}, PartCaps: [][]int64{{0, 12}}}
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = rng.Intn(k)
@@ -161,11 +161,17 @@ func TestVectorStateMatchesScratch(t *testing.T) {
 	check := func() {
 		t.Helper()
 		totals := metrics.PartResourceVectors(vectors, s.Parts(), k)
+		if s.Dims() != dims {
+			t.Fatalf("dims = %d, want %d", s.Dims(), dims)
+		}
 		for p := 0; p < k; p++ {
 			for d := 0; d < dims; d++ {
-				if s.vecTotals[p*dims+d] != totals[p][d] {
+				if s.VectorTotal(p, d) != totals[p][d] {
 					t.Fatalf("vec[%d][%d]: incremental %d, scratch %d",
-						p, d, s.vecTotals[p*dims+d], totals[p][d])
+						p, d, s.VectorTotal(p, d), totals[p][d])
+				}
+				if got, want := s.VectorLimit(p, d), vc.CapFor(p, d); got != want {
+					t.Fatalf("vector limit[%d][%d]: state %d, constraints %d", p, d, got, want)
 				}
 			}
 		}

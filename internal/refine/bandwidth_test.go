@@ -132,7 +132,10 @@ func TestRepairBandwidthFixesViolation(t *testing.T) {
 	if metrics.Feasible(g, parts, 3, c) {
 		t.Fatal("test setup: expected initial violation")
 	}
-	st := RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, 3, c, 0)
+	var st BandwidthStats
+	refineOn(t, g, parts, pstate.Config{K: 3, Constraints: c}, func(s *pstate.State) {
+		st = RepairBandwidth(new(arena.Workspace), s, 0)
+	})
 	if !st.Feasible {
 		t.Fatalf("repair failed: %+v, bw=%v", st, metrics.BandwidthMatrix(g, parts, 3))
 	}
@@ -155,12 +158,17 @@ func TestRepairBandwidthNoopWhenFeasible(t *testing.T) {
 		parts[i] = i % 2
 	}
 	huge := metrics.Constraints{Bmax: 1 << 40}
-	st := RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, 2, huge, 0)
+	var st, st2 BandwidthStats
+	refineOn(t, g, parts, pstate.Config{K: 2, Constraints: huge}, func(s *pstate.State) {
+		st = RepairBandwidth(new(arena.Workspace), s, 0)
+	})
 	if !st.Feasible || st.Moves != 0 {
 		t.Fatalf("feasible input should be a no-op: %+v", st)
 	}
 	// Bmax <= 0 disables the pass entirely.
-	st2 := RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, 2, metrics.Constraints{}, 0)
+	refineOn(t, g, parts, pstate.Config{K: 2}, func(s *pstate.State) {
+		st2 = RepairBandwidth(new(arena.Workspace), s, 0)
+	})
 	if !st2.Feasible || st2.Moves != 0 {
 		t.Fatalf("unconstrained input should be a no-op: %+v", st2)
 	}
@@ -183,7 +191,9 @@ func TestRepairBandwidthRespectsRmax(t *testing.T) {
 			}
 		}
 		c := metrics.Constraints{Bmax: 10, Rmax: rmax}
-		RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, k, c, 4)
+		refineOn(t, g, parts, pstate.Config{K: k, Constraints: c}, func(s *pstate.State) {
+			RepairBandwidth(new(arena.Workspace), s, 4)
+		})
 		for p, r := range metrics.PartResources(g, parts, k) {
 			if r > rmax {
 				t.Fatalf("trial %d: part %d resource %d > Rmax %d", trial, p, r, rmax)
@@ -204,7 +214,10 @@ func TestRepairBandwidthNeverIncreasesExcess(t *testing.T) {
 		bmax := int64(1 + rng.Intn(30))
 		c := metrics.Constraints{Bmax: bmax}
 		before := bwExcessOf(g, parts, k, bmax)
-		st := RepairBandwidthWS(new(arena.Workspace), g.ToCSR(), parts, k, c, 4)
+		var st BandwidthStats
+		refineOn(t, g, parts, pstate.Config{K: k, Constraints: c}, func(s *pstate.State) {
+			st = RepairBandwidth(new(arena.Workspace), s, 4)
+		})
 		if st.ExcessBefore != before {
 			return false
 		}
@@ -224,7 +237,11 @@ func TestRebalanceResources(t *testing.T) {
 		g.MustAddEdge(graph.Node(i-1), graph.Node(i), 1)
 	}
 	parts := []int{0, 0, 0, 0, 1, 2}
-	moves, ok := RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, 3, metrics.Constraints{Rmax: 20}, 0)
+	var moves int
+	var ok bool
+	refineOn(t, g, parts, pstate.Config{K: 3, Constraints: metrics.Constraints{Rmax: 20}}, func(s *pstate.State) {
+		moves, ok = RebalanceResources(s, 0)
+	})
 	if !ok {
 		t.Fatalf("rebalance failed; res=%v", metrics.PartResources(g, parts, 3))
 	}
@@ -243,7 +260,10 @@ func TestRebalanceResourcesImpossible(t *testing.T) {
 	g := graph.NewWithWeights([]int64{100, 1})
 	g.MustAddEdge(0, 1, 1)
 	parts := []int{0, 1}
-	_, ok := RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, 2, metrics.Constraints{Rmax: 50}, 0)
+	var ok bool
+	refineOn(t, g, parts, pstate.Config{K: 2, Constraints: metrics.Constraints{Rmax: 50}}, func(s *pstate.State) {
+		_, ok = RebalanceResources(s, 0)
+	})
 	if ok {
 		t.Fatal("impossible instance reported balanced")
 	}
@@ -253,12 +273,18 @@ func TestRebalanceResourcesNoopWhenFits(t *testing.T) {
 	g := graph.NewWithWeights([]int64{5, 5})
 	g.MustAddEdge(0, 1, 1)
 	parts := []int{0, 1}
-	moves, ok := RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, 2, metrics.Constraints{Rmax: 10}, 0)
+	var moves int
+	var ok bool
+	refineOn(t, g, parts, pstate.Config{K: 2, Constraints: metrics.Constraints{Rmax: 10}}, func(s *pstate.State) {
+		moves, ok = RebalanceResources(s, 0)
+	})
 	if !ok || moves != 0 {
 		t.Fatalf("fitting input should be a no-op: moves=%d ok=%v", moves, ok)
 	}
 	// rmax <= 0 disables the pass.
-	moves, ok = RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, 2, metrics.Constraints{Rmax: 0}, 0)
+	refineOn(t, g, parts, pstate.Config{K: 2}, func(s *pstate.State) {
+		moves, ok = RebalanceResources(s, 0)
+	})
 	if !ok || moves != 0 {
 		t.Fatal("disabled pass should be a no-op")
 	}
@@ -275,7 +301,9 @@ func TestPropertyRebalanceNeverOverflowsFittingParts(t *testing.T) {
 		}
 		// Generous bound: total/k * 2.
 		rmax := 2 * g.TotalNodeWeight() / int64(k)
-		RebalanceResourcesWS(new(arena.Workspace), g.ToCSR(), parts, k, metrics.Constraints{Rmax: rmax}, 8)
+		refineOn(t, g, parts, pstate.Config{K: k, Constraints: metrics.Constraints{Rmax: rmax}}, func(s *pstate.State) {
+			RebalanceResources(s, 8)
+		})
 		return metrics.Validate(g, parts, k) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -3,18 +3,12 @@ package refine
 import (
 	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
-	"ppnpart/internal/metrics"
 	"ppnpart/internal/pool"
 	"ppnpart/internal/pstate"
 )
 
-// BatchOptions configures BatchKWayWS.
+// BatchOptions configures BatchKWay.
 type BatchOptions struct {
-	// K is the number of parts. Required.
-	K int
-	// Constraints carries Bmax/Rmax; the batch pass never accepts a round
-	// that worsens the feasibility-first score under them.
-	Constraints metrics.Constraints
 	// MaxRounds bounds the number of gain-sweep/select/apply rounds
 	// (default 64; rounds also stop when gains dry up).
 	MaxRounds int
@@ -28,13 +22,13 @@ type BatchOptions struct {
 	// (trace support); off, the pass allocates nothing beyond the pooled
 	// workspace buffers.
 	Record bool
-	// PreApply, when non-nil, runs immediately before a round's selected
-	// batch is applied. It is the failure-injection boundary: a panic here
-	// leaves the caller's assignment untouched (the pass mutates only its
-	// own incremental state until it returns).
-	PreApply func(round, batch int)
-	// RoundHook, when non-nil, observes the incremental state right after
-	// a round's batch has been applied, before the accept/undo decision.
+	// PreApply, when non-nil, runs immediately before a round's first
+	// selected move is applied, with the round's candidate count. It is
+	// the failure-injection boundary: a panic here propagates with the
+	// round's moves not yet applied to the state.
+	PreApply func(round, cands int)
+	// RoundHook, when non-nil, observes the state right after a round's
+	// batch has been applied, before the accept/undo decision.
 	// Differential tests use it to bit-compare the maintained quantities
 	// against a from-scratch metrics recompute.
 	RoundHook func(round int, st *pstate.State)
@@ -76,43 +70,45 @@ func batchBuckets(ws *arena.Workspace) *gainBuckets {
 	return gb
 }
 
-// BatchKWayWS runs data-parallel batch k-way refinement on a prebuilt CSR
-// snapshot, mutating parts in place. Each round:
+// BatchKWay runs data-parallel batch k-way refinement on s. Each round:
 //
 //  1. Gain sweep: boundary vertices are scanned in chunked CSR sweeps
 //     fanned over the shared worker pool; each vertex's best
-//     positive-gain destination (KWayFMWS's gain rule: connectivity delta,
+//     positive-gain destination (KWayFM's gain rule: connectivity delta,
 //     ties to the lowest part id) lands in a per-node slot of a pooled
 //     buffer, so the sweep result is independent of the worker count and
 //     chunk split. A vertex's candidate depends only on its own and its
 //     neighbors' assignments, so after the first round the sweep is
 //     incremental: only vertices adjacent to the previous round's moves
 //     are re-scanned, and every other slot is provably still current.
-//  2. Conflict-free selection: candidates are held in an incremental
-//     gain-bucket ranking (gainBuckets: log2-quantized buckets, exact
-//     (gain desc, node asc) order within and across buckets) that is
-//     re-bucketed only for the dirty set between rounds, and greedily
-//     accepted under a per-part quota, a tentative
-//     Rmax/never-empty-a-part check, and an independence rule —
-//     accepting a vertex blocks all its neighbors for the round.
+//  2. Conflict-free selection and apply: candidates are held in an
+//     incremental gain-bucket ranking (gainBuckets: log2-quantized
+//     buckets, exact (gain desc, node asc) order within and across
+//     buckets) that is re-bucketed only for the dirty set between
+//     rounds, and greedily accepted under a per-part quota, the
+//     destination's own resource bound (s.Fits), a never-empty-a-part
+//     check, and an independence rule — accepting a vertex blocks all
+//     its neighbors for the round. Each accepted move is applied to s at
+//     once, so the cap and count checks of later candidates see it.
 //     Independence makes the pre-computed gains exactly additive: no
 //     accepted move can invalidate another's gain. The quota divisor
 //     adapts to the previous round's accept rate within [K, 4K] (round 0
 //     uses the classic candidates/2K).
-//  3. Apply: the batch is applied in selection order through an
-//     incremental pstate.State; the round is kept only if the applied
-//     state's feasibility-first score improved (Bmax/Rmax re-checked on
-//     the applied state, not the candidates). A rejected round under a
-//     loosened quota is undone and retried once at the default divisor;
-//     a rejected round at the default divisor is undone move-for-move
-//     and ends the pass.
+//  3. Check: the round is kept only if the state's feasibility-first
+//     score improved (every constraint re-checked on the applied state,
+//     not the candidates). A rejected round under a loosened quota is
+//     undone and retried once at the default divisor; a rejected round at
+//     the default divisor is undone move-for-move and ends the pass.
 //
 // Rounds repeat until gains dry up, a round fails the applied-state check,
 // or MaxRounds is hit. The pass is deterministic by construction: no
-// coloring, no RNG, index-ordered tie-breaks everywhere.
-func BatchKWayWS(ws *arena.Workspace, csr *graph.CSR, parts []int, opts BatchOptions) BatchStats {
+// coloring, no RNG, index-ordered tie-breaks everywhere. The undo log is
+// reset on entry and left empty.
+func BatchKWay(ws *arena.Workspace, s *pstate.State, opts BatchOptions) BatchStats {
+	s.ResetLog()
+	csr := s.C
 	n := csr.NumNodes()
-	k := opts.K
+	k := s.K
 	if n == 0 || k <= 1 {
 		return BatchStats{}
 	}
@@ -129,11 +125,7 @@ func BatchKWayWS(ws *arena.Workspace, csr *graph.CSR, parts []int, opts BatchOpt
 		workers = max
 	}
 
-	st, err := pstate.NewWS(ws, csr, parts, pstate.Config{K: k, Constraints: opts.Constraints})
-	if err != nil {
-		return BatchStats{}
-	}
-	stats := BatchStats{CutBefore: st.Cut()}
+	stats := BatchStats{CutBefore: s.Cut()}
 
 	// cand[u] = best destination + 1 (0: no candidate); gains[u] its gain.
 	cand := ws.Ints.Get(n)
@@ -148,11 +140,8 @@ func BatchKWayWS(ws *arena.Workspace, csr *graph.CSR, parts []int, opts BatchOpt
 	// goroutine (arena pools are single-owner; sweep tasks only write
 	// their own k-slot window and their chunk's cand/gains range).
 	conn := ws.Int64s.Get(workers * k)
-	// Live per-part totals snapshotted each selection attempt.
-	res := ws.Int64s.Get(k)
-	resT := ws.Int64s.Get(k)
-	cnt := ws.Ints.Get(k)
-	taken := ws.Ints.Get(k)
+	// quotaUsed[p] counts the round's moves into part p.
+	quotaUsed := ws.Ints.Get(k)
 	sel := ws.Ints.Cap(n)
 	defer func() {
 		ws.Ints.Put(cand)
@@ -161,19 +150,15 @@ func BatchKWayWS(ws *arena.Workspace, csr *graph.CSR, parts []int, opts BatchOpt
 		ws.Bools.Put(dirty)
 		ws.Ints.Put(dirtyList)
 		ws.Int64s.Put(conn)
-		ws.Int64s.Put(res)
-		ws.Int64s.Put(resT)
-		ws.Ints.Put(cnt)
-		ws.Ints.Put(taken)
+		ws.Ints.Put(quotaUsed)
 		ws.Ints.Put(sel)
 	}()
 
 	gb := batchBuckets(ws)
 	gb.reset(n)
 
-	pp := st.Parts()
-	rmax := opts.Constraints.Rmax
-	prevScore := st.Score()
+	pp := s.Parts()
+	prevScore := s.Score()
 	// quotaDiv is the adaptive per-part quota divisor: quota =
 	// max(1, candidates/quotaDiv), starting at the classic 2K and
 	// adapted within [K, 4K] by each accepted round's observed accept
@@ -263,40 +248,37 @@ rounds:
 
 		for {
 			// (2) Deterministic conflict-free selection over the bucket
-			// scan (exact (gain desc, node asc) order).
+			// scan (exact (gain desc, node asc) order), applying each
+			// accepted move as it is selected. The selected batch is an
+			// independent set — accepting a vertex blocked its whole
+			// neighborhood — so every move's maintained deltas depend
+			// only on assignments no other selected move touches, and
+			// the caps and counts the next candidate is checked against
+			// are exactly the state's.
 			quota := gb.count / quotaDiv
 			if quota < 1 {
 				quota = 1
 			}
-			for p := 0; p < k; p++ {
-				res[p] = st.Resource(p)
-				cnt[p] = st.Count(p)
-			}
-			copy(resT, res)
-			for p := 0; p < k; p++ {
-				taken[p] = 0
-			}
+			clear(quotaUsed)
 			sel = sel[:0]
+			var roundGain int64
 			gb.scan(func(u int) {
 				if blocked[u] {
 					return
 				}
+				un := graph.Node(u)
 				to := cand[u] - 1
-				from := pp[u]
-				if taken[to] >= quota || cnt[from] == 1 {
+				if quotaUsed[to] >= quota || s.Count(pp[u]) == 1 || !s.Fits(un, to) {
 					return
 				}
-				w := csr.NodeW[u]
-				if rmax > 0 && resT[to]+w > rmax {
-					return
+				if len(sel) == 0 && opts.PreApply != nil {
+					opts.PreApply(round, gb.count)
 				}
 				sel = append(sel, u)
-				taken[to]++
-				cnt[from]--
-				cnt[to]++
-				resT[from] -= w
-				resT[to] += w
-				adj, _ := csr.Row(graph.Node(u))
+				quotaUsed[to]++
+				roundGain += gains[u]
+				s.Move(un, to)
+				adj, _ := csr.Row(un)
 				for _, v := range adj {
 					blocked[v] = true
 				}
@@ -305,28 +287,14 @@ rounds:
 				break rounds
 			}
 
-			// (3) Apply through the incremental state, then re-check the
-			// feasibility-first score on the applied state. The selected
-			// batch is an independent set — accepting a vertex blocked
-			// its whole neighborhood — so every move's maintained deltas
-			// depend only on assignments no other selected move touches:
-			// the moves commute, and applying them in the scan's
-			// emission order is bit-identical to the ascending-node sort
-			// this step used to pay for.
-			if opts.PreApply != nil {
-				opts.PreApply(round, len(sel))
-			}
-			var roundGain int64
-			for _, u := range sel {
-				roundGain += gains[u]
-				st.Move(graph.Node(u), cand[u]-1)
-			}
+			// (3) Re-check the feasibility-first score on the applied
+			// state.
 			if opts.RoundHook != nil {
-				opts.RoundHook(round, st)
+				opts.RoundHook(round, s)
 			}
-			if score := st.Score(); score < prevScore {
+			if score := s.Score(); score < prevScore {
 				prevScore = score
-				st.ResetLog()
+				s.ResetLog()
 				stats.Rounds++
 				stats.Moves += len(sel)
 				if opts.Record {
@@ -361,7 +329,7 @@ rounds:
 			// The independent cut gains were positive, but the applied
 			// state says the constraint excesses ate them: drop the
 			// round.
-			for st.Undo() {
+			for s.Undo() {
 			}
 			if quotaDiv != 2*k {
 				// The adaptively sized batch overshot the applied-state
@@ -380,20 +348,18 @@ rounds:
 			break rounds
 		}
 	}
-	copy(parts, st.Parts())
-	stats.CutAfter = st.Cut()
-	st.Release(ws)
+	stats.CutAfter = s.Cut()
 	return stats
 }
 
 // sweepGains computes each scanned node's best single-move candidate
-// under KWayFMWS's gain rule (connectivity delta, ties to the lowest part
+// under KWayFM's gain rule (connectivity delta, ties to the lowest part
 // id) against the current assignment. With list nil it scans nodes
 // [lo, hi); otherwise it scans exactly the nodes in list (an incremental
 // re-sweep). The candidate is a pure function of the node's own and its
 // neighbors' assignments — per-part totals are deliberately NOT consulted
-// here, the selection phase re-checks Rmax and never-empty-a-part against
-// its tentative totals — which is what makes incremental re-sweeps sound.
+// here, the selection phase checks the caps and never-empty-a-part against
+// the state — which is what makes incremental re-sweeps sound.
 // conn is the task's private k-slot connectivity scratch; cand/gains
 // writes stay inside the task's node set.
 func sweepGains(csr *graph.CSR, parts []int, conn []int64,
@@ -427,7 +393,7 @@ func sweepGains(csr *graph.CSR, parts []int, conn []int64,
 			}
 			// bestGain starts at 0, so only strictly improving moves are
 			// kept; ascending iteration breaks ties toward the lowest
-			// part id — the same discipline as KWayFMWS.
+			// part id — the same discipline as KWayFM.
 			if gain := conn[to] - conn[from]; gain > bestGain {
 				bestGain = gain
 				bestTo = to

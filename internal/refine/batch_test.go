@@ -12,7 +12,7 @@ import (
 )
 
 // randomKWayStart assigns every node a random part but guarantees each of
-// the k parts is non-empty (the batch pass, like KWayFMWS, promises never to
+// the k parts is non-empty (the batch pass, like KWayFM, promises never to
 // empty a part — the promise is vacuous on starts that already have one).
 func randomKWayStart(rng *rand.Rand, n, k int) []int {
 	parts := make([]int, n)
@@ -26,6 +26,17 @@ func randomKWayStart(rng *rand.Rand, n, k int) []int {
 	return parts
 }
 
+// batchOn runs BatchKWay on a state over parts under c and copies the
+// refined assignment back into parts.
+func batchOn(tb testing.TB, g *graph.Graph, parts []int, k int, c metrics.Constraints, opts BatchOptions) BatchStats {
+	tb.Helper()
+	var st BatchStats
+	refineOn(tb, g, parts, pstate.Config{K: k, Constraints: c}, func(s *pstate.State) {
+		st = BatchKWay(new(arena.Workspace), s, opts)
+	})
+	return st
+}
+
 func TestBatchKWayNeverWorsensAndStaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -34,7 +45,7 @@ func TestBatchKWayNeverWorsensAndStaysValid(t *testing.T) {
 		k := 2 + rng.Intn(4)
 		parts := randomKWayStart(rng, n, k)
 		before := metrics.EdgeCut(g, parts)
-		st := BatchKWayWS(new(arena.Workspace), g.ToCSR(), parts, BatchOptions{K: k})
+		st := batchOn(t, g, parts, k, metrics.Constraints{}, BatchOptions{})
 		after := metrics.EdgeCut(g, parts)
 		if after > before {
 			t.Fatalf("trial %d: batch pass worsened cut %d -> %d", trial, before, after)
@@ -60,7 +71,7 @@ func TestBatchKWayImprovesInterleavedClusters(t *testing.T) {
 		parts[i] = i % 2
 	}
 	before := metrics.EdgeCut(g, parts)
-	st := BatchKWayWS(new(arena.Workspace), g.ToCSR(), parts, BatchOptions{K: 2, Record: true})
+	st := batchOn(t, g, parts, 2, metrics.Constraints{}, BatchOptions{Record: true})
 	after := metrics.EdgeCut(g, parts)
 	if after >= before {
 		t.Fatalf("batch pass did not improve interleaved clusters: %d -> %d", before, after)
@@ -95,7 +106,7 @@ func TestBatchKWayRespectsRmax(t *testing.T) {
 				rmax = r
 			}
 		}
-		BatchKWayWS(new(arena.Workspace), g.ToCSR(), parts, BatchOptions{K: k, Constraints: metrics.Constraints{Rmax: rmax}})
+		batchOn(t, g, parts, k, metrics.Constraints{Rmax: rmax}, BatchOptions{})
 		for p, r := range metrics.PartResources(g, parts, k) {
 			if r > rmax {
 				t.Fatalf("trial %d: part %d overflowed Rmax: %d > %d", trial, p, r, rmax)
@@ -121,7 +132,8 @@ func TestBatchKWayDeterministicAcrossWorkers(t *testing.T) {
 				rmax = r
 			}
 		}
-		opts := BatchOptions{K: k, Constraints: metrics.Constraints{Rmax: rmax}, Record: true}
+		cons := metrics.Constraints{Rmax: rmax}
+		opts := BatchOptions{Record: true}
 
 		var refParts []int
 		var refStats BatchStats
@@ -129,7 +141,7 @@ func TestBatchKWayDeterministicAcrossWorkers(t *testing.T) {
 			parts := append([]int(nil), base...)
 			o := opts
 			o.Workers = workers
-			st := BatchKWayWS(new(arena.Workspace), g.ToCSR(), parts, o)
+			st := batchOn(t, g, parts, k, cons, o)
 			if i == 0 {
 				refParts, refStats = parts, st
 				continue
@@ -167,9 +179,7 @@ func TestBatchKWayDifferentialStateMatchesMetrics(t *testing.T) {
 			cons = metrics.Constraints{Bmax: 1 + int64(rng.Intn(200)), Rmax: rmax}
 		}
 		hooks := 0
-		BatchKWayWS(new(arena.Workspace), g.ToCSR(), parts, BatchOptions{
-			K:           k,
-			Constraints: cons,
+		batchOn(t, g, parts, k, cons, BatchOptions{
 			RoundHook: func(round int, st *pstate.State) {
 				hooks++
 				pp := st.Parts()
@@ -209,31 +219,62 @@ func TestBatchKWayDifferentialStateMatchesMetrics(t *testing.T) {
 
 // TestBatchKWayPreApplyPanicLeavesPartsUntouched pins the failure-isolation
 // contract the engine's chaos failpoint relies on: a panic at the pre-apply
-// boundary must propagate without having mutated the caller's assignment.
+// boundary must propagate before the round's first move reaches the state.
 func TestBatchKWayPreApplyPanicLeavesPartsUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	g := randomConnected(rng, 60)
 	parts := randomKWayStart(rng, 60, 3)
-	orig := append([]int(nil), parts...)
+	s, err := pstate.New(g.ToCSR(), parts, pstate.Config{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("expected the PreApply panic to propagate")
 			}
 		}()
-		BatchKWayWS(new(arena.Workspace), g.ToCSR(), parts, BatchOptions{K: 3, PreApply: func(round, batch int) {
+		BatchKWay(new(arena.Workspace), s, BatchOptions{PreApply: func(round, cands int) {
 			panic("injected")
 		}})
 	}()
-	if !reflect.DeepEqual(parts, orig) {
-		t.Fatal("panic at the apply boundary mutated the caller's assignment")
+	if !reflect.DeepEqual(s.Parts(), parts) || s.Moves() != 0 {
+		t.Fatal("panic at the apply boundary left a move in the state")
+	}
+}
+
+// TestBatchKWaySelectsByDestinationCap pins per-part caps in batch
+// selection: under RmaxPart, a round holding one candidate that fits its
+// destination and one that overfills a small part must keep the fitting
+// move instead of being rejected whole.
+func TestBatchKWaySelectsByDestinationCap(t *testing.T) {
+	// Path 0-1-2-3-4-5 with unit node weights. Node 1 gains 9 by joining
+	// part 0 (cap 10); node 4 gains 9 by joining part 2, whose cap 1 it
+	// would break.
+	g := graph.New(6)
+	g.MustAddEdge(0, 1, 10)
+	g.MustAddEdge(1, 2, 1)
+	g.MustAddEdge(2, 3, 5)
+	g.MustAddEdge(3, 4, 1)
+	g.MustAddEdge(4, 5, 10)
+	parts := []int{0, 1, 1, 1, 1, 2}
+	cons := metrics.Constraints{RmaxPart: []int64{10, 10, 1}}
+	st := batchOn(t, g, parts, 3, cons, BatchOptions{})
+	if parts[1] != 0 {
+		t.Fatalf("fitting move of node 1 into part 0 was dropped: parts %v, stats %+v", parts, st)
+	}
+	if parts[4] == 2 {
+		t.Fatalf("node 4 overfilled part 2: parts %v", parts)
+	}
+	if !metrics.Feasible(g, parts, 3, cons) {
+		t.Fatalf("result %v breaks the per-part caps", parts)
 	}
 }
 
 func TestBatchKWayDegenerateInputs(t *testing.T) {
 	g := graph.New(1)
 	parts := []int{0}
-	if st := BatchKWayWS(new(arena.Workspace), g.ToCSR(), parts, BatchOptions{K: 1}); st.Rounds != 0 {
+	if st := batchOn(t, g, parts, 1, metrics.Constraints{}, BatchOptions{}); st.Rounds != 0 {
 		t.Fatalf("k=1 should be a no-op, got %+v", st)
 	}
 	g2 := twoClusters(4)
@@ -242,7 +283,7 @@ func TestBatchKWayDegenerateInputs(t *testing.T) {
 		parts2[i] = i % 2
 	}
 	// MaxRounds=1 must stop after one round regardless of remaining gain.
-	st := BatchKWayWS(new(arena.Workspace), g2.ToCSR(), parts2, BatchOptions{K: 2, MaxRounds: 1})
+	st := batchOn(t, g2, parts2, 2, metrics.Constraints{}, BatchOptions{MaxRounds: 1})
 	if st.Rounds > 1 {
 		t.Fatalf("MaxRounds=1 ran %d rounds", st.Rounds)
 	}
@@ -269,14 +310,12 @@ func FuzzBatchSelect(f *testing.F) {
 				rmax = r
 			}
 		}
-		opts := BatchOptions{K: k, Constraints: metrics.Constraints{Rmax: rmax}}
+		cons := metrics.Constraints{Rmax: rmax}
 
 		var ref []int
 		for i, workers := range []int{1, 3, 8} {
 			parts := append([]int(nil), base...)
-			o := opts
-			o.Workers = workers
-			BatchKWayWS(new(arena.Workspace), g.ToCSR(), parts, o)
+			batchOn(t, g, parts, k, cons, BatchOptions{Workers: workers})
 			if i == 0 {
 				ref = parts
 				if metrics.EdgeCut(g, parts) > before {

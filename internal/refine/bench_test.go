@@ -6,6 +6,7 @@ import (
 
 	"ppnpart/internal/arena"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/pstate"
 )
 
 func BenchmarkFMBisect(b *testing.B) {
@@ -31,12 +32,12 @@ func BenchmarkKWayFM(b *testing.B) {
 	for i := range base {
 		base[i] = i % 8
 	}
-	bound := g.TotalNodeWeight()/8 + g.MaxNodeWeight()
-	ws, csr := new(arena.Workspace), g.ToCSR()
+	cfg := pstate.Config{K: 8, Constraints: metrics.Constraints{Rmax: g.TotalNodeWeight()/8 + g.MaxNodeWeight()}}
+	csr := g.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts := append([]int(nil), base...)
-		KWayFMWS(ws, csr, parts, 8, metrics.Constraints{Rmax: bound}, 4)
+		s, _ := pstate.New(csr, base, cfg)
+		KWayFM(s, 4)
 	}
 }
 
@@ -47,12 +48,12 @@ func BenchmarkRepairBandwidth(b *testing.B) {
 	for i := range base {
 		base[i] = rng.Intn(4)
 	}
-	c := metrics.Constraints{Bmax: g.TotalEdgeWeight() / 8}
+	cfg := pstate.Config{K: 4, Constraints: metrics.Constraints{Bmax: g.TotalEdgeWeight() / 8}}
 	ws, csr := new(arena.Workspace), g.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts := append([]int(nil), base...)
-		RepairBandwidthWS(ws, csr, parts, 4, c, 4)
+		s, _ := pstate.New(csr, base, cfg)
+		RepairBandwidth(ws, s, 4)
 	}
 }
 

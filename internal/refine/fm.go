@@ -3,7 +3,7 @@ package refine
 import (
 	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
-	"ppnpart/internal/metrics"
+	"ppnpart/internal/pstate"
 )
 
 // Stats summarizes what a refinement pass achieved.
@@ -152,71 +152,38 @@ func fmBisectPass(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource 
 	return bestCut < startCut, bestCut, bestLen
 }
 
-// KWayFMWS runs greedy k-way FM refinement on a CSR snapshot: repeated
-// passes over boundary nodes, each pass moving nodes (at most once each)
-// to the neighbor part with the best positive gain, subject to the
-// destination's resource bound c.RmaxFor(to) (<= 0: unbounded), so a big
-// part can absorb nodes a small one cannot. Unlike 2-way FM it does not
-// hill-climb — this mirrors the coarse-grained k-way refinement used in
-// multilevel k-way partitioners. maxPasses <= 0 defaults to 8. Per-part
-// totals and connectivity scratch come from ws; the cut is tracked
-// incrementally from the applied gains, so the only full adjacency sweep
-// is the initial cut count.
-func KWayFMWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics.Constraints, maxPasses int) Stats {
-	lims := ws.Int64s.Get(k)
-	defer ws.Int64s.Put(lims)
-	for p := range lims {
-		lims[p] = c.RmaxFor(p)
-	}
+// KWayFM runs greedy k-way FM refinement on s: repeated passes over the
+// nodes, each pass moving a node (at most once) to the neighbor part with
+// the best strictly positive gain, subject to the destination's resource
+// bound (s.Fits), so a big part can absorb nodes a small one cannot. A
+// move never empties a part. Unlike 2-way FM it does not hill-climb —
+// this mirrors the coarse-grained k-way refinement used in multilevel
+// k-way partitioners. maxPasses <= 0 defaults to 8. Parts, counts,
+// resources, limits and connectivity all come from s, moves go through
+// s.Move, and the undo log is left empty.
+func KWayFM(s *pstate.State, maxPasses int) Stats {
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}
-	st := Stats{CutBefore: csrEdgeCut(csr, parts)}
-	cut := st.CutBefore
-	n := csr.NumNodes()
-	res := ws.Int64s.Get(k)
-	cnt := ws.Ints.Get(k)
-	defer func() {
-		ws.Int64s.Put(res)
-		ws.Ints.Put(cnt)
-	}()
-	for u := 0; u < n; u++ {
-		res[parts[u]] += csr.NodeW[u]
-		cnt[parts[u]]++
-	}
-	conn := ws.Int64s.Get(k) // scratch: connectivity of one node to each part
-	defer ws.Int64s.Put(conn)
+	st := Stats{CutBefore: s.Cut()}
+	n := s.C.NumNodes()
+	parts := s.Parts()
 	for pass := 0; pass < maxPasses; pass++ {
 		st.Passes++
 		moves := 0
 		for u := 0; u < n; u++ {
 			un := graph.Node(u)
 			from := parts[u]
-			if cnt[from] == 1 {
+			if s.Count(from) == 1 {
 				continue // never empty a part
 			}
-			boundary := false
-			for i := range conn {
-				conn[i] = 0
-			}
-			adj, wts := csr.Row(un)
-			for i, v := range adj {
-				conn[parts[v]] += wts[i]
-				if parts[v] != from {
-					boundary = true
-				}
-			}
-			if !boundary {
-				continue
-			}
-			w := csr.NodeW[u]
+			conn := s.Connectivity(un)
 			bestTo := -1
 			var bestGain int64
-			for to := 0; to < k; to++ {
-				if to == from || conn[to] == 0 {
-					continue
-				}
-				if lim := lims[to]; lim > 0 && res[to]+w > lim {
+			for to := range conn {
+				// Interior nodes have no connectivity outside from, so
+				// they fall through here without a move.
+				if to == from || conn[to] == 0 || !s.Fits(un, to) {
 					continue
 				}
 				// bestGain starts at 0, so only strictly improving moves
@@ -228,20 +195,16 @@ func KWayFMWS(ws *arena.Workspace, csr *graph.CSR, parts []int, k int, c metrics
 				}
 			}
 			if bestTo >= 0 {
-				parts[u] = bestTo
-				res[from] -= w
-				res[bestTo] += w
-				cnt[from]--
-				cnt[bestTo]++
-				cut -= bestGain
+				s.Move(un, bestTo)
 				moves++
 			}
 		}
+		s.ResetLog()
 		st.Moves += moves
 		if moves == 0 {
 			break
 		}
 	}
-	st.CutAfter = cut
+	st.CutAfter = s.Cut()
 	return st
 }

@@ -2,6 +2,7 @@ package refine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +10,24 @@ import (
 	"ppnpart/internal/exact"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/pstate"
 )
+
+// refineOn builds a partition state over g from parts, runs stage on it,
+// checks the stage left the undo log empty, and copies the refined
+// assignment back into parts.
+func refineOn(tb testing.TB, g *graph.Graph, parts []int, cfg pstate.Config, stage func(s *pstate.State)) {
+	tb.Helper()
+	s, err := pstate.New(g.ToCSR(), parts, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stage(s)
+	if n := s.Moves(); n != 0 {
+		tb.Fatalf("stage left %d moves in the undo log", n)
+	}
+	copy(parts, s.Parts())
+}
 
 // twoClusters builds two dense clusters of size sz joined by one light
 // bridge; the optimal bisection separates the clusters.
@@ -182,7 +200,10 @@ func TestKWayFMImprovesAndRespectsBounds(t *testing.T) {
 				rmax = r
 			}
 		}
-		st := KWayFMWS(new(arena.Workspace), g.ToCSR(), parts, k, metrics.Constraints{Rmax: rmax}, 0)
+		var st Stats
+		refineOn(t, g, parts, pstate.Config{K: k, Constraints: metrics.Constraints{Rmax: rmax}}, func(s *pstate.State) {
+			st = KWayFM(s, 0)
+		})
 		after := metrics.EdgeCut(g, parts)
 		if after > before {
 			t.Fatalf("trial %d: k-way FM worsened cut", trial)
@@ -209,7 +230,7 @@ func TestKWayFMKeepsPartsNonEmpty(t *testing.T) {
 	for i := range parts {
 		parts[i] = i % k
 	}
-	KWayFMWS(new(arena.Workspace), g.ToCSR(), parts, k, metrics.Constraints{Rmax: 0}, 0)
+	refineOn(t, g, parts, pstate.Config{K: k}, func(s *pstate.State) { KWayFM(s, 0) })
 	for p, s := range metrics.PartSizes(parts, k) {
 		if s == 0 {
 			t.Fatalf("part %d emptied", p)
@@ -234,7 +255,7 @@ func TestPropertyFMPreservesAssignmentValidity(t *testing.T) {
 		for i := range kparts {
 			kparts[i] = rng.Intn(k)
 		}
-		KWayFMWS(new(arena.Workspace), g.ToCSR(), kparts, k, metrics.Constraints{Rmax: 0}, 3)
+		refineOn(t, g, kparts, pstate.Config{K: k}, func(s *pstate.State) { KWayFM(s, 3) })
 		return metrics.Validate(g, kparts, k) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -267,5 +288,41 @@ func TestPropertyFMAtLeastAsGoodAsKLOnBalancedStarts(t *testing.T) {
 	}
 	if fmTotal > klAggregateCut*11/10 {
 		t.Fatalf("FM aggregate cut %d much worse than KL %d", fmTotal, klAggregateCut)
+	}
+}
+
+// TestKWayFMSelectionRules pins k-way FM's move choice on a hand-built
+// instance (unit node weights, part 3 capped at its one node):
+//   - node 0 ties parts 1 and 2 at gain 1 and goes to the lowest id, 1;
+//   - nodes 1 and 5 have gain 0 and stay: only strictly positive gains move;
+//   - node 2's best destination, part 3, is at its cap, so it takes the
+//     next best, part 1;
+//   - nodes 6 and 7 are alone in parts 2 and 3 and never move, despite
+//     positive gains.
+func TestKWayFMSelectionRules(t *testing.T) {
+	g := graph.New(8)
+	g.MustAddEdge(0, 4, 2)
+	g.MustAddEdge(0, 6, 2)
+	g.MustAddEdge(0, 3, 1)
+	g.MustAddEdge(1, 3, 3)
+	g.MustAddEdge(1, 5, 3)
+	g.MustAddEdge(2, 7, 5)
+	g.MustAddEdge(2, 5, 3)
+	g.MustAddEdge(2, 3, 1)
+	g.MustAddEdge(3, 7, 5)
+	parts := []int{0, 0, 0, 0, 1, 1, 2, 3}
+	cons := metrics.Constraints{RmaxPart: []int64{100, 100, 100, 1}}
+	var st Stats
+	refineOn(t, g, parts, pstate.Config{K: 4, Constraints: cons}, func(s *pstate.State) {
+		st = KWayFM(s, 0)
+	})
+	if want := []int{1, 0, 1, 0, 1, 1, 2, 3}; !slices.Equal(parts, want) {
+		t.Fatalf("parts = %v, want %v", parts, want)
+	}
+	if st.Moves != 2 || st.Passes != 2 {
+		t.Fatalf("stats %+v, want 2 moves over 2 passes", st)
+	}
+	if got := metrics.EdgeCut(g, parts); st.CutAfter != got || st.CutBefore-got != 3 {
+		t.Fatalf("stats %+v disagree with recomputed cut %d (gain 1 + 2 expected)", st, got)
 	}
 }

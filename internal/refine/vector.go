@@ -1,63 +1,54 @@
 package refine
 
 import (
-	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
-	"ppnpart/internal/metrics"
+	"ppnpart/internal/pstate"
 )
 
-// RebalanceVectorWS moves nodes out of partitions that overflow any
+// RebalanceVector moves nodes out of partitions that overflow any
 // resource kind into partitions with room in every kind, preferring moves
 // with the least cut increase — the multi-resource analogue of
-// RebalanceResourcesWS. Adjacency comes from the CSR snapshot and scratch
-// from ws. Returns the number of moves and whether every partition now
-// fits every kind.
-func RebalanceVectorWS(ws *arena.Workspace, csr *graph.CSR, vectors [][]int64, parts []int, k int,
-	vc metrics.VectorConstraints, maxPasses int) (int, bool) {
-	if !vc.Active() {
-		return 0, true
-	}
+// RebalanceResources. Bounds are s.VectorLimit, so per-part caps apply.
+// Moves go through s, which leaves the undo log empty. Returns the number
+// of moves and whether every partition now fits every kind; (0, true)
+// when s maintains no vector resources.
+func RebalanceVector(s *pstate.State, maxPasses int) (int, bool) {
+	d := s.Dims()
 	if maxPasses <= 0 {
 		maxPasses = 16
 	}
-	totals := metrics.PartResourceVectors(vectors, parts, k)
-	cnt := metrics.PartSizes(parts, k)
-	d := 0
-	if len(vectors) > 0 {
-		d = len(vectors[0])
+	defer s.ResetLog()
+	k := s.K
+	over := func(p, kind int, add int64) bool {
+		lim := s.VectorLimit(p, kind)
+		return lim > 0 && s.VectorTotal(p, kind)+add > lim
 	}
 	overflowing := func(p int) bool {
 		for kind := 0; kind < d; kind++ {
-			if kind < len(vc.Rmax) && vc.Rmax[kind] > 0 && totals[p][kind] > vc.Rmax[kind] {
+			if over(p, kind, 0) {
 				return true
 			}
 		}
 		return false
 	}
-	fitsAfterAdd := func(p, u int) bool {
-		for kind := 0; kind < d; kind++ {
-			if kind < len(vc.Rmax) && vc.Rmax[kind] > 0 &&
-				totals[p][kind]+vectors[u][kind] > vc.Rmax[kind] {
+	fitsAfterAdd := func(p int, row []int64) bool {
+		for kind, v := range row {
+			if over(p, kind, v) {
 				return false
 			}
 		}
 		return true
 	}
 	allFit := func() bool {
-		for p := 0; p < k; p++ {
-			if overflowing(p) {
-				return false
-			}
-		}
-		return true
+		_, _, vec := s.Excess()
+		return vec == 0
 	}
-	// relieves reports whether moving u out of its part reduces an
-	// overflowing kind — pointless moves are never considered.
-	relieves := func(u int) bool {
-		from := parts[u]
-		for kind := 0; kind < d; kind++ {
-			if kind < len(vc.Rmax) && vc.Rmax[kind] > 0 &&
-				totals[from][kind] > vc.Rmax[kind] && vectors[u][kind] > 0 {
+	// relieves reports whether moving a node with demand row out of part
+	// from reduces an overflowing kind — pointless moves are never
+	// considered.
+	relieves := func(from int, row []int64) bool {
+		for kind, v := range row {
+			if v > 0 && over(from, kind, 0) {
 				return true
 			}
 		}
@@ -65,47 +56,35 @@ func RebalanceVectorWS(ws *arena.Workspace, csr *graph.CSR, vectors [][]int64, p
 	}
 
 	moves := 0
-	n := csr.NumNodes()
-	conn := ws.Int64s.Get(k)
-	defer ws.Int64s.Put(conn)
+	n := s.C.NumNodes()
 	maxMoves := maxPasses * n
 	for moves < maxMoves && !allFit() {
 		// Globally cheapest relieving move across all overflowing parts.
-		bestU, bestTo := -1, -1
+		var bestU graph.Node = -1
+		bestTo := -1
 		var bestCost int64
 		for u := 0; u < n; u++ {
-			from := parts[u]
-			if !overflowing(from) || cnt[from] == 1 || !relieves(u) {
+			un := graph.Node(u)
+			from := s.Part(un)
+			row := s.Demand(un)
+			if !overflowing(from) || s.Count(from) == 1 || !relieves(from, row) {
 				continue
 			}
-			for i := range conn {
-				conn[i] = 0
-			}
-			adj, wts := csr.Row(graph.Node(u))
-			for i, v := range adj {
-				conn[parts[v]] += wts[i]
-			}
+			conn := s.Connectivity(un)
 			for to := 0; to < k; to++ {
-				if to == from || !fitsAfterAdd(to, u) {
+				if to == from || !fitsAfterAdd(to, row) {
 					continue
 				}
 				cost := conn[from] - conn[to]
 				if bestU < 0 || cost < bestCost {
-					bestU, bestTo, bestCost = u, to, cost
+					bestU, bestTo, bestCost = un, to, cost
 				}
 			}
 		}
 		if bestU < 0 {
 			break
 		}
-		from := parts[bestU]
-		for kind := 0; kind < d; kind++ {
-			totals[from][kind] -= vectors[bestU][kind]
-			totals[bestTo][kind] += vectors[bestU][kind]
-		}
-		cnt[from]--
-		cnt[bestTo]++
-		parts[bestU] = bestTo
+		s.Move(bestU, bestTo)
 		moves++
 	}
 	return moves, allFit()

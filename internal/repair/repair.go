@@ -21,6 +21,7 @@ import (
 	"ppnpart/internal/fpga"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/pstate"
 	"ppnpart/internal/refine"
 )
 
@@ -181,10 +182,16 @@ func Repair(g *graph.Graph, parts []int, topo *fpga.Topology, failed []int, opts
 	compact := bestFitEvacuate(g, parts, topo, toCompact, survivors, res)
 	if m > 1 {
 		ws := arena.Get()
-		csr := g.ToCSR()
-		refine.KWayFMWS(ws, csr, compact, m, constraints, opts.RefinePasses)
-		refine.RepairBandwidthWS(ws, csr, compact, m, constraints, opts.RefinePasses)
-		refine.RebalanceResourcesWS(ws, csr, compact, m, constraints, opts.RefinePasses)
+		s, err := pstate.NewWS(ws, g.ToCSR(), compact, pstate.Config{K: m, Constraints: constraints})
+		if err != nil {
+			arena.Put(ws)
+			return nil, err
+		}
+		refine.KWayFM(s, opts.RefinePasses)
+		refine.RepairBandwidth(ws, s, opts.RefinePasses)
+		refine.RebalanceResources(s, opts.RefinePasses)
+		copy(compact, s.Parts())
+		s.Release(ws)
 		arena.Put(ws)
 	}
 	assignment := make([]int, len(compact))

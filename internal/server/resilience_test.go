@@ -349,8 +349,10 @@ func TestJournalAppendFailureRefusesJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
+	// The gate stays shut until the refused Submit returns: a worker that
+	// settled the job first would spend the one-shot fsync failure on its
+	// Done record instead of the submission's.
 	gt := newGate()
-	close(gt.release)
 	s := NewScheduler(Config{Workers: 1, Journal: j, Solver: gatedSolver(gt)}, nil)
 	defer s.Close()
 
@@ -367,6 +369,7 @@ func TestJournalAppendFailureRefusesJob(t *testing.T) {
 		t.Fatal("journal error counter did not move")
 	}
 	// The same submission succeeds once the disk recovers.
+	close(gt.release)
 	req2, g2, _ := DecodeJobRequest(strings.NewReader(ringBody(16, 2, 0, 0, `"async":true,"options":{"seed":9}`)))
 	job, _, _, err := s.Submit(req2, g2)
 	if err != nil {

@@ -165,82 +165,3 @@ func TestStreamInvariants(t *testing.T) {
 		checkInvariants(t, cse.g, res, cse.opts.Constraints)
 	}
 }
-
-// TestShardedInvariants runs the same contract through the sharded-ingest
-// entry point, whose stitch pass and prior-fed restream must preserve it.
-func TestShardedInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	cases := 25
-	if testing.Short() {
-		cases = 8
-	}
-	for i := 0; i < cases; i++ {
-		cse := randomCase(t, rng)
-		shard := 1 + rng.Intn(cse.g.NumNodes())
-		res, err := PartitionSharded(t.Context(), cse.g, cse.opts, shard)
-		if err != nil {
-			t.Fatalf("case %d (%+v, shard %d): %v", i, cse.opts, shard, err)
-		}
-		checkInvariants(t, cse.g, res, cse.opts.Constraints)
-	}
-}
-
-// TestIngestInvariants pins the online form: after every Push the
-// maintained cut, resources and bandwidth match a from-scratch recompute
-// of the ingested prefix (checked at a few prefix sizes to stay cheap).
-func TestIngestInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	for i := 0; i < 10; i++ {
-		cse := randomCase(t, rng)
-		csr := cse.g.ToCSR()
-		in, err := NewIngest(cse.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := csr.NumNodes()
-		checkAt := map[int]bool{n / 3: true, 2 * n / 3: true, n: true}
-		var badj []graph.Node
-		var bwts []int64
-		for u := 0; u < n; u++ {
-			adj, wts := csr.Row(graph.Node(u))
-			badj, bwts = badj[:0], bwts[:0]
-			for j, v := range adj {
-				if int(v) < u {
-					badj = append(badj, v)
-					bwts = append(bwts, wts[j])
-				}
-			}
-			p, err := in.Push(csr.NodeW[u], badj, bwts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p < 0 || p >= cse.opts.K {
-				t.Fatalf("vertex %d pushed to part %d outside [0,%d)", u, p, cse.opts.K)
-			}
-			if !checkAt[in.Len()] {
-				continue
-			}
-			prefix := make([]graph.Node, in.Len())
-			for x := range prefix {
-				prefix[x] = graph.Node(x)
-			}
-			sub, _ := cse.g.InducedSubgraph(prefix)
-			parts := in.Parts()[:in.Len()]
-			if got, want := in.Cut(), metrics.EdgeCut(sub, parts); got != want {
-				t.Fatalf("prefix %d: maintained cut %d != recomputed %d", in.Len(), got, want)
-			}
-			resources := metrics.PartResources(sub, parts, cse.opts.K)
-			bw := metrics.BandwidthMatrix(sub, parts, cse.opts.K)
-			for p := 0; p < cse.opts.K; p++ {
-				if in.Resource(p) != resources[p] {
-					t.Fatalf("prefix %d: part %d resource %d != recomputed %d", in.Len(), p, in.Resource(p), resources[p])
-				}
-				for q := 0; q < cse.opts.K; q++ {
-					if in.Bandwidth(p, q) != bw[p][q] {
-						t.Fatalf("prefix %d: bw[%d][%d] = %d != %d", in.Len(), p, q, in.Bandwidth(p, q), bw[p][q])
-					}
-				}
-			}
-		}
-	}
-}

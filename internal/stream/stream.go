@@ -129,10 +129,10 @@ func (o Options) validate() error {
 // every restream pass that ran. Cut, the constraint excesses and Score are
 // the pstate-maintained canonical values of the pass's assignment.
 type IterTrace struct {
-	// Iter is the pass index (0 = initial stream or supplied prior).
+	// Iter is the pass index (0 = initial stream).
 	Iter int `json:"iter"`
 	// Moves counts vertices whose part changed in this pass (n on the
-	// initial stream, 0 for a supplied prior).
+	// initial stream).
 	Moves int `json:"moves"`
 	// Cut is the global edge cut after the pass.
 	Cut int64 `json:"cut"`
@@ -164,11 +164,6 @@ type Result struct {
 	Iterations int
 	// Iters is the per-pass trajectory, initial stream first.
 	Iters []IterTrace
-	// Shards and StitchMoves describe a sharded-ingest run: the number of
-	// streamed shards and the boundary moves of the BatchKWayWS stitch
-	// (zero for single-stream runs).
-	Shards      int
-	StitchMoves int
 	// Stopped reports context cancellation between passes; Parts then
 	// holds the last accepted assignment.
 	Stopped bool
@@ -187,7 +182,7 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 		return nil, err
 	}
 	ws := arena.Get()
-	res, err := run(ctx, ws, g.ToCSR(), opts, nil)
+	res, err := run(ctx, ws, g.ToCSR(), opts)
 	if err == nil {
 		res.Parts = append([]int(nil), res.Parts...)
 	}
@@ -203,19 +198,7 @@ func PartitionCSRWS(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, op
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return run(ctx, ws, csr, opts, nil)
-}
-
-// chooser scores candidate parts for one vertex against part totals. The
-// same rule serves the batch streamer and the online Ingest.
-type chooser struct {
-	k      int
-	cons   metrics.Constraints
-	gamma  float64
-	alpha  float64
-	bwBase float64 // dominant weight on bandwidth-excess increases
-	res    []int64 // per-part resource totals (live view)
-	bw     []int64 // k×k bandwidth matrix, row-major (live view)
+	return run(ctx, ws, csr, opts)
 }
 
 // over is the excess of v above lim (0 when lim disables the bound).
@@ -230,18 +213,18 @@ func over(v, lim int64) int64 {
 // vertex with per-part affinity conn (touched = parts with conn > 0)
 // moves from part `from` (-1 when unassigned) to part `to`. Mirrors
 // pstate.State.MoveDelta's bandwidth term.
-func (c *chooser) bwExcessDelta(to, from int, conn []int64, touched []int) int64 {
-	if c.cons.Bmax <= 0 || to == from {
+func (s *streamer) bwExcessDelta(to, from int, conn []int64, touched []int) int64 {
+	if s.cons.Bmax <= 0 || to == from {
 		return 0
 	}
-	k, bmax := c.k, c.cons.Bmax
+	k, bmax := s.k, s.cons.Bmax
 	var delta int64
 	if from < 0 {
 		for _, q := range touched {
 			if q == to {
 				continue
 			}
-			tq := c.bw[to*k+q]
+			tq := s.bw[to*k+q]
 			delta += over(tq+conn[q], bmax) - over(tq, bmax)
 		}
 		return delta
@@ -250,12 +233,12 @@ func (c *chooser) bwExcessDelta(to, from int, conn []int64, touched []int) int64
 		if q == from || q == to {
 			continue
 		}
-		fq := c.bw[from*k+q]
+		fq := s.bw[from*k+q]
 		delta += over(fq-conn[q], bmax) - over(fq, bmax)
-		tq := c.bw[to*k+q]
+		tq := s.bw[to*k+q]
 		delta += over(tq+conn[q], bmax) - over(tq, bmax)
 	}
-	ft := c.bw[from*k+to]
+	ft := s.bw[from*k+to]
 	delta += over(ft-conn[to]+conn[from], bmax) - over(ft, bmax)
 	return delta
 }
@@ -263,17 +246,17 @@ func (c *chooser) bwExcessDelta(to, from int, conn []int64, touched []int) int64
 // score rates moving a vertex of weight w from part `from` (-1 when
 // unassigned) into part p: affinity minus the convex imbalance penalty
 // minus the dominant bandwidth-excess penalty. Higher is better.
-func (c *chooser) score(p int, w int64, from int, conn []int64, touched []int) float64 {
-	load := c.res[p]
+func (s *streamer) score(p int, w int64, from int, conn []int64, touched []int) float64 {
+	load := s.res[p]
 	if p == from {
 		load -= w
 	}
 	sc := float64(conn[p])
-	if c.alpha > 0 {
-		sc -= c.alpha * (math.Pow(float64(load+w), c.gamma) - math.Pow(float64(load), c.gamma))
+	if s.alpha > 0 {
+		sc -= s.alpha * (math.Pow(float64(load+w), s.gamma) - math.Pow(float64(load), s.gamma))
 	}
-	if d := c.bwExcessDelta(p, from, conn, touched); d != 0 {
-		sc -= c.bwBase * float64(d)
+	if d := s.bwExcessDelta(p, from, conn, touched); d != 0 {
+		sc -= s.bwBase * float64(d)
 	}
 	return sc
 }
@@ -283,19 +266,19 @@ func (c *chooser) score(p int, w int64, from int, conn []int64, touched []int) f
 // id wins. On first assignment (from == -1) parts the vertex would push
 // over Rmax are ineligible; when every part is full the least-loaded part
 // takes the vertex anyway, so the stream always assigns.
-func (c *chooser) pick(w int64, from int, conn []int64, touched []int) int {
+func (s *streamer) pick(w int64, from int, conn []int64, touched []int) int {
 	best, bestScore := from, math.Inf(-1)
 	if from >= 0 {
-		bestScore = c.score(from, w, from, conn, touched)
+		bestScore = s.score(from, w, from, conn, touched)
 	}
-	for p := 0; p < c.k; p++ {
+	for p := 0; p < s.k; p++ {
 		if p == from {
 			continue
 		}
-		if lim := c.cons.RmaxFor(p); lim > 0 && c.res[p]+w > lim {
+		if lim := s.cons.RmaxFor(p); lim > 0 && s.res[p]+w > lim {
 			continue
 		}
-		if sc := c.score(p, w, from, conn, touched); sc > bestScore {
+		if sc := s.score(p, w, from, conn, touched); sc > bestScore {
 			best, bestScore = p, sc
 		}
 	}
@@ -304,8 +287,8 @@ func (c *chooser) pick(w int64, from int, conn []int64, touched []int) int {
 	}
 	// Every part is over budget for this vertex: least-loaded fallback.
 	best = 0
-	for p := 1; p < c.k; p++ {
-		if c.res[p] < c.res[best] {
+	for p := 1; p < s.k; p++ {
+		if s.res[p] < s.res[best] {
 			best = p
 		}
 	}
@@ -322,9 +305,17 @@ func deriveAlpha(k int, edgeWT, nodeWT int64, gamma float64) float64 {
 	return math.Sqrt(float64(k)) * float64(edgeWT) / math.Pow(float64(nodeWT), gamma)
 }
 
-// streamer is the batch (full-CSR) streaming state, workspace-pooled.
+// streamer is the streaming state, workspace-pooled. Its methods score
+// candidate parts for one vertex against the part totals.
 type streamer struct {
-	chooser
+	k      int
+	cons   metrics.Constraints
+	gamma  float64
+	alpha  float64
+	bwBase float64 // dominant weight on bandwidth-excess increases
+	res    []int64 // per-part resource totals (live view)
+	bw     []int64 // k×k bandwidth matrix, row-major (live view)
+
 	ws   *arena.Workspace
 	csr  *graph.CSR
 	opts Options
@@ -334,24 +325,22 @@ type streamer struct {
 	cut   int64
 }
 
-// run executes the initial stream (or adopts prior) plus the restream
-// loop. All scratch, including the returned Parts, comes from ws.
-func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options, prior []int) (*Result, error) {
+// run executes the initial stream plus the restream loop. All scratch,
+// including the returned Parts, comes from ws.
+func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	n := csr.NumNodes()
 	k := opts.K
 	s := &streamer{
-		chooser: chooser{
-			k:      k,
-			cons:   opts.Constraints,
-			gamma:  opts.Gamma,
-			alpha:  opts.Alpha,
-			bwBase: float64(csr.EdgeWT + 1),
-		},
-		ws:   ws,
-		csr:  csr,
-		opts: opts,
-		n:    n,
+		k:      k,
+		cons:   opts.Constraints,
+		gamma:  opts.Gamma,
+		alpha:  opts.Alpha,
+		bwBase: float64(csr.EdgeWT + 1),
+		ws:     ws,
+		csr:    csr,
+		opts:   opts,
+		n:      n,
 	}
 	if s.alpha <= 0 {
 		s.alpha = deriveAlpha(k, csr.EdgeWT, csr.NodeWT, opts.Gamma)
@@ -361,15 +350,7 @@ func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options,
 	s.bw = zeroed64(&ws.Int64s, k*k)
 
 	res := &Result{K: k}
-	moves := n
-	if prior == nil {
-		s.initialStream()
-	} else {
-		// A supplied prior (sharded ingest, engine reseed) replaces the
-		// initial stream; the pstate build below seeds the running totals.
-		copy(s.parts, prior)
-		moves = 0
-	}
+	s.initialStream()
 
 	// Canonical evaluation of each pass through pstate: Score/Feasible are
 	// bit-identical to the metrics package, and the accepted state refills
@@ -382,7 +363,7 @@ func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options,
 	score := st.Score()
 	res.Feasible = st.Feasible()
 	res.Cut = st.Cut()
-	res.Iters = append(res.Iters, s.iterTrace(0, moves, true, st))
+	res.Iters = append(res.Iters, s.iterTrace(0, n, true, st))
 	s.refresh(st)
 	st.Release(ws)
 

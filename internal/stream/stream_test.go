@@ -148,96 +148,3 @@ func TestOptionsValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestIngestMatchesMetrics(t *testing.T) {
-	g := testGraph(t, 250, 1000, 29)
-	k := 4
-	csr := g.ToCSR()
-	in, err := NewIngest(Options{K: k, Constraints: looseConstraints(g, k)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var badj []graph.Node
-	var bwts []int64
-	for u := 0; u < csr.NumNodes(); u++ {
-		adj, wts := csr.Row(graph.Node(u))
-		badj, bwts = badj[:0], bwts[:0]
-		for i, v := range adj {
-			if int(v) < u {
-				badj = append(badj, v)
-				bwts = append(bwts, wts[i])
-			}
-		}
-		if _, err := in.Push(csr.NodeW[u], badj, bwts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	parts := in.Parts()
-	if err := metrics.Validate(g, parts, k); err != nil {
-		t.Fatalf("invalid partition: %v", err)
-	}
-	if got, want := in.Cut(), metrics.EdgeCut(g, parts); got != want {
-		t.Fatalf("maintained cut %d != recomputed %d", got, want)
-	}
-	resources := metrics.PartResources(g, parts, k)
-	bw := metrics.BandwidthMatrix(g, parts, k)
-	for p := 0; p < k; p++ {
-		if in.Resource(p) != resources[p] {
-			t.Fatalf("part %d resource %d != recomputed %d", p, in.Resource(p), resources[p])
-		}
-		for q := 0; q < k; q++ {
-			if in.Bandwidth(p, q) != bw[p][q] {
-				t.Fatalf("bw[%d][%d] = %d != recomputed %d", p, q, in.Bandwidth(p, q), bw[p][q])
-			}
-		}
-	}
-}
-
-func TestIngestRejectsBadInput(t *testing.T) {
-	in, err := NewIngest(Options{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Push(-1, nil, nil); err == nil {
-		t.Error("negative node weight accepted")
-	}
-	if _, err := in.Push(1, []graph.Node{0}, []int64{1}); err == nil {
-		t.Error("forward edge accepted (vertex 0 has no predecessors)")
-	}
-	if _, err := in.Push(1, []graph.Node{0}, nil); err == nil {
-		t.Error("adj/wts length mismatch accepted")
-	}
-	if _, err := in.Push(1, nil, nil); err != nil {
-		t.Fatalf("valid push rejected: %v", err)
-	}
-	if _, err := in.Push(1, []graph.Node{0}, []int64{-3}); err == nil {
-		t.Error("negative edge weight accepted")
-	}
-}
-
-func TestPartitionSharded(t *testing.T) {
-	g := testGraph(t, 700, 2800, 31)
-	k := 4
-	c := looseConstraints(g, k)
-	res, err := PartitionSharded(context.Background(), g, Options{K: k, Constraints: c}, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Shards != (700+127)/128 {
-		t.Fatalf("Shards = %d, want %d", res.Shards, (700+127)/128)
-	}
-	if err := metrics.Validate(g, res.Parts, k); err != nil {
-		t.Fatalf("invalid partition: %v", err)
-	}
-	if res.Cut != metrics.EdgeCut(g, res.Parts) {
-		t.Fatalf("maintained cut %d != recomputed %d", res.Cut, metrics.EdgeCut(g, res.Parts))
-	}
-	// The stitched-and-restreamed result should not be worse than a plain
-	// single-stream run left unrefined.
-	if res.Goodness != metrics.Goodness(g, res.Parts, k, c) {
-		t.Fatalf("goodness %v != recomputed %v", res.Goodness, metrics.Goodness(g, res.Parts, k, c))
-	}
-	if _, err := PartitionSharded(context.Background(), g, Options{K: k}, 0); err == nil {
-		t.Fatal("shardNodes = 0 accepted")
-	}
-}
