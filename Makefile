@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzReadIncidence -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzContract -fuzztime=$(FUZZTIME) ./internal/coarsen
 	$(GO) test -run='^$$' -fuzz=FuzzReadTopologyJSON -fuzztime=$(FUZZTIME) ./internal/fpga
 	$(GO) test -run='^$$' -fuzz=FuzzStateDifferential -fuzztime=$(FUZZTIME) ./internal/pstate
 	$(GO) test -run='^$$' -fuzz=FuzzHyperPState -fuzztime=$(FUZZTIME) ./internal/pstate

@@ -1,10 +1,9 @@
 // Package arena provides reusable scratch workspaces for the multilevel
 // partitioning solve path. A Workspace bundles typed slice free-lists
-// (ints, weights, floats, node stacks, visited bitsets), level-indexed
-// CSR snapshot slots, and package-keyed extension caches (pstate move
-// logs, gain-PQ storage) so that coarsening levels, GP cycles, greedy
-// restarts, and refine passes reuse the same geometrically-grown
-// backing arrays instead of reallocating them.
+// (ints, weights, floats, node stacks, visited bitsets) and package-keyed
+// extension caches (pstate move logs, gain-PQ storage) so that coarsening
+// levels, GP cycles, greedy restarts, and refine passes reuse the same
+// geometrically-grown backing arrays instead of reallocating them.
 //
 // Ownership model:
 //
@@ -84,19 +83,8 @@ type Workspace struct {
 	Nodes  Pool[graph.Node]
 	Edges  Pool[graph.Edge]
 
-	csrs     []*graph.CSR
 	children []*Workspace
 	ext      map[any]any
-}
-
-// LevelCSR returns the persistent CSR slot for hierarchy level lvl.
-// The slot's backing arrays survive across GP cycles, so rebuilding a
-// level snapshot via graph.ToCSRInto reuses them.
-func (ws *Workspace) LevelCSR(lvl int) *graph.CSR {
-	for len(ws.csrs) <= lvl {
-		ws.csrs = append(ws.csrs, &graph.CSR{})
-	}
-	return ws.csrs[lvl]
 }
 
 // Child returns the i-th persistent sub-workspace, creating it on first

@@ -58,21 +58,6 @@ func TestPoolPutNilNoop(t *testing.T) {
 	}
 }
 
-func TestLevelCSRPersistent(t *testing.T) {
-	ws := &Workspace{}
-	c := ws.LevelCSR(3)
-	if c == nil {
-		t.Fatal("nil CSR slot")
-	}
-	c.XAdj = append(c.XAdj, 1, 2, 3)
-	if ws.LevelCSR(3) != c {
-		t.Fatal("LevelCSR slot not persistent")
-	}
-	if ws.LevelCSR(0) == c {
-		t.Fatal("distinct levels share a slot")
-	}
-}
-
 func TestChildPersistentAndDistinct(t *testing.T) {
 	ws := &Workspace{}
 	c0, c1 := ws.Child(0), ws.Child(1)

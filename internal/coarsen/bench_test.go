@@ -10,7 +10,7 @@ import (
 
 func BenchmarkBuildHierarchyBestOfThree(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 10000)
+	g := randomConnected(rng, 10000).ToCSR()
 	ws := new(arena.Workspace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -22,7 +22,7 @@ func BenchmarkBuildHierarchyBestOfThree(b *testing.B) {
 
 func BenchmarkBuildHierarchyHEMOnly(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 10000)
+	g := randomConnected(rng, 10000).ToCSR()
 	opts := Options{TargetSize: 100, Heuristics: []match.Heuristic{match.HeuristicHeavyEdge}}
 	ws := new(arena.Workspace)
 	b.ResetTimer()
@@ -37,9 +37,11 @@ func BenchmarkContract(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnected(rng, 10000)
 	m := mustCompute(b, match.HeuristicHeavyEdge, g, nil)
+	gc := g.ToCSR()
+	ws := new(arena.Workspace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Contract(g, m); err != nil {
+		if _, err := ContractWS(ws, gc, m); err != nil {
 			b.Fatal(err)
 		}
 	}

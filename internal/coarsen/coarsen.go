@@ -21,7 +21,7 @@ import (
 // nodes to coarse nodes.
 type Level struct {
 	// Coarse is the contracted graph.
-	Coarse *graph.Graph
+	Coarse *graph.CSR
 	// FineToCoarse maps each fine node to its coarse image.
 	FineToCoarse []graph.Node
 	// Heuristic records which matching produced this level.
@@ -44,19 +44,21 @@ type MatchCandidate struct {
 // Contract applies a matching to g: every matched pair becomes one coarse
 // node with summed weight; unmatched nodes carry over. Edges between
 // coarse nodes fold duplicates by summing weights; intra-pair edges
-// disappear (their weight is "hidden" inside the coarse node).
+// disappear (their weight is "hidden" inside the coarse node). It
+// snapshots g once and contracts the snapshot.
 func Contract(g *graph.Graph, m match.Matching) (*Level, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return ContractWS(ws, g, m)
+	return ContractWS(ws, g.ToCSR(), m)
 }
 
-// ContractWS is Contract drawing its degree-bound scratch from ws and
-// building the coarse graph through graph.NewBuilderCap, so adjacency
-// rows are carved from one bulk allocation instead of grown per edge.
-// The Level itself (coarse graph, fine→coarse map) outlives the call
-// and stays heap-allocated.
-func ContractWS(ws *arena.Workspace, g *graph.Graph, m match.Matching) (*Level, error) {
+// ContractWS is Contract on a CSR, drawing its degree-bound scratch from
+// ws. The coarse CSR comes straight out of graph.NewBuilderCap, whose
+// rows are carved from one bulk allocation; it is the level's only
+// graph form, read by matching, seeding and refinement alike. The Level
+// itself (coarse graph, fine→coarse map) outlives the call and stays
+// heap-allocated.
+func ContractWS(ws *arena.Workspace, g *graph.CSR, m match.Matching) (*Level, error) {
 	n := g.NumNodes()
 	if len(m) != n {
 		return nil, fmt.Errorf("coarsen: matching length %d != nodes %d", len(m), n)
@@ -90,30 +92,32 @@ func ContractWS(ws *arena.Workspace, g *graph.Graph, m match.Matching) (*Level, 
 	degCap := ws.Int32s.Get(nc)
 	for u := 0; u < n; u++ {
 		c := fineToCoarse[u]
-		w[c] += g.NodeWeight(graph.Node(u))
+		w[c] += g.NodeW[u]
 		degCap[c] += int32(g.Degree(graph.Node(u)))
 	}
-	// The Builder folds duplicate coarse edges in O(1) amortized (AddEdge's
+	// The Builder folds duplicate coarse edges in O(1) (Graph.AddEdge's
 	// linear dup-scan is quadratic on dense coarse nodes) while keeping the
-	// exact first-encounter adjacency order sequential AddEdge produces.
+	// exact first-encounter row order sequential AddEdge produces.
 	b := graph.NewBuilderCap(w, degCap)
 	for u := 0; u < n; u++ {
 		cu := fineToCoarse[u]
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) >= h.To {
+		nbrs, wts := g.Row(graph.Node(u))
+		for i, v := range nbrs {
+			if graph.Node(u) >= v {
 				continue
 			}
-			cv := fineToCoarse[h.To]
+			cv := fineToCoarse[v]
 			if cu == cv {
 				continue // intra-pair edge vanishes
 			}
-			if err := b.AddEdge(cu, cv, h.Weight); err != nil {
+			if err := b.AddEdge(cu, cv, wts[i]); err != nil {
 				return nil, fmt.Errorf("coarsen: %v", err)
 			}
 		}
 	}
+	c := b.CSR()
 	ws.Int32s.Put(degCap)
-	return &Level{Coarse: b.Graph(), FineToCoarse: fineToCoarse}, nil
+	return &Level{Coarse: c, FineToCoarse: fineToCoarse}, nil
 }
 
 // ProjectUp lifts a partition of the coarse graph to the fine graph: each
@@ -194,15 +198,15 @@ func (o Options) withDefaults() Options {
 // Hierarchy is a full coarsening stack. Levels[0] contracts the original
 // graph; Levels[len-1].Coarse is the coarsest graph.
 type Hierarchy struct {
-	// Original is the input graph.
-	Original *graph.Graph
+	// Original is the input graph's snapshot.
+	Original *graph.CSR
 	// Levels are the contraction steps, finest first.
 	Levels []*Level
 }
 
 // Coarsest returns the smallest graph of the hierarchy (the original graph
 // if no contraction happened).
-func (h *Hierarchy) Coarsest() *graph.Graph {
+func (h *Hierarchy) Coarsest() *graph.CSR {
 	if len(h.Levels) == 0 {
 		return h.Original
 	}
@@ -214,7 +218,7 @@ func (h *Hierarchy) Depth() int { return len(h.Levels) }
 
 // GraphAt returns the graph at a given level: 0 is the original,
 // Depth() is the coarsest.
-func (h *Hierarchy) GraphAt(level int) *graph.Graph {
+func (h *Hierarchy) GraphAt(level int) *graph.CSR {
 	if level == 0 {
 		return h.Original
 	}
@@ -264,7 +268,7 @@ func (h *Hierarchy) ProjectTo(parts []int, fromLevel, toLevel int) ([]int, error
 // table the trace surfaces. Recording reuses the weights/pairs the
 // reduction computes anyway, so it cannot change the winner or any RNG
 // draw.
-func bestMatchingWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand) (match.Matching, match.Heuristic, []MatchCandidate) {
+func bestMatchingWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.Rand) (match.Matching, match.Heuristic, []MatchCandidate) {
 	opts = opts.withDefaults()
 	results := make([]match.Matching, len(opts.Heuristics))
 	var rngChain []int // indexes of RNG-consuming heuristics, in order
@@ -323,7 +327,7 @@ func bestMatchingWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand
 // until the coarse graph reaches opts.TargetSize nodes or contraction
 // stalls. All matching and contraction scratch is drawn from ws; the
 // Hierarchy itself outlives the call and is heap-allocated.
-func BuildWS(ws *arena.Workspace, g *graph.Graph, opts Options, rng *rand.Rand) (*Hierarchy, error) {
+func BuildWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.Rand) (*Hierarchy, error) {
 	opts = opts.withDefaults()
 	h := &Hierarchy{Original: g}
 	cur := g

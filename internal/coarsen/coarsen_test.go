@@ -58,7 +58,7 @@ func TestContractPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := lvl.Coarse
+	c := lvl.Coarse.ToGraph()
 	if c.NumNodes() != 2 {
 		t.Fatalf("coarse nodes = %d, want 2", c.NumNodes())
 	}
@@ -91,11 +91,11 @@ func TestContractPreservesNodeWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lvl.Coarse.TotalNodeWeight() != g.TotalNodeWeight() {
+	if lvl.Coarse.NodeWT != g.TotalNodeWeight() {
 		t.Fatal("contraction changed total node weight")
 	}
 	// Hidden weight = matched weight; exposed = total - hidden.
-	if lvl.Coarse.TotalEdgeWeight() != g.TotalEdgeWeight()-m.MatchedWeight(g) {
+	if lvl.Coarse.EdgeWT != g.TotalEdgeWeight()-m.MatchedWeight(g.ToCSR()) {
 		t.Fatal("contraction edge weight accounting wrong")
 	}
 }
@@ -136,7 +136,7 @@ func TestProjectUp(t *testing.T) {
 func TestBuildHierarchyReachesTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomConnected(rng, 300)
-	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 50}, rng)
+	h, err := BuildWS(new(arena.Workspace), g.ToCSR(), Options{TargetSize: 50}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +149,10 @@ func TestBuildHierarchyReachesTarget(t *testing.T) {
 	}
 	// Graph weights preserved at every level.
 	for i := 0; i <= h.Depth(); i++ {
-		if h.GraphAt(i).TotalNodeWeight() != g.TotalNodeWeight() {
+		if h.GraphAt(i).NodeWT != g.TotalNodeWeight() {
 			t.Fatalf("level %d lost node weight", i)
 		}
-		if err := h.GraphAt(i).Validate(); err != nil {
+		if err := h.GraphAt(i).ToGraph().Validate(); err != nil {
 			t.Fatalf("level %d invalid: %v", i, err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestBuildHierarchyReachesTarget(t *testing.T) {
 
 func TestBuildNoContractionNeeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := pathGraph(5)
+	g := pathGraph(5).ToCSR()
 	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 100}, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestBuildNoContractionNeeded(t *testing.T) {
 func TestBuildEdgelessGraphStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.New(500) // no edges: nothing contractible
-	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 10}, rng)
+	h, err := BuildWS(new(arena.Workspace), g.ToCSR(), Options{TargetSize: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestBuildEdgelessGraphStops(t *testing.T) {
 func TestProjectToFinestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomConnected(rng, 200)
-	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 20}, rng)
+	h, err := BuildWS(new(arena.Workspace), g.ToCSR(), Options{TargetSize: 20}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +207,14 @@ func TestProjectToFinestRoundTrip(t *testing.T) {
 	// Cut of the projected partition equals the cut on the coarse graph:
 	// contraction only hides intra-pair edges, which are never cut when
 	// the pair lands in one part.
-	coarseCut := metrics.EdgeCut(h.Coarsest(), coarseParts)
+	coarsest := h.Coarsest().ToGraph()
+	coarseCut := metrics.EdgeCut(coarsest, coarseParts)
 	fineCut := metrics.EdgeCut(g, fine)
 	if coarseCut != fineCut {
 		t.Fatalf("coarse cut %d != projected fine cut %d", coarseCut, fineCut)
 	}
 	// Resources also match.
-	cr := metrics.MaxResource(h.Coarsest(), coarseParts, 4)
+	cr := metrics.MaxResource(coarsest, coarseParts, 4)
 	fr := metrics.MaxResource(g, fine, 4)
 	if cr != fr {
 		t.Fatalf("coarse maxRes %d != fine maxRes %d", cr, fr)
@@ -223,7 +224,7 @@ func TestProjectToFinestRoundTrip(t *testing.T) {
 func TestProjectToErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomConnected(rng, 100)
-	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 10}, rng)
+	h, err := BuildWS(new(arena.Workspace), g.ToCSR(), Options{TargetSize: 10}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,22 +236,23 @@ func TestProjectToErrors(t *testing.T) {
 func TestBestMatchingPicksHighestHiddenWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnected(rng, 60)
-	m, h, _ := bestMatchingWS(new(arena.Workspace), g, Options{}, rng)
+	gc := g.ToCSR()
+	m, h, _ := bestMatchingWS(new(arena.Workspace), gc, Options{}, rng)
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	// Must be at least as heavy as pure HEM (HEM is one of the entrants).
 	hem := mustCompute(t, match.HeuristicHeavyEdge, g, nil)
-	if m.MatchedWeight(g) < hem.MatchedWeight(g) {
+	if m.MatchedWeight(gc) < hem.MatchedWeight(gc) {
 		t.Fatalf("best-of-three %d lighter than HEM %d (heuristic %v)",
-			m.MatchedWeight(g), hem.MatchedWeight(g), h)
+			m.MatchedWeight(gc), hem.MatchedWeight(gc), h)
 	}
 }
 
 func TestBuildRestrictedHeuristics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomConnected(rng, 150)
-	h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 30, Heuristics: []match.Heuristic{match.HeuristicHeavyEdge}}, rng)
+	h, err := BuildWS(new(arena.Workspace), g.ToCSR(), Options{TargetSize: 30, Heuristics: []match.Heuristic{match.HeuristicHeavyEdge}}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,16 +267,16 @@ func TestPropertyHierarchyInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 30+rng.Intn(120))
-		h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 10 + rng.Intn(30)}, rng)
+		h, err := BuildWS(new(arena.Workspace), g.ToCSR(), Options{TargetSize: 10 + rng.Intn(30)}, rng)
 		if err != nil {
 			return false
 		}
 		for i := 0; i <= h.Depth(); i++ {
 			lg := h.GraphAt(i)
-			if lg.Validate() != nil {
+			if lg.ToGraph().Validate() != nil {
 				return false
 			}
-			if lg.TotalNodeWeight() != g.TotalNodeWeight() {
+			if lg.NodeWT != g.TotalNodeWeight() {
 				return false
 			}
 			if i > 0 && lg.NumNodes() >= h.GraphAt(i-1).NumNodes() {
@@ -292,7 +294,7 @@ func TestPropertyProjectionPreservesMetrics(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnected(rng, 40+rng.Intn(80))
-		h, err := BuildWS(new(arena.Workspace), g, Options{TargetSize: 12}, rng)
+		h, err := BuildWS(new(arena.Workspace), g.ToCSR(), Options{TargetSize: 12}, rng)
 		if err != nil {
 			return false
 		}
@@ -306,9 +308,10 @@ func TestPropertyProjectionPreservesMetrics(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return metrics.EdgeCut(h.Coarsest(), parts) == metrics.EdgeCut(g, fine) &&
-			metrics.MaxResource(h.Coarsest(), parts, k) == metrics.MaxResource(g, fine, k) &&
-			metrics.MaxLocalBandwidth(h.Coarsest(), parts, k) == metrics.MaxLocalBandwidth(g, fine, k)
+		coarsest := h.Coarsest().ToGraph()
+		return metrics.EdgeCut(coarsest, parts) == metrics.EdgeCut(g, fine) &&
+			metrics.MaxResource(coarsest, parts, k) == metrics.MaxResource(g, fine, k) &&
+			metrics.MaxLocalBandwidth(coarsest, parts, k) == metrics.MaxLocalBandwidth(g, fine, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ type edgeItem struct {
 // cross-level priority queue cannot be reused; a per-level scan keeps the
 // implementation exact, which is ample for the ablation-scale workloads
 // this variant serves. Per-level contraction scratch is drawn from ws.
-func BuildNLevelWS(ws *arena.Workspace, g *graph.Graph, targetSize int) (*Hierarchy, error) {
+func BuildNLevelWS(ws *arena.Workspace, g *graph.CSR, targetSize int) (*Hierarchy, error) {
 	if targetSize <= 1 {
 		targetSize = 100
 	}
@@ -38,11 +38,12 @@ func BuildNLevelWS(ws *arena.Workspace, g *graph.Graph, targetSize int) (*Hierar
 		var best edgeItem
 		found := false
 		for u := 0; u < cur.NumNodes(); u++ {
-			for _, hf := range cur.Neighbors(graph.Node(u)) {
-				if graph.Node(u) >= hf.To {
+			nbrs, wts := cur.Row(graph.Node(u))
+			for i, v := range nbrs {
+				if graph.Node(u) >= v {
 					continue
 				}
-				it := edgeItem{graph.Node(u), hf.To, hf.Weight}
+				it := edgeItem{graph.Node(u), v, wts[i]}
 				if !found || it.w > best.w ||
 					(it.w == best.w && (it.u < best.u || (it.u == best.u && it.v < best.v))) {
 					best = it

@@ -12,7 +12,7 @@ import (
 func TestBuildNLevelContractsOneEdgePerLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnected(rng, 50)
-	h, err := BuildNLevelWS(new(arena.Workspace), g, 10)
+	h, err := BuildNLevelWS(new(arena.Workspace), g.ToCSR(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestBuildNLevelContractsOneEdgePerLevel(t *testing.T) {
 				t.Fatalf("level %d contracted %d nodes, want 1", i, got)
 			}
 		}
-		if err := h.GraphAt(i).Validate(); err != nil {
+		if err := h.GraphAt(i).ToGraph().Validate(); err != nil {
 			t.Fatalf("level %d: %v", i, err)
 		}
 	}
@@ -37,7 +37,7 @@ func TestBuildNLevelPicksHeaviestEdge(t *testing.T) {
 	g.MustAddEdge(0, 1, 5)
 	g.MustAddEdge(1, 2, 100)
 	g.MustAddEdge(2, 3, 7)
-	h, err := BuildNLevelWS(new(arena.Workspace), g, 3)
+	h, err := BuildNLevelWS(new(arena.Workspace), g.ToCSR(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,8 @@ func TestBuildNLevelPicksHeaviestEdge(t *testing.T) {
 func TestBuildNLevelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomConnected(rng, 40)
-	h1, _ := BuildNLevelWS(new(arena.Workspace), g, 8)
-	h2, _ := BuildNLevelWS(new(arena.Workspace), g, 8)
+	h1, _ := BuildNLevelWS(new(arena.Workspace), g.ToCSR(), 8)
+	h2, _ := BuildNLevelWS(new(arena.Workspace), g.ToCSR(), 8)
 	if h1.Depth() != h2.Depth() {
 		t.Fatal("depth differs")
 	}
@@ -71,7 +71,7 @@ func TestBuildNLevelDeterministic(t *testing.T) {
 func TestBuildNLevelProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnected(rng, 60)
-	h, err := BuildNLevelWS(new(arena.Workspace), g, 12)
+	h, err := BuildNLevelWS(new(arena.Workspace), g.ToCSR(), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,14 +83,14 @@ func TestBuildNLevelProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if metrics.EdgeCut(h.Coarsest(), parts) != metrics.EdgeCut(g, fine) {
+	if metrics.EdgeCut(h.Coarsest().ToGraph(), parts) != metrics.EdgeCut(g, fine) {
 		t.Fatal("projection changed the cut")
 	}
 }
 
 func TestBuildNLevelEdgelessStops(t *testing.T) {
 	g := graph.New(20)
-	h, err := BuildNLevelWS(new(arena.Workspace), g, 5)
+	h, err := BuildNLevelWS(new(arena.Workspace), g.ToCSR(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

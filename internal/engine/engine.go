@@ -250,15 +250,13 @@ func (s *Solver) runStage(cy *Cycle, p Phase) error {
 var errStopUncoarsen = errors.New("engine: uncoarsening stopped")
 
 // Cycle is the mutable state of one GP cycle, threaded through the
-// stages. Stages read the configuration and graph, and advance Hier,
-// Level, CSR and Parts.
+// stages. Stages read the configuration, and advance Hier, Level, CSR and
+// Parts.
 type Cycle struct {
 	// Ctx is the solve context; stages may poll it at natural boundaries.
 	Ctx context.Context
 	// Cfg is the effective (defaulted) configuration.
 	Cfg *Config
-	// Graph is the finest (original) graph.
-	Graph *graph.Graph
 	// Index is the cycle number; it seeds the cycle's RNG stream.
 	Index int
 	// RNG is the cycle's deterministic random stream.
@@ -270,7 +268,9 @@ type Cycle struct {
 	Hier *coarsen.Hierarchy
 	// Level is the current hierarchy level (Depth = coarsest, 0 = finest).
 	Level int
-	// CSR is the snapshot of the current level's graph.
+	// CSR is the current level's graph: the finest CSR Solve built (shared
+	// read-only by every cycle) until PhaseInitialPartition moves the
+	// cycle to the hierarchy's coarsest level.
 	CSR *graph.CSR
 	// Parts is the current level's assignment.
 	Parts []int
@@ -405,8 +405,10 @@ type candidate struct {
 func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome {
 	cfg := &s.cfg
 	tr.begin(cfg)
-	// One finest-level CSR snapshot serves every candidate evaluation;
-	// cycles only read it, so sharing across goroutines is safe.
+	// The solve's one snapshot of g: every cycle coarsens from it and
+	// refines its finest level on it, and every candidate is scored
+	// against it. Cycles only read it, so sharing across goroutines is
+	// safe.
 	fcsr := g.ToCSR()
 	inc := newIncumbent()
 
@@ -438,7 +440,7 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 					panics[i] = &cyclePanic{cycle: base + i, value: r, stack: debug.Stack()}
 				}
 			}()
-			results[i] = s.runCycle(ctx, g, fcsr, base+i, inc, tr)
+			results[i] = s.runCycle(ctx, fcsr, base+i, inc, tr)
 		})
 		for _, cp := range panics {
 			if cp != nil {
@@ -452,7 +454,7 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 			if c.parts == nil {
 				continue
 			}
-			rc := &Cycle{Ctx: ctx, Cfg: cfg, Graph: g, Index: c.cycle,
+			rc := &Cycle{Ctx: ctx, Cfg: cfg, Index: c.cycle,
 				Feasible: c.feasible, Goodness: c.goodness, trace: c.trace}
 			s.runStage(rc, PhaseRetry)
 			if rc.StopSearch {
@@ -516,7 +518,7 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 
 // runCycle executes one cycle on its own RNG stream and workspace and
 // scores the produced assignment against the finest-level CSR.
-func (s *Solver) runCycle(ctx context.Context, g *graph.Graph, fcsr *graph.CSR, cycle int, inc *incumbent, tr *Trace) candidate {
+func (s *Solver) runCycle(ctx context.Context, fcsr *graph.CSR, cycle int, inc *incumbent, tr *Trace) candidate {
 	// Each cycle gets an independent deterministic stream and a pooled
 	// workspace for all its scratch.
 	rng := rand.New(rand.NewSource(s.cfg.Seed + int64(cycle)*0x9E3779B9))
@@ -532,7 +534,7 @@ func (s *Solver) runCycle(ctx context.Context, g *graph.Graph, fcsr *graph.CSR, 
 	cy := &Cycle{
 		Ctx:   ctx,
 		Cfg:   &s.cfg,
-		Graph: g,
+		CSR:   fcsr,
 		Index: cycle,
 		RNG:   rng,
 		WS:    ws,

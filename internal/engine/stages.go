@@ -13,9 +13,10 @@ import (
 	"ppnpart/internal/stream"
 )
 
-// coarsenStage builds the multilevel hierarchy. Construction failures
-// degrade to a flat (no-hierarchy) run rather than aborting the cycle —
-// hierarchy construction only fails on internal invariant breakage.
+// coarsenStage builds the multilevel hierarchy over the finest CSR, which
+// cy.CSR still holds when the cycle starts. Construction failures degrade
+// to a flat (no-hierarchy) run rather than aborting the cycle — hierarchy
+// construction only fails on internal invariant breakage.
 type coarsenStage struct{}
 
 func (coarsenStage) Phase() Phase { return PhaseCoarsen }
@@ -24,9 +25,9 @@ func (coarsenStage) Run(cy *Cycle) error {
 	var hier *coarsen.Hierarchy
 	var err error
 	if cy.Cfg.NLevelCoarsening {
-		hier, err = coarsen.BuildNLevelWS(cy.WS, cy.Graph, cy.Cfg.CoarsenTarget)
+		hier, err = coarsen.BuildNLevelWS(cy.WS, cy.CSR, cy.Cfg.CoarsenTarget)
 	} else {
-		hier, err = coarsen.BuildWS(cy.WS, cy.Graph, coarsen.Options{
+		hier, err = coarsen.BuildWS(cy.WS, cy.CSR, coarsen.Options{
 			TargetSize: cy.Cfg.CoarsenTarget,
 			Heuristics: cy.Cfg.MatchHeuristics,
 			Pool:       cy.Cfg.Pool,
@@ -36,11 +37,11 @@ func (coarsenStage) Run(cy *Cycle) error {
 		}, cy.RNG)
 	}
 	if err != nil {
-		hier = &coarsen.Hierarchy{Original: cy.Graph}
+		hier = &coarsen.Hierarchy{Original: cy.CSR}
 	}
 	cy.Hier = hier
 	if ct := cy.trace; ct != nil {
-		fine := cy.Graph.NumNodes()
+		fine := cy.CSR.NumNodes()
 		for i, lvl := range hier.Levels {
 			coarse := lvl.Coarse.NumNodes()
 			lt := LevelTrace{
@@ -67,27 +68,24 @@ func (coarsenStage) Run(cy *Cycle) error {
 // initialStage seeds the coarsest graph. Cycle 0 uses the paper's greedy
 // scheme; later cycles alternate greedy (fresh random seeds) and purely
 // random seeding — §IV-C: "we go back to coarsening phase and then
-// partitioning phase (randomly), cyclically". It also snapshots the
-// coarsest CSR into the workspace's level slot and positions the cycle at
-// the deepest level.
+// partitioning phase (randomly), cyclically". It positions the cycle at
+// the deepest level, whose CSR serves both seeding and the first
+// refinement round.
 type initialStage struct{}
 
 func (initialStage) Phase() Phase { return PhaseInitialPartition }
 
 func (initialStage) Run(cy *Cycle) error {
 	cfg := cy.Cfg
-	coarsest := cy.Hier.Coarsest()
 	cy.Level = cy.Hier.Depth()
-	// One CSR snapshot per hierarchy level, rebuilt into the workspace's
-	// level slots each cycle; the coarsest one serves both seeding and
-	// the first refinement round.
-	cy.CSR = coarsest.ToCSRInto(cy.WS.LevelCSR(cy.Level))
+	cy.CSR = cy.Hier.Coarsest()
 
+	greedy := initpart.GreedyOptions{K: cfg.K, Restarts: cfg.Restarts, Constraints: cfg.Constraints}
 	method := "greedy"
 	var parts []int
 	var err error
 	var streamIters []stream.IterTrace
-	if cfg.StreamSeedThreshold > 0 && coarsest.NumNodes() >= cfg.StreamSeedThreshold {
+	if cfg.StreamSeedThreshold > 0 && cy.CSR.NumNodes() >= cfg.StreamSeedThreshold {
 		// Huge coarsest graphs (a raised CoarsenTarget or a barely
 		// contractible instance) seed via the streaming partitioner: one
 		// penalized-greedy pass plus a short restream loop instead of
@@ -109,35 +107,24 @@ func (initialStage) Run(cy *Cycle) error {
 			err = serr
 		}
 	} else if cy.Index%2 == 0 {
-		parts, err = initpart.GreedyGrowWS(cy.WS, coarsest, cy.CSR, initpart.GreedyOptions{
-			K:           cfg.K,
-			Rmax:        cfg.Constraints.Rmax,
-			Restarts:    cfg.Restarts,
-			Constraints: cfg.Constraints,
-		}, cy.RNG)
+		parts, err = initpart.GreedyGrowWS(cy.WS, cy.CSR, greedy, cy.RNG)
 	} else {
 		method = "random"
-		parts, err = initpart.RandomPartitionWS(cy.WS, coarsest, cfg.K, cy.RNG)
+		parts, err = initpart.RandomPartitionWS(cy.WS, cy.CSR, cfg.K, cy.RNG)
 	}
 	if err != nil {
 		// The coarsest graph can, in principle, have fewer nodes than K
 		// if the caller picked a tiny CoarsenTarget; fall back to the
 		// finest graph directly.
 		method = "greedy-fallback"
-		coarsest = cy.Graph
-		cy.Hier = &coarsen.Hierarchy{Original: cy.Graph}
+		cy.CSR = cy.Hier.Original
+		cy.Hier = &coarsen.Hierarchy{Original: cy.CSR}
 		cy.Level = 0
-		cy.CSR = coarsest.ToCSRInto(cy.WS.LevelCSR(0))
-		parts, _ = initpart.GreedyGrowWS(cy.WS, cy.Graph, cy.CSR, initpart.GreedyOptions{
-			K:           cfg.K,
-			Rmax:        cfg.Constraints.Rmax,
-			Restarts:    cfg.Restarts,
-			Constraints: cfg.Constraints,
-		}, cy.RNG)
+		parts, _ = initpart.GreedyGrowWS(cy.WS, cy.CSR, greedy, cy.RNG)
 	}
 	cy.Parts = parts
 	if ct := cy.trace; ct != nil {
-		st := &SeedTrace{Method: method, Nodes: coarsest.NumNodes(), Stream: streamIters}
+		st := &SeedTrace{Method: method, Nodes: cy.CSR.NumNodes(), Stream: streamIters}
 		if method == "greedy" || method == "greedy-fallback" {
 			st.Restarts = cfg.Restarts
 		}
@@ -147,7 +134,7 @@ func (initialStage) Run(cy *Cycle) error {
 }
 
 // uncoarsenStage projects the assignment one level finer, recycling the
-// coarser level's buffer, and snapshots the finer graph's CSR.
+// coarser level's buffer, and moves the cycle to the finer level's CSR.
 type uncoarsenStage struct{}
 
 func (uncoarsenStage) Phase() Phase { return PhaseUncoarsen }
@@ -163,7 +150,7 @@ func (uncoarsenStage) Run(cy *Cycle) error {
 	cy.WS.Ints.Put(cy.Parts)
 	cy.Parts = projected
 	cy.Level = lvl - 1
-	cy.CSR = fine.ToCSRInto(cy.WS.LevelCSR(lvl - 1))
+	cy.CSR = fine
 	return nil
 }
 

@@ -149,12 +149,11 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		var err error
 		if i < 4 {
 			// The ws-backed winner is kept, never put back.
-			parts, err = initpart.GreedyGrowWS(ws, g, csr, initpart.GreedyOptions{
-				K: opts.K, Rmax: opts.Constraints.Rmax, Restarts: 2,
-				Constraints: opts.Constraints,
+			parts, err = initpart.GreedyGrowWS(ws, csr, initpart.GreedyOptions{
+				K: opts.K, Restarts: 2, Constraints: opts.Constraints,
 			}, rng)
 		} else {
-			parts, err = initpart.RandomPartitionWS(ws, g, opts.K, rng)
+			parts, err = initpart.RandomPartitionWS(ws, csr, opts.K, rng)
 		}
 		if err != nil {
 			return nil, err

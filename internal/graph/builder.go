@@ -5,82 +5,54 @@ import (
 	"math/bits"
 )
 
-// Builder accumulates a graph with O(1) amortized duplicate-edge folding.
+// Builder accumulates a CSR with O(1) duplicate-edge folding.
 // Graph.AddEdge detects duplicates with a linear scan of the adjacency
 // row, which makes contraction of dense coarse nodes quadratic in degree;
 // the Builder instead indexes every endpoint pair in one open-addressing
 // hash table (packed 32-bit ids, linear probing, no per-row maps), so an
-// AddEdge is a single probe regardless of degree. The emitted graph has
-// adjacency rows in exactly the order sequential Graph.AddEdge calls
-// would produce (first-encounter order), so every downstream consumer —
-// including the RNG-driven matching heuristics that iterate neighbor
-// lists — sees bit-identical behavior.
+// AddEdge is a single probe regardless of degree. The emitted CSR has
+// rows in exactly the order sequential Graph.AddEdge calls would produce
+// (first-encounter order), so every downstream consumer — including the
+// RNG-driven matching heuristics that iterate neighbor lists — sees
+// bit-identical behavior.
 type Builder struct {
-	g *Graph
+	// c holds the rows being filled: row u is carved at
+	// [c.XAdj[u], c.XAdj[u+1]) of Adj/AdjW until CSR compacts them.
+	c *CSR
+	// fill[u] is one past row u's last entry.
+	fill []int32
 	// keys holds (min<<32|max)+1 per occupied slot; 0 marks an empty
-	// slot. pos holds the matching half-edge positions, min's row index
-	// in the high word and max's in the low word.
+	// slot. pos holds the matching half-edge positions in Adj, min's in
+	// the high word and max's in the low word.
 	keys []uint64
 	pos  []uint64
-	used int
 }
 
-// NewBuilder starts a builder over nodes with the given weights.
-func NewBuilder(weights []int64) *Builder {
-	b := &Builder{g: NewWithWeights(weights)}
-	b.grow(64)
-	return b
-}
-
-// NewBuilderCap starts a builder whose adjacency rows are pre-carved
-// from a single backing array: degCap[u] is an upper bound on the final
-// degree of node u. Incremental row growth is the dominant allocator in
-// graph contraction; carving every row up front replaces O(n) grow
-// reallocations with one bulk allocation. Rows use three-index slices,
-// so a row that outgrows its bound reallocates privately instead of
-// clobbering its neighbor's storage. The builder takes ownership of
-// weights (it is not copied). The degree bound also sizes the dedup
-// table up front, so edge insertion never rehashes.
+// NewBuilderCap starts a builder whose rows are carved from one backing
+// array: degCap[u] is an upper bound on the final degree of node u, and
+// AddEdge rejects an edge that would overflow it. Carving every row up
+// front replaces per-row growth with one bulk allocation. The builder
+// takes ownership of weights (it is not copied) and uses degCap as its
+// fill cursor, so the caller must not read degCap afterwards. The degree
+// bound also sizes the dedup table, so edge insertion never rehashes.
 func NewBuilderCap(weights []int64, degCap []int32) *Builder {
-	g := &Graph{
-		nodeWeights: weights,
-		adj:         make([][]Half, len(weights)),
-	}
+	n := len(weights)
+	c := &CSR{XAdj: make([]int32, n+1), NodeW: weights}
 	for _, x := range weights {
-		g.totalNodeW += x
+		c.NodeWT += x
 	}
-	var total int
-	for _, d := range degCap {
-		total += int(d)
-	}
-	backing := make([]Half, 0, total)
-	off := 0
+	var total int32
 	for u, d := range degCap {
-		g.adj[u] = backing[off : off : off+int(d)]
-		off += int(d)
+		c.XAdj[u] = total
+		degCap[u] = total
+		total += d
 	}
-	b := &Builder{g: g}
+	c.XAdj[n] = total
+	c.Adj = make([]Node, total)
+	c.AdjW = make([]int64, total)
 	// At most total/2 distinct edges; keep the table under 3/4 load.
-	b.grow(total/2*4/3 + 16)
-	return b
-}
-
-// grow (re)allocates the table at the next power of two >= want and
-// reinserts every occupied slot.
-func (b *Builder) grow(want int) {
-	size := 1 << bits.Len(uint(want-1))
-	if size < 16 {
-		size = 16
-	}
-	oldKeys, oldPos := b.keys, b.pos
-	b.keys = make([]uint64, size)
-	b.pos = make([]uint64, size)
-	for i, key := range oldKeys {
-		if key != 0 {
-			j := b.probe(key)
-			b.keys[j], b.pos[j] = key, oldPos[i]
-		}
-	}
+	size := 1 << bits.Len(uint(int(total)/2*4/3+15))
+	return &Builder{c: c, fill: degCap, keys: make([]uint64, size), pos: make([]uint64, size)}
 }
 
 // probe returns the slot holding key, or the empty slot where it belongs.
@@ -98,11 +70,12 @@ func (b *Builder) probe(key uint64) int {
 // AddEdge inserts {u, v} with weight w, folding duplicates by summing
 // weights — the same semantics and validation as Graph.AddEdge.
 func (b *Builder) AddEdge(u, v Node, w int64) error {
+	c := b.c
 	if u == v {
 		return fmt.Errorf("graph: self loop on node %d rejected", u)
 	}
-	if int(u) >= b.g.NumNodes() || int(v) >= b.g.NumNodes() || u < 0 || v < 0 {
-		return fmt.Errorf("graph: edge {%d,%d} references missing node (n=%d)", u, v, b.g.NumNodes())
+	if int(u) >= c.NumNodes() || int(v) >= c.NumNodes() || u < 0 || v < 0 {
+		return fmt.Errorf("graph: edge {%d,%d} references missing node (n=%d)", u, v, c.NumNodes())
 	}
 	if w < 0 {
 		return fmt.Errorf("graph: negative edge weight %d on {%d,%d}", w, u, v)
@@ -115,29 +88,43 @@ func (b *Builder) AddEdge(u, v Node, w int64) error {
 	i := b.probe(key)
 	if b.keys[i] != 0 {
 		p := b.pos[i]
-		b.g.adj[lo][p>>32].Weight += w
-		b.g.adj[hi][p&0xFFFFFFFF].Weight += w
-		b.g.totalEdgeW += w
+		c.AdjW[p>>32] += w
+		c.AdjW[p&0xFFFFFFFF] += w
+		c.EdgeWT += w
 		return nil
 	}
-	b.g.adj[u] = append(b.g.adj[u], Half{To: v, Weight: w})
-	b.g.adj[v] = append(b.g.adj[v], Half{To: u, Weight: w})
-	b.keys[i] = key
-	b.pos[i] = uint64(len(b.g.adj[lo])-1)<<32 | uint64(len(b.g.adj[hi])-1)
-	b.used++
-	if b.used*4 >= len(b.keys)*3 {
-		b.grow(2 * len(b.keys))
+	if b.fill[u] == c.XAdj[u+1] || b.fill[v] == c.XAdj[v+1] {
+		return fmt.Errorf("graph: edge {%d,%d} exceeds a degree bound", u, v)
 	}
-	b.g.numEdges++
-	b.g.totalEdgeW += w
+	pu, pv := b.fill[u], b.fill[v]
+	c.Adj[pu], c.AdjW[pu] = v, w
+	c.Adj[pv], c.AdjW[pv] = u, w
+	b.fill[u]++
+	b.fill[v]++
+	if lo != u {
+		pu, pv = pv, pu
+	}
+	b.keys[i] = key
+	b.pos[i] = uint64(pu)<<32 | uint64(pv)
+	c.EdgeWT += w
 	return nil
 }
 
-// Graph finalizes and returns the built graph. The Builder must not be
-// used afterwards.
-func (b *Builder) Graph() *Graph {
-	g := b.g
-	b.g = nil
-	b.keys, b.pos = nil, nil
-	return g
+// CSR compacts the rows to the front of the backing arrays and returns
+// the built snapshot. The Builder must not be used afterwards.
+func (b *Builder) CSR() *CSR {
+	c := b.c
+	n := c.NumNodes()
+	var out int32
+	for u := 0; u < n; u++ {
+		lo, hi := c.XAdj[u], b.fill[u]
+		c.XAdj[u] = out
+		copy(c.Adj[out:], c.Adj[lo:hi])
+		copy(c.AdjW[out:], c.AdjW[lo:hi])
+		out += hi - lo
+	}
+	c.XAdj[n] = out
+	c.Adj, c.AdjW = c.Adj[:out], c.AdjW[:out]
+	*b = Builder{}
+	return c
 }

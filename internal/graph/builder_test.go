@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestBuilderMatchesAddEdge checks that a Builder-built graph is
-// indistinguishable from one built with sequential AddEdge calls:
-// identical adjacency rows (order included), totals, and validation.
+// TestBuilderMatchesAddEdge checks that a Builder-built CSR is
+// indistinguishable from the snapshot of a graph built with sequential
+// AddEdge calls: identical rows (order included) and totals.
 func TestBuilderMatchesAddEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 10; trial++ {
@@ -21,14 +21,17 @@ func TestBuilderMatchesAddEdge(t *testing.T) {
 			w    int64
 		}
 		var edges []edge
+		degCap := make([]int32, n)
 		for i := 0; i < 6*n; i++ {
 			u, v := Node(rng.Intn(n)), Node(rng.Intn(n))
 			if u != v {
 				edges = append(edges, edge{u, v, int64(1 + rng.Intn(9))})
+				degCap[u]++
+				degCap[v]++
 			}
 		}
 		ref := NewWithWeights(w)
-		b := NewBuilder(w)
+		b := NewBuilderCap(append([]int64(nil), w...), degCap)
 		for _, e := range edges {
 			if err := ref.AddEdge(e.u, e.v, e.w); err != nil {
 				t.Fatal(err)
@@ -37,30 +40,37 @@ func TestBuilderMatchesAddEdge(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := b.Graph()
-		if err := got.Validate(); err != nil {
-			t.Fatalf("built graph invalid: %v", err)
-		}
-		if got.NumEdges() != ref.NumEdges() || got.TotalEdgeWeight() != ref.TotalEdgeWeight() {
-			t.Fatalf("totals differ: (%d,%d) vs (%d,%d)",
-				got.NumEdges(), got.TotalEdgeWeight(), ref.NumEdges(), ref.TotalEdgeWeight())
+		got, want := b.CSR(), ref.ToCSR()
+		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() ||
+			got.EdgeWT != want.EdgeWT || got.NodeWT != want.NodeWT {
+			t.Fatalf("totals differ: n=%d m=%d ew=%d nw=%d vs n=%d m=%d ew=%d nw=%d",
+				got.NumNodes(), got.NumEdges(), got.EdgeWT, got.NodeWT,
+				want.NumNodes(), want.NumEdges(), want.EdgeWT, want.NodeWT)
 		}
 		for u := 0; u < n; u++ {
-			ga, ra := got.Neighbors(Node(u)), ref.Neighbors(Node(u))
+			if got.NodeW[u] != want.NodeW[u] {
+				t.Fatalf("node %d weight %d vs %d", u, got.NodeW[u], want.NodeW[u])
+			}
+			ga, gw := got.Row(Node(u))
+			ra, rw := want.Row(Node(u))
 			if len(ga) != len(ra) {
 				t.Fatalf("node %d: degree %d vs %d", u, len(ga), len(ra))
 			}
 			for i := range ga {
-				if ga[i] != ra[i] {
-					t.Fatalf("node %d row %d: %+v vs %+v (order must match AddEdge)", u, i, ga[i], ra[i])
+				if ga[i] != ra[i] || gw[i] != rw[i] {
+					t.Fatalf("node %d row %d: {%d %d} vs {%d %d} (order must match AddEdge)",
+						u, i, ga[i], gw[i], ra[i], rw[i])
 				}
 			}
+		}
+		if err := got.ToGraph().Validate(); err != nil {
+			t.Fatalf("built CSR invalid: %v", err)
 		}
 	}
 }
 
 func TestBuilderRejectsBadEdges(t *testing.T) {
-	b := NewBuilder([]int64{1, 1})
+	b := NewBuilderCap([]int64{1, 1, 1}, []int32{1, 2, 1})
 	if err := b.AddEdge(0, 0, 1); err == nil {
 		t.Fatal("self loop accepted")
 	}
@@ -69,5 +79,17 @@ func TestBuilderRejectsBadEdges(t *testing.T) {
 	}
 	if err := b.AddEdge(0, 1, -2); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+	if err := b.AddEdge(0, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddEdge(1, 0, 3); err != nil {
+		t.Fatalf("duplicate edge within the bound rejected: %v", err)
+	}
+	if err := b.AddEdge(0, 2, 1); err == nil {
+		t.Fatal("edge past node 0's degree bound accepted")
+	}
+	if c := b.CSR(); c.NumEdges() != 1 || c.EdgeWT != 5 {
+		t.Fatalf("built m=%d ew=%d, want 1 edge of weight 5", c.NumEdges(), c.EdgeWT)
 	}
 }

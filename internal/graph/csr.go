@@ -1,8 +1,9 @@
 package graph
 
-// CSR is a compressed-sparse-row snapshot of a Graph. The partitioning hot
-// loops (matching, FM refinement) iterate adjacency billions of times on
-// large instances; CSR gives contiguous memory and no per-node slice
+// CSR is a compressed-sparse-row graph: a Graph's snapshot (ToCSR) or a
+// Builder's output (one per contracted hierarchy level). The partitioning
+// hot loops (matching, FM refinement) iterate adjacency billions of times
+// on large instances; CSR gives contiguous memory and no per-node slice
 // headers. A CSR is immutable: mutate the Graph and re-snapshot.
 type CSR struct {
 	XAdj   []int32 // offsets into Adj/AdjW, length NumNodes+1
@@ -28,39 +29,16 @@ type CSR struct {
 // matches the Graph's insertion order, which keeps randomized algorithms
 // deterministic for a fixed build sequence.
 func (g *Graph) ToCSR() *CSR {
-	return g.ToCSRInto(&CSR{})
-}
-
-// ToCSRInto snapshots the graph into c, reusing c's backing arrays when
-// they have sufficient capacity. The solve path keeps one CSR slot per
-// hierarchy level in its workspace and re-snapshots into it each GP
-// cycle instead of allocating fresh arrays.
-func (g *Graph) ToCSRInto(c *CSR) *CSR {
 	n := g.NumNodes()
 	m2 := 2 * g.NumEdges()
-	if cap(c.XAdj) >= n+1 {
-		c.XAdj = c.XAdj[:n+1]
-	} else {
-		c.XAdj = make([]int32, n+1)
+	c := &CSR{
+		XAdj:   make([]int32, n+1),
+		Adj:    make([]Node, 0, m2),
+		AdjW:   make([]int64, 0, m2),
+		NodeW:  append([]int64(nil), g.nodeWeights...),
+		EdgeWT: g.totalEdgeW,
+		NodeWT: g.totalNodeW,
 	}
-	if cap(c.Adj) >= m2 {
-		c.Adj = c.Adj[:0]
-	} else {
-		c.Adj = make([]Node, 0, m2)
-	}
-	if cap(c.AdjW) >= m2 {
-		c.AdjW = c.AdjW[:0]
-	} else {
-		c.AdjW = make([]int64, 0, m2)
-	}
-	if cap(c.NodeW) >= n {
-		c.NodeW = c.NodeW[:0]
-	} else {
-		c.NodeW = make([]int64, 0, n)
-	}
-	c.NodeW = append(c.NodeW, g.nodeWeights...)
-	c.EdgeWT = g.totalEdgeW
-	c.NodeWT = g.totalNodeW
 	for u := 0; u < n; u++ {
 		c.XAdj[u] = int32(len(c.Adj))
 		for _, h := range g.adj[u] {
@@ -99,18 +77,20 @@ func (c *CSR) WeightedDegree(u Node) int64 {
 	return s
 }
 
-// ToGraph reconstructs an adjacency-list Graph from the CSR.
+// ToGraph reconstructs an adjacency-list Graph from the CSR. Rows are
+// copied verbatim, so every adjacency list keeps the CSR's row order.
 func (c *CSR) ToGraph() *Graph {
 	g := NewWithWeights(c.NodeW)
-	n := c.NumNodes()
-	for u := 0; u < n; u++ {
-		lo, hi := c.XAdj[u], c.XAdj[u+1]
-		for i := lo; i < hi; i++ {
-			if Node(u) < c.Adj[i] {
-				g.MustAddEdge(Node(u), c.Adj[i], c.AdjW[i])
-			}
-		}
+	halves := make([]Half, len(c.Adj))
+	for i, v := range c.Adj {
+		halves[i] = Half{To: v, Weight: c.AdjW[i]}
 	}
+	for u := range g.adj {
+		lo, hi := c.XAdj[u], c.XAdj[u+1]
+		g.adj[u] = halves[lo:hi:hi]
+	}
+	g.numEdges = c.NumEdges()
+	g.totalEdgeW = c.EdgeWT
 	for e := 0; e < c.NumHyperEdges(); e++ {
 		g.MustAddHyperEdge(c.HyperPins(int32(e)), c.HW[e])
 	}

@@ -27,11 +27,37 @@ func TestToCSRShape(t *testing.T) {
 	}
 }
 
+// sameRows reports whether a and b have identical adjacency rows, order
+// included.
+func sameRows(a, b *Graph) bool {
+	if a.NumNodes() != b.NumNodes() {
+		return false
+	}
+	for u := 0; u < a.NumNodes(); u++ {
+		ra, rb := a.Neighbors(Node(u)), b.Neighbors(Node(u))
+		if len(ra) != len(rb) {
+			return false
+		}
+		for i := range ra {
+			if ra[i] != rb[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestCSRRoundTrip(t *testing.T) {
 	g := buildTriangle(t)
 	back := g.ToCSR().ToGraph()
 	if !graphsEqual(g, back) {
 		t.Fatal("CSR round trip lost data")
+	}
+	if !sameRows(g, back) {
+		t.Fatal("CSR round trip reordered adjacency rows")
+	}
+	if back.TotalEdgeWeight() != g.TotalEdgeWeight() {
+		t.Fatal("CSR round trip lost the edge total")
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
@@ -54,7 +80,7 @@ func TestPropertyCSRRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 2+rng.Intn(50), rng.Intn(120))
 		back := g.ToCSR().ToGraph()
-		return graphsEqual(g, back) && back.Validate() == nil
+		return graphsEqual(g, back) && sameRows(g, back) && back.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

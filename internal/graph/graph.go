@@ -1,8 +1,9 @@
 // Package graph provides the weighted undirected graph representation used
 // throughout the partitioner: nodes carry a weight (FPGA resources consumed
 // by a process) and edges carry a weight (sustained bandwidth of a FIFO
-// channel). The package offers an adjacency-list builder, a compact CSR
-// form for the hot partitioning loops, structural queries, graph surgery
+// channel). The package offers an adjacency-list graph, a compact CSR form
+// for the hot partitioning loops (a Graph's snapshot, or a Builder's
+// output when contraction emits one), structural queries, graph surgery
 // (induced subgraphs, quotients), and several interchange formats.
 package graph
 

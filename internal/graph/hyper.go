@@ -112,14 +112,11 @@ func (g *Graph) validateHyper() error {
 
 // fillHyperCSR snapshots the hyperedge set into c: the pin lists in CSR
 // layout plus the transposed node->hyperedge incidence the incremental
-// partition state walks on every move. When the graph has no hyperedges
-// every hyper field is reset — workspace CSR slots are reused across
-// hierarchy levels and a contracted graph must not inherit the finest
-// level's nets.
+// partition state walks on every move. A graph without hyperedges leaves
+// every hyper field nil.
 func (g *Graph) fillHyperCSR(c *CSR) {
 	c.HWT = g.totalHyperW
 	if len(g.hedges) == 0 {
-		c.HXPins, c.HPins, c.HW, c.HXInc, c.HInc = nil, nil, nil, nil, nil
 		return
 	}
 	n := g.NumNodes()
@@ -128,14 +125,11 @@ func (g *Graph) fillHyperCSR(c *CSR) {
 	for _, h := range g.hedges {
 		pins += len(h.Pins)
 	}
-	c.HXPins = grow32(c.HXPins, nh+1)
-	c.HPins = growNodes(c.HPins, pins)[:0]
-	c.HW = grow64s(c.HW, nh)[:0]
-	c.HXInc = grow32(c.HXInc, n+1)
-	c.HInc = grow32(c.HInc, pins)
-	for i := range c.HXInc {
-		c.HXInc[i] = 0
-	}
+	c.HXPins = make([]int32, nh+1)
+	c.HPins = make([]Node, 0, pins)
+	c.HW = make([]int64, 0, nh)
+	c.HXInc = make([]int32, n+1)
+	c.HInc = make([]int32, pins)
 	for i, h := range g.hedges {
 		c.HXPins[i] = int32(len(c.HPins))
 		c.HPins = append(c.HPins, h.Pins...)
@@ -149,7 +143,7 @@ func (g *Graph) fillHyperCSR(c *CSR) {
 		c.HXInc[u+1] += c.HXInc[u]
 	}
 	// Fill incidence in hyperedge order so each row lists nets ascending.
-	fill := grow32(nil, n)
+	fill := make([]int32, n)
 	copy(fill, c.HXInc[:n])
 	for i, h := range g.hedges {
 		for _, p := range h.Pins {
@@ -157,27 +151,6 @@ func (g *Graph) fillHyperCSR(c *CSR) {
 			fill[p]++
 		}
 	}
-}
-
-func grow32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int32, n)
-}
-
-func grow64s(s []int64, n int) []int64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int64, n)
-}
-
-func growNodes(s []Node, n int) []Node {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]Node, n)
 }
 
 // NumHyperEdges reports the number of hyperedges in the snapshot.

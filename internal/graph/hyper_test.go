@@ -123,23 +123,6 @@ func TestHyperCSRSnapshot(t *testing.T) {
 	}
 }
 
-func TestHyperCSRSlotReuseClears(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	hg := randomHyperGraph(rng, 10, 15, 4)
-	var c CSR
-	hg.ToCSRInto(&c)
-	if c.NumHyperEdges() == 0 {
-		t.Fatal("hyper snapshot empty")
-	}
-	// Re-snapshotting a plain graph into the same slot must clear the
-	// hyper arrays — workspace CSR slots are reused across levels.
-	pg := randomGraph(rng, 8, 12)
-	pg.ToCSRInto(&c)
-	if c.NumHyperEdges() != 0 || c.HWT != 0 || c.IncidentHyper(0) != nil {
-		t.Fatal("stale hyperedges survived slot reuse")
-	}
-}
-
 func TestHyperJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := randomHyperGraph(rng, 10, 14, 3)

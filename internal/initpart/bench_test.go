@@ -16,7 +16,7 @@ func BenchmarkGreedyGrow(b *testing.B) {
 	ws, csr := new(arena.Workspace), g.ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GreedyGrowWS(ws, g, csr, opts, rand.New(rand.NewSource(2))); err != nil {
+		if _, err := GreedyGrowWS(ws, csr, opts, rand.New(rand.NewSource(2))); err != nil {
 			b.Fatal(err)
 		}
 	}

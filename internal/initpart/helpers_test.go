@@ -86,7 +86,7 @@ func TestFixEmptyPartsDonatesLightestFromLargest(t *testing.T) {
 	}
 	// Part 0 holds everything, parts 1 and 2 are empty.
 	parts := []int{0, 0, 0, 0, 0}
-	fixEmptyParts(g, parts, 3, rand.New(rand.NewSource(1)))
+	fixEmptyParts(g.NodeWeights(), parts, 3, rand.New(rand.NewSource(1)))
 	sizes := metrics.PartSizes(parts, 3)
 	for p, s := range sizes {
 		if s == 0 {
@@ -107,7 +107,7 @@ func TestFixEmptyPartsNoOpWhenAllPopulated(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
 	parts := []int{0, 1, 2}
-	fixEmptyParts(g, parts, 3, rand.New(rand.NewSource(1)))
+	fixEmptyParts(g.NodeWeights(), parts, 3, rand.New(rand.NewSource(1)))
 	for i, want := range []int{0, 1, 2} {
 		if parts[i] != want {
 			t.Fatalf("populated parts were rewritten: %v", parts)

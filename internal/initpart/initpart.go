@@ -25,14 +25,13 @@ const Unassigned = -1
 type GreedyOptions struct {
 	// K is the number of partitions. Required.
 	K int
-	// Rmax bounds the resource total of each partition during growth.
-	// <= 0 means grow toward balanced resources (total/K) instead.
-	Rmax int64
 	// Restarts repeats the whole process with randomly chosen seeds and
 	// keeps the best result (paper default: 10). The first attempt always
 	// seeds at the heaviest node, per the paper.
 	Restarts int
-	// Constraints are used to score candidates across restarts.
+	// Constraints bound each partition's growth (RmaxFor; a part
+	// without a bound grows toward balanced resources instead) and score
+	// candidates across restarts.
 	Constraints metrics.Constraints
 }
 
@@ -45,43 +44,43 @@ func (o GreedyOptions) withDefaults() GreedyOptions {
 
 // GreedyGrowWS implements the paper's initial partitioning: start from
 // the heaviest node, grow the first partition by absorbing neighbors while
-// Rmax permits, then grow the remaining partitions the same way; place
-// leftovers best-fit by free space, force-place if nothing fits, then run
-// an FM-based bandwidth repair. The whole procedure is repeated Restarts
-// times with random seeds and the goodness-best assignment wins.
+// its resource bound permits, then grow the remaining partitions the same
+// way; place leftovers best-fit by free space, force-place if nothing
+// fits, then run an FM-based bandwidth repair. The whole procedure is
+// repeated Restarts times with random seeds and the goodness-best
+// assignment wins.
 //
-// csr must be a CSR snapshot of g; it serves the repair and scoring of
-// every restart. Every restart's assignment, resource totals, frontier
-// tables, and repair-and-scoring state are drawn from ws; one frontier
-// serves all grows of all restarts (it drains to empty after every grow,
-// so reuse needs no clearing). The winning assignment is returned still
-// backed by ws memory and is never put back by this call: callers may
-// keep it past the workspace's return to the pool, and callers that share
-// the workspace (the GP cycle) may Put it back when done.
-func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts GreedyOptions, rng *rand.Rand) ([]int, error) {
+// The one csr serves growth, repair and scoring of every restart. Every
+// restart's assignment, resource totals, frontier tables, and
+// repair-and-scoring state are drawn from ws; one frontier serves all
+// grows of all restarts (it drains to empty after every grow, so reuse
+// needs no clearing). The winning assignment is returned still backed by
+// ws memory and is never put back by this call: callers may keep it past
+// the workspace's return to the pool, and callers that share the
+// workspace (the GP cycle) may Put it back when done.
+func GreedyGrowWS(ws *arena.Workspace, csr *graph.CSR, opts GreedyOptions, rng *rand.Rand) ([]int, error) {
 	opts = opts.withDefaults()
-	n := g.NumNodes()
+	n := csr.NumNodes()
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("initpart: K = %d must be positive", opts.K)
 	}
 	if n < opts.K {
 		return nil, fmt.Errorf("initpart: cannot split %d nodes into %d parts", n, opts.K)
 	}
-	rmax := opts.Rmax
-	if rmax <= 0 {
-		// Resource-balanced growth target, with 10% slack so the last
-		// partition is not starved by rounding.
-		rmax = g.TotalNodeWeight()/int64(opts.K) + g.MaxNodeWeight()
+	// The heaviest node (lowest id on ties) seeds the first attempt.
+	var heaviest graph.Node
+	for u, w := range csr.NodeW {
+		if w > csr.NodeW[heaviest] {
+			heaviest = graph.Node(u)
+		}
 	}
-	// Per-part growth bounds: heterogeneous caps when the constraint set
-	// carries them, otherwise the uniform rmax in every slot (identical
-	// arithmetic to the scalar path).
+	// Per-part growth bounds: each part's cap, or, for a part without
+	// one, the balanced share plus one heaviest node of slack so the
+	// last partition is not starved by rounding.
 	lims := ws.Int64s.Get(opts.K)
 	for p := range lims {
-		if hp := opts.Constraints.RmaxFor(p); hp > 0 && len(opts.Constraints.RmaxPart) > 0 {
-			lims[p] = hp
-		} else {
-			lims[p] = rmax
+		if lims[p] = opts.Constraints.RmaxFor(p); lims[p] <= 0 {
+			lims[p] = csr.NodeWT/int64(opts.K) + csr.NodeW[heaviest]
 		}
 	}
 	// Scoring through a pstate build costs a single adjacency sweep and is
@@ -94,18 +93,18 @@ func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts Gree
 		// Packed lazy-heap pops need (weight, id) to fit one int64 key: a
 		// node's accumulated frontier weight is bounded by the total edge
 		// weight, so both bounds guarantee every key is exact.
-		packed: int64(n) <= frontierIDMask && g.TotalEdgeWeight() <= frontierIDMask,
+		packed: int64(n) <= frontierIDMask && csr.EdgeWT <= frontierIDMask,
 	}
 	var best []int
 	bestScore := 0.0
 	for attempt := 0; attempt < opts.Restarts; attempt++ {
 		var seed graph.Node
 		if attempt == 0 {
-			seed = g.HeaviestNode()
+			seed = heaviest
 		} else {
 			seed = graph.Node(rng.Intn(n))
 		}
-		parts := growOnce(ws, g, opts.K, lims, seed, rng, &f)
+		parts := growOnce(ws, csr, opts.K, lims, seed, rng, &f)
 		// One state serves the restart's bandwidth repair and scoring.
 		s, err := pstate.NewWS(ws, csr, parts, pstate.Config{K: opts.K, Constraints: opts.Constraints})
 		if err != nil {
@@ -135,9 +134,10 @@ func GreedyGrowWS(ws *arena.Workspace, g *graph.Graph, csr *graph.CSR, opts Gree
 
 // growOnce performs a single greedy growth from the given seed. f is a
 // drained frontier over n nodes; it is returned drained. lims[p] bounds
-// part p's growth (uniform slots reproduce the scalar-Rmax behavior).
-func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed graph.Node, rng *rand.Rand, f *frontier) []int {
-	n := g.NumNodes()
+// part p's growth.
+func growOnce(ws *arena.Workspace, csr *graph.CSR, k int, lims []int64, seed graph.Node, rng *rand.Rand, f *frontier) []int {
+	n := csr.NumNodes()
+	nodeW := csr.NodeW
 	parts := ws.Ints.Get(n)
 	for i := range parts {
 		parts[i] = Unassigned
@@ -153,14 +153,15 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 			return
 		}
 		parts[s] = p
-		res[p] += g.NodeWeight(s)
+		res[p] += nodeW[s]
 		assigned++
 		// Frontier: unassigned neighbors, expanded by strongest connection
 		// to the growing part first (keeps FIFO traffic internal).
 		push := func(u graph.Node) {
-			for _, h := range g.Neighbors(u) {
-				if parts[h.To] == Unassigned {
-					f.add(h.To, h.Weight)
+			nbrs, wts := csr.Row(u)
+			for i, v := range nbrs {
+				if parts[v] == Unassigned {
+					f.add(v, wts[i])
 				}
 			}
 		}
@@ -170,7 +171,7 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 			if parts[u] != Unassigned {
 				continue
 			}
-			w := g.NodeWeight(u)
+			w := nodeW[u]
 			if res[p]+w > lims[p] {
 				continue // try other frontier nodes; some may be lighter
 			}
@@ -185,7 +186,7 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 	for p := 1; p < k; p++ {
 		// Seed each next partition at the heaviest unassigned node
 		// (paper: "we apply the same for the other partitions").
-		s := heaviestUnassigned(g, parts)
+		s := heaviestUnassigned(nodeW, parts)
 		if s < 0 {
 			break
 		}
@@ -195,9 +196,9 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 	// Leftovers: best-fit by free space (paper: "the first partition which
 	// has biggest free space for that node").
 	if assigned < n {
-		order := unassignedByWeightDesc(g, parts)
+		order := unassignedByWeightDesc(nodeW, parts)
 		for _, u := range order {
-			w := g.NodeWeight(u)
+			w := nodeW[u]
 			bestP := -1
 			var bestFree int64
 			for p := 0; p < k; p++ {
@@ -230,39 +231,39 @@ func growOnce(ws *arena.Workspace, g *graph.Graph, k int, lims []int64, seed gra
 				}
 			}
 			parts[u] = bestP
-			res[bestP] += g.NodeWeight(graph.Node(u))
+			res[bestP] += nodeW[u]
 			assigned++
 		}
 	}
 	// Guarantee every part is non-empty: steal the lightest node from the
 	// largest part for any empty part (k <= n guarantees feasibility).
-	fixEmptyParts(g, parts, k, rng)
+	fixEmptyParts(nodeW, parts, k, rng)
 	return parts
 }
 
 // heaviestUnassigned returns the heaviest node not yet placed, or -1.
-func heaviestUnassigned(g *graph.Graph, parts []int) graph.Node {
+func heaviestUnassigned(nodeW []int64, parts []int) graph.Node {
 	best := graph.Node(-1)
 	var bw int64 = -1
-	for u := 0; u < g.NumNodes(); u++ {
-		if parts[u] == Unassigned && g.NodeWeight(graph.Node(u)) > bw {
+	for u, w := range nodeW {
+		if parts[u] == Unassigned && w > bw {
 			best = graph.Node(u)
-			bw = g.NodeWeight(graph.Node(u))
+			bw = w
 		}
 	}
 	return best
 }
 
 // unassignedByWeightDesc lists unplaced nodes heaviest-first.
-func unassignedByWeightDesc(g *graph.Graph, parts []int) []graph.Node {
+func unassignedByWeightDesc(nodeW []int64, parts []int) []graph.Node {
 	var out []graph.Node
-	for u := 0; u < g.NumNodes(); u++ {
+	for u := range nodeW {
 		if parts[u] == Unassigned {
 			out = append(out, graph.Node(u))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		wi, wj := g.NodeWeight(out[i]), g.NodeWeight(out[j])
+		wi, wj := nodeW[out[i]], nodeW[out[j]]
 		if wi != wj {
 			return wi > wj
 		}
@@ -272,7 +273,7 @@ func unassignedByWeightDesc(g *graph.Graph, parts []int) []graph.Node {
 }
 
 // fixEmptyParts ensures every part id in [0,k) owns at least one node.
-func fixEmptyParts(g *graph.Graph, parts []int, k int, rng *rand.Rand) {
+func fixEmptyParts(nodeW []int64, parts []int, k int, rng *rand.Rand) {
 	sizes := metrics.PartSizes(parts, k)
 	for p := 0; p < k; p++ {
 		if sizes[p] > 0 {
@@ -287,9 +288,8 @@ func fixEmptyParts(g *graph.Graph, parts []int, k int, rng *rand.Rand) {
 		}
 		best := graph.Node(-1)
 		var bw int64
-		for u := 0; u < g.NumNodes(); u++ {
+		for u, w := range nodeW {
 			if parts[u] == donor {
-				w := g.NodeWeight(graph.Node(u))
 				if best < 0 || w < bw {
 					best = graph.Node(u)
 					bw = w
@@ -436,8 +436,8 @@ func (f *frontier) popMaxHeap() graph.Node {
 // assignment is drawn from ws.Ints and never released back to ws, so it
 // safely outlives the workspace's return to the pool (the same escape
 // pattern as GreedyGrowWS).
-func RandomPartitionWS(ws *arena.Workspace, g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
-	n := g.NumNodes()
+func RandomPartitionWS(ws *arena.Workspace, csr *graph.CSR, k int, rng *rand.Rand) ([]int, error) {
+	n := csr.NumNodes()
 	if k <= 0 {
 		return nil, fmt.Errorf("initpart: K = %d must be positive", k)
 	}
@@ -448,7 +448,7 @@ func RandomPartitionWS(ws *arena.Workspace, g *graph.Graph, k int, rng *rand.Ran
 	for i := range parts {
 		parts[i] = rng.Intn(k)
 	}
-	fixEmptyParts(g, parts, k, rng)
+	fixEmptyParts(csr.NodeW, parts, k, rng)
 	return parts, nil
 }
 
@@ -483,7 +483,7 @@ func recursiveKWay(g *graph.Graph, k int, rng *rand.Rand, bisect bisector) ([]in
 		nodes[i] = graph.Node(i)
 	}
 	recursiveSplit(ws, g, nodes, 0, k, parts, rng, bisect)
-	fixEmptyParts(g, parts, k, rng)
+	fixEmptyParts(g.NodeWeights(), parts, k, rng)
 	rebalanceToIdeal(ws, g, parts, k)
 	return parts, nil
 }

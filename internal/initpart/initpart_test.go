@@ -40,7 +40,7 @@ func allPartsNonEmpty(parts []int, k int) bool {
 func TestGreedyGrowBasic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnected(rng, 60)
-	parts, err := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: 4}, rng)
+	parts, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: 4}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGreedyGrowSeedsAtHeaviestFirstAttempt(t *testing.T) {
 		g.MustAddEdge(graph.Node(i-1), graph.Node(i), 1)
 	}
 	rng := rand.New(rand.NewSource(2))
-	parts, err := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: 2, Restarts: 1}, rng)
+	parts, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: 2, Restarts: 1}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestGreedyGrowRespectsRmaxWhenFeasible(t *testing.T) {
 		g := randomConnected(rng, 40)
 		// Generous bound: half the total for K=4 is easily feasible.
 		rmax := g.TotalNodeWeight() / 2
-		parts, err := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: 4, Rmax: rmax,
+		parts, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: 4,
 			Constraints: metrics.Constraints{Rmax: rmax}}, rng)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +94,8 @@ func TestGreedyGrowForcedPlacementWhenInfeasible(t *testing.T) {
 	g.MustAddEdge(1, 2, 1)
 	g.MustAddEdge(2, 3, 1)
 	rng := rand.New(rand.NewSource(4))
-	parts, err := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: 2, Rmax: 10}, rng)
+	parts, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: 2,
+		Constraints: metrics.Constraints{Rmax: 10}}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +107,10 @@ func TestGreedyGrowForcedPlacementWhenInfeasible(t *testing.T) {
 func TestGreedyGrowErrors(t *testing.T) {
 	g := randomConnected(rand.New(rand.NewSource(5)), 5)
 	rng := rand.New(rand.NewSource(5))
-	if _, err := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: 0}, rng); err == nil {
+	if _, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: 0}, rng); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: 10}, rng); err == nil {
+	if _, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: 10}, rng); err == nil {
 		t.Fatal("K > n accepted")
 	}
 }
@@ -119,11 +120,11 @@ func TestGreedyGrowRestartsImproveOrEqual(t *testing.T) {
 	rng2 := rand.New(rand.NewSource(6))
 	g := randomConnected(rand.New(rand.NewSource(7)), 50)
 	c := metrics.Constraints{Bmax: 50, Rmax: g.TotalNodeWeight() / 2}
-	one, err := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: 4, Restarts: 1, Constraints: c}, rng1)
+	one, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: 4, Restarts: 1, Constraints: c}, rng1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: 4, Restarts: 12, Constraints: c}, rng2)
+	many, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: 4, Restarts: 12, Constraints: c}, rng2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestGreedyGrowRestartsImproveOrEqual(t *testing.T) {
 func TestRandomPartitionValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomConnected(rng, 30)
-	parts, err := RandomPartitionWS(new(arena.Workspace), g, 5, rng)
+	parts, err := RandomPartitionWS(new(arena.Workspace), g.ToCSR(), 5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +146,10 @@ func TestRandomPartitionValid(t *testing.T) {
 	if !allPartsNonEmpty(parts, 5) {
 		t.Fatal("random partition left empty part")
 	}
-	if _, err := RandomPartitionWS(new(arena.Workspace), g, 0, rng); err == nil {
+	if _, err := RandomPartitionWS(new(arena.Workspace), g.ToCSR(), 0, rng); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := RandomPartitionWS(new(arena.Workspace), g, 31, rng); err == nil {
+	if _, err := RandomPartitionWS(new(arena.Workspace), g.ToCSR(), 31, rng); err == nil {
 		t.Fatal("K > n accepted")
 	}
 }
@@ -290,8 +291,8 @@ func TestPropertyAllSeedersProduceValidPartitions(t *testing.T) {
 		n := 10 + rng.Intn(60)
 		g := randomConnected(rng, n)
 		k := 2 + rng.Intn(5)
-		pg, err1 := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: k, Restarts: 3}, rng)
-		pr, err2 := RandomPartitionWS(new(arena.Workspace), g, k, rng)
+		pg, err1 := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: k, Restarts: 3}, rng)
+		pr, err2 := RandomPartitionWS(new(arena.Workspace), g.ToCSR(), k, rng)
 		pb, err3 := RecursiveBisect(g, k, rng)
 		ps, err4 := SpectralKWay(g, k, rng)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
@@ -317,7 +318,7 @@ func TestPropertyGreedyPrefersFeasibleUnderLooseConstraints(t *testing.T) {
 		g := randomConnected(rng, 10+rng.Intn(40))
 		k := 2 + rng.Intn(3)
 		c := metrics.Constraints{Bmax: 1 << 40, Rmax: g.TotalNodeWeight()}
-		parts, err := GreedyGrowWS(new(arena.Workspace), g, g.ToCSR(), GreedyOptions{K: k, Restarts: 3, Constraints: c}, rng)
+		parts, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: k, Restarts: 3, Constraints: c}, rng)
 		if err != nil {
 			return false
 		}

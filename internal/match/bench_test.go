@@ -28,7 +28,7 @@ func benchGraph(n int) *graph.Graph {
 }
 
 func BenchmarkRandomMatching(b *testing.B) {
-	g := benchGraph(10000)
+	g := benchGraph(10000).ToCSR()
 	rng := rand.New(rand.NewSource(2))
 	ws := new(arena.Workspace)
 	b.ResetTimer()
@@ -38,7 +38,7 @@ func BenchmarkRandomMatching(b *testing.B) {
 }
 
 func BenchmarkHeavyEdgeMatching(b *testing.B) {
-	g := benchGraph(10000)
+	g := benchGraph(10000).ToCSR()
 	ws := new(arena.Workspace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,7 +47,7 @@ func BenchmarkHeavyEdgeMatching(b *testing.B) {
 }
 
 func BenchmarkKMeansMatching(b *testing.B) {
-	g := benchGraph(10000)
+	g := benchGraph(10000).ToCSR()
 	rng := rand.New(rand.NewSource(3))
 	ws := new(arena.Workspace)
 	b.ResetTimer()

@@ -76,11 +76,18 @@ func (m Matching) Validate(g *graph.Graph) error {
 // MatchedWeight returns the total weight of matched edges — the weight
 // that contraction removes from the graph. Heavier is generally better:
 // hidden intra-pair traffic can never be cut.
-func (m Matching) MatchedWeight(g *graph.Graph) int64 {
+func (m Matching) MatchedWeight(g *graph.CSR) int64 {
 	var s int64
 	for u, v := range m {
-		if v != Unmatched && graph.Node(u) < v {
-			s += g.EdgeWeight(graph.Node(u), v)
+		if v == Unmatched || graph.Node(u) >= v {
+			continue
+		}
+		nbrs, wts := g.Row(graph.Node(u))
+		for i, x := range nbrs {
+			if x == v {
+				s += wts[i]
+				break
+			}
 		}
 	}
 	return s
@@ -144,18 +151,19 @@ func (h Heuristic) UsesRNG() bool {
 
 // Compute runs the named heuristic. kClusters is only used by KMeans; a
 // value <= 0 defaults to 4 weight clusters. An unknown heuristic yields
-// an error wrapping ErrUnknownHeuristic.
+// an error wrapping ErrUnknownHeuristic. It snapshots g once and matches
+// on the snapshot.
 func Compute(h Heuristic, g *graph.Graph, kClusters int, rng *rand.Rand) (Matching, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return ComputeWS(ws, h, g, kClusters, rng)
+	return ComputeWS(ws, h, g.ToCSR(), kClusters, rng)
 }
 
-// ComputeWS is Compute with every internal buffer (visit permutations,
-// candidate lists, the edge sort array, k-means scratch) drawn from ws.
-// The returned Matching itself is freshly allocated — it outlives the
-// call — but everything transient is pooled.
-func ComputeWS(ws *arena.Workspace, h Heuristic, g *graph.Graph, kClusters int, rng *rand.Rand) (Matching, error) {
+// ComputeWS is Compute on a CSR, with every internal buffer (visit
+// permutations, candidate lists, the edge sort array, k-means scratch)
+// drawn from ws. The returned Matching itself is freshly allocated — it
+// outlives the call — but everything transient is pooled.
+func ComputeWS(ws *arena.Workspace, h Heuristic, g *graph.CSR, kClusters int, rng *rand.Rand) (Matching, error) {
 	switch h {
 	case HeuristicRandom:
 		return randomWS(ws, g, rng), nil
@@ -190,7 +198,7 @@ func permInto(rng *rand.Rand, out []int) {
 // random order; each unmatched node grabs a random unmatched neighbor. The
 // result is maximal: no edge has both endpoints unmatched. The visit order
 // and candidate list are pooled.
-func randomWS(ws *arena.Workspace, g *graph.Graph, rng *rand.Rand) Matching {
+func randomWS(ws *arena.Workspace, g *graph.CSR, rng *rand.Rand) Matching {
 	n := g.NumNodes()
 	m := NewMatching(n)
 	order := ws.Ints.Cap(n)[:n]
@@ -202,9 +210,10 @@ func randomWS(ws *arena.Workspace, g *graph.Graph, rng *rand.Rand) Matching {
 			continue
 		}
 		cand = cand[:0]
-		for _, h := range g.Neighbors(u) {
-			if m[h.To] == Unmatched {
-				cand = append(cand, h.To)
+		nbrs, _ := g.Row(u)
+		for _, v := range nbrs {
+			if m[v] == Unmatched {
+				cand = append(cand, v)
 			}
 		}
 		if len(cand) == 0 {
@@ -234,17 +243,18 @@ func randomWS(ws *arena.Workspace, g *graph.Graph, rng *rand.Rand) Matching {
 // the packed integer order is exactly the struct comparator's total
 // order, so the matching is bit-identical to the comparator path, which
 // remains as the general fallback.
-func heavyEdgeWS(ws *arena.Workspace, g *graph.Graph) Matching {
+func heavyEdgeWS(ws *arena.Workspace, g *graph.CSR) Matching {
 	n := g.NumNodes()
 	if idBits := bits.Len(uint(n)); n > 0 && 2*idBits < 63 &&
-		g.TotalEdgeWeight() < int64(1)<<(63-2*idBits) {
+		g.EdgeWT < int64(1)<<(63-2*idBits) {
 		return heavyEdgePackedWS(ws, g, uint(idBits))
 	}
 	edges := ws.Edges.Cap(g.NumEdges())
 	for u := 0; u < n; u++ {
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) < h.To {
-				edges = append(edges, graph.Edge{U: graph.Node(u), V: h.To, Weight: h.Weight})
+		nbrs, wts := g.Row(graph.Node(u))
+		for i, v := range nbrs {
+			if graph.Node(u) < v {
+				edges = append(edges, graph.Edge{U: graph.Node(u), V: v, Weight: wts[i]})
 			}
 		}
 	}
@@ -277,16 +287,17 @@ func heavyEdgeWS(ws *arena.Workspace, g *graph.Graph) Matching {
 // high bits and u, v (each < 2^idBits) below yields an integer whose
 // natural order is the comparator's (weight desc, u asc, v asc). Keys are
 // unique (one per endpoint pair), so sort stability is irrelevant.
-func heavyEdgePackedWS(ws *arena.Workspace, g *graph.Graph, idBits uint) Matching {
+func heavyEdgePackedWS(ws *arena.Workspace, g *graph.CSR, idBits uint) Matching {
 	n := g.NumNodes()
-	total := g.TotalEdgeWeight()
+	total := g.EdgeWT
 	mask := int64(1)<<idBits - 1
 	keys := ws.Int64s.Cap(g.NumEdges())
 	for u := 0; u < n; u++ {
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) < h.To {
-				keys = append(keys, (total-h.Weight)<<(2*idBits)|
-					int64(u)<<idBits|int64(h.To))
+		nbrs, wts := g.Row(graph.Node(u))
+		for i, v := range nbrs {
+			if graph.Node(u) < v {
+				keys = append(keys, (total-wts[i])<<(2*idBits)|
+					int64(u)<<idBits|int64(v))
 			}
 		}
 	}
@@ -311,7 +322,7 @@ func heavyEdgePackedWS(ws *arena.Workspace, g *graph.Graph, idBits uint) Matchin
 // cluster offers no free adjacent partner fall back to any free neighbor
 // so the matching stays maximal. The cluster table, visit order,
 // candidate lists, and Lloyd-iteration scratch are pooled.
-func kMeansWS(ws *arena.Workspace, g *graph.Graph, nClusters int, rng *rand.Rand) Matching {
+func kMeansWS(ws *arena.Workspace, g *graph.CSR, nClusters int, rng *rand.Rand) Matching {
 	n := g.NumNodes()
 	m := NewMatching(n)
 	if n == 0 {
@@ -336,14 +347,15 @@ func kMeansWS(ws *arena.Workspace, g *graph.Graph, nClusters int, rng *rand.Rand
 		}
 		sameCluster = sameCluster[:0]
 		other = other[:0]
-		for _, h := range g.Neighbors(u) {
-			if m[h.To] != Unmatched {
+		nbrs, _ := g.Row(u)
+		for _, v := range nbrs {
+			if m[v] != Unmatched {
 				continue
 			}
-			if cluster[h.To] == cluster[u] {
-				sameCluster = append(sameCluster, h.To)
+			if cluster[v] == cluster[u] {
+				sameCluster = append(sameCluster, v)
 			} else {
-				other = append(other, h.To)
+				other = append(other, v)
 			}
 		}
 		var v graph.Node
@@ -366,7 +378,7 @@ func kMeansWS(ws *arena.Workspace, g *graph.Graph, nClusters int, rng *rand.Rand
 
 // kmeans1DWS is kmeans1D with every buffer drawn from ws. The returned
 // cluster table comes from ws.Ints; the caller puts it back.
-func kmeans1DWS(ws *arena.Workspace, g *graph.Graph, k int) []int {
+func kmeans1DWS(ws *arena.Workspace, g *graph.CSR, k int) []int {
 	n := g.NumNodes()
 	cluster := ws.Ints.Get(n)
 	if k == 1 || n <= k {
@@ -379,7 +391,7 @@ func kmeans1DWS(ws *arena.Workspace, g *graph.Graph, k int) []int {
 	}
 	wts := ws.Floats.Cap(n)[:n]
 	for u := 0; u < n; u++ {
-		wts[u] = float64(g.NodeWeight(graph.Node(u)))
+		wts[u] = float64(g.NodeW[u])
 	}
 	sorted := append(ws.Floats.Cap(n), wts...)
 	sort.Float64s(sorted)

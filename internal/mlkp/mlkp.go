@@ -86,8 +86,9 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
 
-	// Coarsening: heavy-edge matching only, the METIS default.
-	hier, err := coarsen.BuildWS(ws, g, coarsen.Options{
+	// Coarsening: heavy-edge matching only, the METIS default. Every
+	// level, the finest included, is refined on the hierarchy's CSRs.
+	hier, err := coarsen.BuildWS(ws, g.ToCSR(), coarsen.Options{
 		TargetSize: opts.CoarsenTarget,
 		Heuristics: []match.Heuristic{match.HeuristicHeavyEdge},
 	}, rng)
@@ -97,7 +98,7 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 
 	// Initial partitioning on the coarsest graph via recursive bisection.
 	coarsest := hier.Coarsest()
-	parts, err := initpart.RecursiveBisect(coarsest, opts.K, rng)
+	parts, err := initpart.RecursiveBisect(coarsest.ToGraph(), opts.K, rng)
 	if err != nil {
 		return nil, fmt.Errorf("mlkp: initial partitioning: %v", err)
 	}
@@ -120,7 +121,7 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		s.Release(ws)
 		return nil
 	}
-	if err := refineLevel(coarsest.ToCSR(), parts, hier.Depth() == 0); err != nil {
+	if err := refineLevel(coarsest, parts, hier.Depth() == 0); err != nil {
 		return nil, fmt.Errorf("mlkp: refinement: %v", err)
 	}
 
@@ -130,7 +131,7 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mlkp: projection: %v", err)
 		}
-		if err := refineLevel(hier.GraphAt(lvl-1).ToCSR(), parts, lvl == 1); err != nil {
+		if err := refineLevel(hier.GraphAt(lvl-1), parts, lvl == 1); err != nil {
 			return nil, fmt.Errorf("mlkp: refinement: %v", err)
 		}
 	}

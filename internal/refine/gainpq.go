@@ -1,10 +1,13 @@
 // Package refine implements the local-search refinement algorithms of the
 // multilevel scheme: the Fiduccia–Mattheyses (FM) pass for bisections, a
-// greedy k-way FM variant, the classic Kernighan–Lin pair-swap algorithm
-// (for comparison), the bandwidth-repair pass that drives pairwise traffic
-// under Bmax, and the resource-rebalancing pass that drives per-part
-// totals under Rmax. All refiners mutate an assignment vector in place and
-// report what they changed.
+// greedy k-way FM variant, the batch data-parallel k-way pass, the
+// bandwidth-repair pass that drives pairwise traffic under Bmax, the
+// resource and vector rebalancing passes that drive per-part totals under
+// their caps, tabu search and annealing, and logic replication. The k-way
+// stages (KWayFM, BatchKWay, RepairBandwidth, RebalanceResources,
+// RebalanceVector) move nodes through the caller's pstate.State and
+// report what they changed; FMBisectWS, TabuSearchCSR and AnnealCSR
+// refine an assignment vector in place.
 package refine
 
 import "ppnpart/internal/graph"

@@ -322,7 +322,6 @@ type streamer struct {
 	n    int
 
 	parts []int
-	cut   int64
 }
 
 // run executes the initial stream plus the restream loop. All scratch,
@@ -424,7 +423,6 @@ func (s *streamer) refresh(st *pstate.State) {
 			s.bw[p*k+q] = st.Bandwidth(p, q)
 		}
 	}
-	s.cut = st.Cut()
 }
 
 // initialStream assigns every vertex once, in stream order, updating the
@@ -467,7 +465,6 @@ func (s *streamer) initialStream() {
 			if q == p {
 				continue
 			}
-			s.cut += conn[q]
 			s.bw[p*k+q] += conn[q]
 			s.bw[q*k+p] += conn[q]
 		}
