@@ -196,6 +196,42 @@ func BenchmarkScaleGP(b *testing.B) {
 		}
 	})
 
+	// Replication instance: a fanout PPN lowered to hyperedges, solved with
+	// the logic-replication pass on. The pass dominates this solve, so the
+	// row tracks its cost end to end; cut is the delivered replication-
+	// aware objective (pairwise cut plus net connectivity cost).
+	b.Run("fanout20000", func(b *testing.B) {
+		const procs, k = 20000, 8
+		net, err := gen.RandomFanoutPPN(procs, gen.WeightRange{Lo: 10, Hi: 100},
+			gen.WeightRange{Lo: 1, Hi: 5}, seededRand(int64(1000+procs)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := net.ToGraphHyper(ppn.DefaultResourceModel())
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := metrics.Constraints{Rmax: g.TotalNodeWeight()*125/int64(100*k) + g.MaxNodeWeight()}
+		b.Run("replicate", func(b *testing.B) {
+			b.ResetTimer()
+			var cut int64
+			var clones int
+			for i := 0; i < b.N; i++ {
+				res, err := core.Partition(g, core.Options{
+					K: k, Constraints: c, Seed: 1, MaxCycles: 8, Replicate: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cut = metrics.ReplicatedEdgeCut(g, res.Parts, res.Replicas) +
+					metrics.ReplicatedHyperCut(g, res.Parts, res.Replicas)
+				clones = res.ReplicatedNodes
+			}
+			b.ReportMetric(float64(cut), "cut")
+			b.ReportMetric(float64(clones), "clones")
+		})
+	})
+
 	// Million-node instance: out of reach for the multilevel hierarchy in
 	// one benchmark iteration, in reach for the streaming partitioner —
 	// one CSR snapshot plus O(K²+n) arena-pooled state, no per-level

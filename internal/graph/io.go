@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,7 +61,7 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("metis: malformed header %q", strings.Join(header, " "))
 	}
 	n, err := strconv.Atoi(header[0])
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("metis: bad node count %q", header[0])
 	}
 	m, err := strconv.Atoi(header[1])
@@ -88,7 +89,15 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("metis: only ncon=1 supported, got %q", header[3])
 		}
 	}
-	g := New(n)
+	// The header's counts are not trusted for allocation: rows are parsed
+	// first and the graph is sized from the rows actually read, so a short
+	// input claiming a huge node count fails cleanly.
+	type metisEdge struct {
+		u, v Node
+		w    int64
+	}
+	var nodeW []int64
+	var edges []metisEdge
 	row := 0
 	for row < n {
 		if !sc.Scan() {
@@ -108,7 +117,7 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 			if err != nil || nw < 0 {
 				return nil, fmt.Errorf("metis: row %d bad node weight %q", row+1, fields[0])
 			}
-			g.SetNodeWeight(Node(row), nw)
+			nodeW = append(nodeW, nw)
 			idx = 1
 		}
 		for idx < len(fields) {
@@ -130,15 +139,22 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 			}
 			// Each edge appears in both endpoint rows; add it once.
 			if Node(row) < Node(v-1) {
-				if err := g.AddEdge(Node(row), Node(v-1), ew); err != nil {
-					return nil, fmt.Errorf("metis: row %d: %v", row+1, err)
-				}
+				edges = append(edges, metisEdge{Node(row), Node(v - 1), ew})
 			}
 		}
 		row++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	g := New(n)
+	for u, w := range nodeW {
+		g.SetNodeWeight(Node(u), w)
+	}
+	for _, e := range edges {
+		if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+			return nil, fmt.Errorf("metis: row %d: %v", e.u+1, err)
+		}
 	}
 	if g.NumEdges() != m {
 		return nil, fmt.Errorf("metis: header declares %d edges, adjacency has %d", m, g.NumEdges())
@@ -351,7 +367,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("edgelist: malformed header %q", sc.Text())
 	}
 	n, err := strconv.Atoi(head[0])
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("edgelist: bad node count %q", head[0])
 	}
 	m, err := strconv.Atoi(head[1])

@@ -25,6 +25,13 @@ import "ppnpart/internal/graph"
 // bandwidth matrix intentionally keeps its home-part contributions under
 // replication — the Bmax verdict never loosens by cloning, so a replica
 // can only be accepted on its cut/connectivity merit.
+//
+// Two read-only queries price a clone without committing it:
+// ReplicaDelta(u, p) is the Objective change of Replicate(u, p), read off
+// u's row and u's nets, and ReplicaScore(u, p, delta) is the Score the
+// clone would leave, from the maintained counters plus the O(1+D) excess
+// change of charging u to p. Together they equal Replicate → Score → Undo
+// bit for bit without touching the state (the fuzz target checks this).
 
 // initHyper (re)builds the hyperedge state from the CSR snapshot; cleared
 // when the graph carries no hyperedges (recycled States and contracted
@@ -138,17 +145,13 @@ func (s *State) Replicate(u graph.Node, p int) {
 	}
 	s.log = append(s.log, moveRec{u: u, from: p, rep: true})
 
-	w := s.C.NodeW[u]
-	s.resExcess += overLim(s.res[p]+w, s.rlim[p]) - overLim(s.res[p], s.rlim[p])
-	s.res[p] += w
+	dres, dvec := s.replicaExcessDelta(u, p)
+	s.resExcess += dres
+	s.vecExcess += dvec
+	s.res[p] += s.C.NodeW[u]
 	if s.vectors != nil {
 		pb := p * s.dims
 		for d, v := range s.vectors[u] {
-			if v == 0 {
-				continue
-			}
-			lim := s.vlim[pb+d]
-			s.vecExcess += overLim(s.vecTotals[pb+d]+v, lim) - overLim(s.vecTotals[pb+d], lim)
 			s.vecTotals[pb+d] += v
 		}
 	}
@@ -181,6 +184,50 @@ func (s *State) unreplicate(u graph.Node, p int) {
 	s.repriceNets(u)
 }
 
+// replicaExcessDelta returns the scalar and vector excess changes of
+// charging u's weight and demand row to part p — the constraint side of
+// Replicate(u, p). O(1+D), read-only.
+func (s *State) replicaExcessDelta(u graph.Node, p int) (res, vec int64) {
+	w := s.C.NodeW[u]
+	res = overLim(s.res[p]+w, s.rlim[p]) - overLim(s.res[p], s.rlim[p])
+	if s.vectors != nil {
+		pb := p * s.dims
+		for d, v := range s.vectors[u] {
+			if v == 0 {
+				continue
+			}
+			lim := s.vlim[pb+d]
+			vec += overLim(s.vecTotals[pb+d]+v, lim) - overLim(s.vecTotals[pb+d], lim)
+		}
+	}
+	return res, vec
+}
+
+// ReplicaDelta returns, without committing anything, the Objective change
+// Replicate(u, p) would make: minus the cut edges a copy of u in p
+// bridges, plus the re-priced cost of u's incident nets. It reads only
+// u's row and u's nets, so it goes stale only when a neighbour of u or a
+// pin of one of u's nets changes its replica. Preconditions are those of
+// Replicate. Clobbers the Connectivity scratch buffer.
+func (s *State) ReplicaDelta(u graph.Node, p int) int64 {
+	d := -s.replicaCutRelief(u, p)
+	if s.hyper {
+		for _, e := range s.C.IncidentHyper(u) {
+			d += s.netCost(e, u, p) - s.hcost[e]
+		}
+	}
+	return d
+}
+
+// ReplicaScore returns the Score that Replicate(u, p) would produce, given
+// objDelta = ReplicaDelta(u, p): the maintained counters plus the excess
+// change of charging u to p, through the same formula as Score, so the
+// two agree bit for bit. O(1+D), read-only.
+func (s *State) ReplicaScore(u graph.Node, p int, objDelta int64) float64 {
+	dres, dvec := s.replicaExcessDelta(u, p)
+	return s.score(s.cut+s.hcut+objDelta, s.bwExcess+s.resExcess+dres, s.vecExcess+dvec)
+}
+
 // replicaCutRelief returns the total weight of u's edges that are cut on
 // home parts alone but bridged by a copy of u in part p — exactly the
 // edges Replicate(u, p) uncuts and unreplicate re-cuts. The expression
@@ -210,17 +257,25 @@ func (s *State) repriceNets(u graph.Node) {
 		return
 	}
 	for _, e := range s.C.IncidentHyper(u) {
-		nc := s.replicatedNetCost(e)
+		nc := s.netCost(e, -1, -1)
 		s.hcut += nc - s.hcost[e]
 		s.hcost[e] = nc
 	}
 }
 
-// replicatedNetCost prices net e under replication: its weight times the
-// number of parts holding a reader copy but no writer copy — the parts
-// the producer stream must still be forwarded to. Mirrors
-// metrics.ReplicatedHyperCut. Clobbers the Connectivity scratch buffer.
-func (s *State) replicatedNetCost(e int32) int64 {
+// netCost prices net e under replication: its weight times the number of
+// parts holding a reader copy but no writer copy — the parts the producer
+// stream must still be forwarded to. Mirrors metrics.ReplicatedHyperCut.
+// When u >= 0, u's replica is taken to be q instead of its recorded one,
+// which prices a clone before it is made. Clobbers the Connectivity
+// scratch buffer.
+func (s *State) netCost(e int32, u graph.Node, q int) int64 {
+	replica := func(v graph.Node) int {
+		if v == u {
+			return q
+		}
+		return s.Replica(v)
+	}
 	pins := s.C.HyperPins(e)
 	mark := s.conn
 	for i := range mark {
@@ -228,12 +283,12 @@ func (s *State) replicatedNetCost(e int32) int64 {
 	}
 	for _, r := range pins[1:] {
 		mark[s.parts[r]] = 1
-		if rp := s.Replica(r); rp >= 0 {
+		if rp := replica(r); rp >= 0 {
 			mark[rp] = 1
 		}
 	}
 	src := pins[0]
-	ps, rs := s.parts[src], s.Replica(src)
+	ps, rs := s.parts[src], replica(src)
 	var need int64
 	for p := 0; p < s.K; p++ {
 		if mark[p] != 0 && p != ps && p != rs {

@@ -1,12 +1,30 @@
 package pstate
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
 )
+
+// replicateChecked commits Replicate(u, p) after pricing it with the
+// read-only queries, and fails unless ReplicaDelta equals the Objective
+// change and ReplicaScore is bit-identical to the Score that follows.
+func replicateChecked(t *testing.T, s *State, u graph.Node, p int) {
+	t.Helper()
+	obj := s.Objective()
+	delta := s.ReplicaDelta(u, p)
+	score := s.ReplicaScore(u, p, delta)
+	s.Replicate(u, p)
+	if got := s.Objective() - obj; got != delta {
+		t.Fatalf("ReplicaDelta(%d, %d) = %d, Replicate changed the objective by %d", u, p, delta, got)
+	}
+	if got := s.Score(); math.Float64bits(got) != math.Float64bits(score) {
+		t.Fatalf("ReplicaScore(%d, %d) = %v, Score after Replicate = %v", u, p, score, got)
+	}
+}
 
 // randomHyperGraph extends randomGraph with nets whose first pin is the
 // writer, mirroring the PPN fanout lowering.
@@ -145,7 +163,7 @@ func TestReplicateMatchesScratch(t *testing.T) {
 				u := graph.Node(rng.Intn(n))
 				p := rng.Intn(k)
 				if p != s.Part(u) && s.Replica(u) < 0 {
-					s.Replicate(u, p)
+					replicateChecked(t, s, u, p)
 				}
 			}
 			checkHyperAgainstScratch(t, g, s, c)
@@ -367,7 +385,7 @@ func FuzzHyperPState(f *testing.F) {
 				u := graph.Node(int(data[j+1]) % n)
 				p := int(data[j]) % k
 				if p != s.Part(u) && s.Replica(u) < 0 {
-					s.Replicate(u, p)
+					replicateChecked(t, s, u, p)
 				}
 			default:
 				if s.NumReplicas() == 0 {

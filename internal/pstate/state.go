@@ -344,21 +344,28 @@ func (s *State) penaltyBase() float64 {
 // hyperedges the expression matches metrics.Goodness operation-for-
 // operation so results are bit-identical.
 func (s *State) Goodness() float64 {
-	excess := s.bwExcess + s.resExcess
-	obj := s.cut + s.hcut
-	if excess == 0 {
-		return float64(obj)
-	}
-	base := s.penaltyBase()
-	return base + float64(excess)*base + float64(obj)
+	return s.score(s.cut+s.hcut, s.bwExcess+s.resExcess, 0)
 }
 
 // Score extends Goodness with the vector-overflow penalty, matching
 // core.Options.score: vector excess is weighted by the same dominant base.
 func (s *State) Score() float64 {
-	sc := s.Goodness()
-	if s.vecExcess > 0 {
-		sc += float64(s.vecExcess) * s.penaltyBase()
+	return s.score(s.cut+s.hcut, s.bwExcess+s.resExcess, s.vecExcess)
+}
+
+// score is the one goodness formula behind Goodness, Score and
+// ReplicaScore: the objective when the scalar excess is zero, otherwise
+// the dominant penalty plus the objective, and then the vector excess
+// weighted by the same base. Every caller goes through this float
+// operation order, which keeps their results bit-identical.
+func (s *State) score(obj, excess, vecExcess int64) float64 {
+	sc := float64(obj)
+	if excess != 0 {
+		base := s.penaltyBase()
+		sc = base + float64(excess)*base + float64(obj)
+	}
+	if vecExcess > 0 {
+		sc += float64(vecExcess) * s.penaltyBase()
 	}
 	return sc
 }

@@ -20,6 +20,7 @@ import (
 	"ppnpart/internal/engine"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/refine"
 )
 
 // Request limits. Requests beyond these bounds are rejected before any
@@ -98,7 +99,7 @@ type JobOptions struct {
 	// Replicate runs the post-refinement logic-replication pass; the
 	// replica overlay comes back in the result's replicas vector.
 	Replicate bool `json:"replicate,omitempty"`
-	// MaxClones bounds the replication pass (0 = solver default 32).
+	// MaxClones bounds the replication pass (0 = refine.DefaultMaxClones).
 	MaxClones int `json:"max_clones,omitempty"`
 }
 
@@ -349,12 +350,19 @@ func (req *JobRequest) CacheKey(g *graph.Graph) string {
 		wi(0)
 	}
 	// Replication changes the delivered overlay (and the goodness), so it
-	// must split the cache.
+	// must split the cache. The clone budget is hashed in effective form:
+	// 0 when replication is off (the budget is unused), else defaulted, so
+	// an omitted max_clones and the default value share a cache entry.
+	clones := 0
 	if req.Options.Replicate {
 		wi(1)
+		clones = req.Options.MaxClones
+		if clones <= 0 {
+			clones = refine.DefaultMaxClones
+		}
 	} else {
 		wi(0)
 	}
-	wi(int64(req.Options.MaxClones))
+	wi(int64(clones))
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"ppnpart/internal/refine"
 )
 
 // ringBody builds a valid JSON submission: an n-node ring with weighted
@@ -61,6 +63,33 @@ func TestDecodeRejects(t *testing.T) {
 		if _, _, err := DecodeJobRequest(strings.NewReader(body)); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)
 		}
+	}
+}
+
+// TestCacheKeyEffectiveCloneBudget checks that the clone budget enters the
+// key in effective form: an omitted max_clones shares the default
+// budget's entry, and max_clones without replication changes nothing.
+func TestCacheKeyEffectiveCloneBudget(t *testing.T) {
+	key := func(options string) string {
+		t.Helper()
+		req, g, err := DecodeJobRequest(strings.NewReader(ringBody(8, 3, 100, 50, `"options":`+options)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req.CacheKey(g)
+	}
+	def := fmt.Sprintf(`{"replicate":true,"max_clones":%d}`, refine.DefaultMaxClones)
+	if key(`{"replicate":true}`) != key(def) {
+		t.Error("replicate with max_clones omitted and with the default budget hash differently")
+	}
+	if key(`{}`) != key(`{"max_clones":5}`) {
+		t.Error("max_clones split the cache with replication off")
+	}
+	if key(`{"replicate":true,"max_clones":5}`) == key(`{"replicate":true}`) {
+		t.Error("a non-default clone budget shares the default budget's entry")
+	}
+	if key(`{"replicate":true}`) == key(`{}`) {
+		t.Error("replication did not split the cache")
 	}
 }
 
