@@ -100,9 +100,22 @@ BENCHTIME ?= 3x
 # beyond the threshold (allocs/op is roughly machine-independent; ns/op
 # gating only makes sense on a quiet, comparable machine).
 BENCHJSONFLAGS ?=
+# BENCHCPU lists GOMAXPROCS widths the way go test's -cpu flag takes
+# them (BENCHCPU=1,2 records pool scaling next to the width-1 rows). Each
+# width is passed to -cpu in a test process of its own: the solver's
+# shared worker pool is sized on first use, so in one process every later
+# width would run on the first width's pool. benchjson keeps a row per
+# benchmark and width; the first width's rows keep the bare names
+# bench_baseline.json matches, the others a -N suffix. Empty runs once at
+# the default GOMAXPROCS.
+BENCHCPU ?=
+comma := ,
+BENCHRUN = for c in $(or $(subst $(comma), ,$(BENCHCPU)),default); do \
+		$(GO) test -run='^$$' -bench='$(BENCHPAT)' -benchtime=$(BENCHTIME) \
+			$$([ $$c = default ] || echo -cpu=$$c) -benchmem . ./internal/pstate; \
+	done
 bench-json:
-	$(GO) test -run='^$$' -bench='$(BENCHPAT)' -benchtime=$(BENCHTIME) \
-		-benchmem . ./internal/pstate | \
+	$(BENCHRUN) | \
 		$(GO) run ./cmd/benchjson $(BENCHJSONFLAGS) -baseline bench_baseline.json -o BENCH_partition.json
 	@echo wrote BENCH_partition.json
 
@@ -110,8 +123,7 @@ bench-json:
 # the path for refreshing the baseline after adding a benchmark (new
 # entries are appended, uncovered baseline entries preserved).
 bench-baseline:
-	$(GO) test -run='^$$' -bench='$(BENCHPAT)' -benchtime=$(BENCHTIME) \
-		-benchmem . ./internal/pstate | \
+	$(BENCHRUN) | \
 		$(GO) run ./cmd/benchjson $(BENCHJSONFLAGS) -baseline bench_baseline.json \
 			-write-baseline bench_baseline.json -o BENCH_partition.json
 	@echo wrote BENCH_partition.json and refreshed bench_baseline.json

@@ -36,8 +36,10 @@ import (
 
 // Entry is one parsed benchmark result.
 type Entry struct {
-	// Name is the benchmark name without the Benchmark prefix and the
-	// -GOMAXPROCS suffix, e.g. "ScaleGP/n10000".
+	// Name is the benchmark name without the Benchmark prefix, e.g.
+	// "ScaleGP/n10000". A row at the run's default width (see Parse)
+	// drops the -GOMAXPROCS suffix; a row at any other width keeps it,
+	// e.g. "ScaleGP/n10000-2".
 	Name string `json:"name"`
 	// Pkg is the package the benchmark ran in.
 	Pkg string `json:"pkg,omitempty"`
@@ -51,8 +53,8 @@ type Entry struct {
 // File is the emitted JSON document.
 type File struct {
 	// Context echoes the go test header (goos, goarch, cpu, pkg list)
-	// plus the run's gomaxprocs, recovered from the benchmark names'
-	// -N suffix (it doubles as the solver pool's default width).
+	// plus the run's default gomaxprocs, recovered from the benchmark
+	// names' -N suffix (it doubles as the solver pool's default width).
 	Context map[string]string `json:"context,omitempty"`
 	// Benchmarks are the parsed results of this run.
 	Benchmarks []Entry `json:"benchmarks"`
@@ -69,17 +71,24 @@ type File struct {
 // benchLine matches "BenchmarkName-4   	 123	 456 ns/op	 7 extra/op ...".
 var benchLine = regexp.MustCompile(`^(Benchmark\S*)\s+(\d+)\s+(.*)$`)
 
-// gomaxprocsSuffix strips the trailing -N goroutine count from a name.
+// gomaxprocsSuffix matches the trailing -N GOMAXPROCS count of a name.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // Parse reads `go test -bench` output and returns the entries plus the
 // header context. Non-benchmark lines (PASS, ok, warnings) are skipped.
+//
+// go test names a row "Name-N" when it ran at GOMAXPROCS N != 1. The
+// first row's width is the run's default: rows at that width drop the
+// suffix, so a single-width run keeps the names bench_baseline.json
+// matches. Rows at any other width (go test -cpu 1,2, or runs at several
+// widths concatenated) keep "-N", width 1 included, as rows of their own.
 func Parse(r io.Reader) ([]Entry, map[string]string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	var entries []Entry
 	ctx := map[string]string{}
 	pkg := ""
+	defaultWidth := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
@@ -105,14 +114,17 @@ func Parse(r io.Reader) ([]Entry, map[string]string, error) {
 			continue
 		}
 		name := strings.TrimPrefix(m[1], "Benchmark")
-		// The stripped -N suffix IS the run's GOMAXPROCS (and so the
-		// default solver pool width); the go test header doesn't carry
-		// it, so capture it into the context where cross-machine
-		// baseline comparisons can see it.
+		width := "1"
 		if sfx := gomaxprocsSuffix.FindString(name); sfx != "" {
-			ctx["gomaxprocs"] = sfx[1:]
+			width = sfx[1:]
+			name = strings.TrimSuffix(name, sfx)
 		}
-		name = gomaxprocsSuffix.ReplaceAllString(name, "")
+		if defaultWidth == "" {
+			defaultWidth = width
+		}
+		if width != defaultWidth {
+			name += "-" + width
+		}
 		e := Entry{Name: name, Pkg: pkg, Iterations: iters, Metrics: map[string]float64{}}
 		// The tail is "value unit" pairs: "123 ns/op  7 B/op  2 allocs/op".
 		fields := strings.Fields(m[3])
@@ -128,12 +140,12 @@ func Parse(r io.Reader) ([]Entry, map[string]string, error) {
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
-	// go test only appends the -N suffix when GOMAXPROCS != 1, so a run
-	// whose benchmark names all lacked one was by definition single-proc.
-	if len(entries) > 0 {
-		if _, ok := ctx["gomaxprocs"]; !ok {
-			ctx["gomaxprocs"] = "1"
-		}
+	// The default width is the run's GOMAXPROCS (and so the default
+	// solver pool width); the go test header doesn't carry it, so capture
+	// it into the context where cross-machine baseline comparisons can
+	// see it. A name without a suffix ran at width 1.
+	if defaultWidth != "" {
+		ctx["gomaxprocs"] = defaultWidth
 	}
 	return entries, ctx, nil
 }

@@ -55,6 +55,65 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// A go test -cpu 1,2 run reports every benchmark twice: bare at width 1,
+// suffixed -2 at width 2. Both widths must survive as distinct rows, the
+// default (first) width under the bare name the baseline matches.
+func TestParseKeepsEveryCPUWidth(t *testing.T) {
+	const mixed = `pkg: ppnpart
+BenchmarkScaleGP/n100000/batch         	       3	 900000000 ns/op	 1312313 cut
+BenchmarkScaleGP/n100000/batch-2       	       3	 600000000 ns/op	 1312313 cut
+pkg: ppnpart/internal/pstate
+BenchmarkPStateMove     	12345678	        95.2 ns/op
+BenchmarkPStateMove-2   	12345678	        96.0 ns/op
+`
+	entries, ctx, err := Parse(strings.NewReader(mixed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name)
+	}
+	want := []string{"ScaleGP/n100000/batch", "ScaleGP/n100000/batch-2", "PStateMove", "PStateMove-2"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("names = %q, want %q", names, want)
+	}
+	if entries[1].Metrics["ns/op"] != 600000000 || entries[1].Metrics["cut"] != 1312313 {
+		t.Fatalf("width-2 row lost its metrics: %+v", entries[1])
+	}
+	if ctx["gomaxprocs"] != "1" {
+		t.Fatalf("context = %v, want the default width's gomaxprocs 1", ctx)
+	}
+
+	// The baseline names the default-width rows only: it still matches,
+	// and the extra width gets no speedup of its own.
+	base := &File{Benchmarks: []Entry{
+		{Name: "ScaleGP/n100000/batch", Metrics: map[string]float64{"ns/op": 1800000000, "cut": 1312313}},
+		{Name: "PStateMove", Metrics: map[string]float64{"ns/op": 95.2}},
+	}}
+	out, err := Merge(entries, ctx, base, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Speedup) != 2 || out.Speedup["ScaleGP/n100000/batch"] != 2 {
+		t.Fatalf("speedup = %v, want the two default-width rows only", out.Speedup)
+	}
+	if v := Gate(out, GateLimits{CutPct: 0}); len(v) != 0 {
+		t.Fatalf("unchanged cuts failed the gate: %v", v)
+	}
+
+	// A run listing width 2 first makes width 2 the default: the bare
+	// width-1 rows are the ones renamed.
+	entries, ctx, err = Parse(strings.NewReader("BenchmarkPStateMove-2 	9	96 ns/op\nBenchmarkPStateMove 	9	95 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 || entries[0].Name != "PStateMove" || entries[1].Name != "PStateMove-1" ||
+		ctx["gomaxprocs"] != "2" {
+		t.Fatalf("entries = %+v, context = %v", entries, ctx)
+	}
+}
+
 // go test omits the -N name suffix entirely at GOMAXPROCS=1, so a run
 // whose benchmark lines all lack one is by definition single-proc — the
 // context must say so rather than stay silent.

@@ -75,9 +75,13 @@ type Options struct {
 	// level scheme of Osipov & Sanders (§III of the paper discusses it);
 	// the default (false) is the paper's matching-based coarsening.
 	NLevelCoarsening bool
-	// Parallelism is the number of cycles explored concurrently (default
-	// GOMAXPROCS). Results are reduced deterministically, so any value
-	// yields the same partition as a serial run.
+	// Parallelism is the number of cycles explored concurrently once
+	// the search widens (default GOMAXPROCS): cycle 0 runs alone with the
+	// whole worker pool, and only an infeasible cycle 0 starts batches of
+	// Parallelism cycles. MinimizeAfterFeasible searches every cycle, so
+	// its batches are this wide from cycle 0 on. Results are reduced
+	// deterministically, so any value yields the same partition as a
+	// serial run.
 	Parallelism int
 	// Seed makes the run reproducible (default 1).
 	Seed int64

@@ -122,9 +122,10 @@ func TestBatchModeSolvesAndTraces(t *testing.T) {
 // TestBatchModeDeterministic runs the batch-mode solve twice with the same
 // seed and demands identical partitions and identical traces — the
 // engine-level determinism contract the golden-trace test builds on.
-// Pruning is off, as in the golden-trace tests: whether a discarded
-// overshoot cycle notices the incumbent before or after its coarsening is
-// timing, so its pruned marker is not part of the reproducible trace.
+// Pruning is off, as in the golden-trace tests: overshoot cycles exist
+// only in the batches after an infeasible cycle 0, and whether one
+// notices the incumbent before or after its coarsening is timing, so its
+// pruned marker is not part of the reproducible trace.
 func TestBatchModeDeterministic(t *testing.T) {
 	g := testGraph(t, 300, 900, 33)
 	cons := metrics.Constraints{

@@ -79,8 +79,10 @@ type Config struct {
 	MatchHeuristics []match.Heuristic
 	// NLevelCoarsening selects one-edge-per-level coarsening.
 	NLevelCoarsening bool
-	// Parallelism is the number of cycles explored concurrently (default
-	// GOMAXPROCS); any value yields the same partition as a serial run.
+	// Parallelism is the width of the cycle batches that follow an
+	// infeasible cycle 0 (default GOMAXPROCS). Cycle 0 runs alone unless
+	// MinimizeAfterFeasible, which makes every batch this wide. Any value
+	// yields the same partition as a serial run.
 	Parallelism int
 	// Pool executes every parallel fan-out of the solve — the cycle
 	// batches, the pipeline race, the batch gain sweeps, the matching
@@ -397,9 +399,14 @@ type candidate struct {
 // deterministically. tr, when non-nil, collects the structured solve
 // trace; nil tr makes every trace hook a skipped nil check.
 //
-// Cycles are explored in deterministic parallel batches of
-// cfg.Parallelism. Serial semantics: stop at the first feasible cycle
-// (lowest cycle index) unless MinimizeAfterFeasible. A batch may
+// Serial semantics: stop at the first feasible cycle (lowest cycle
+// index) unless MinimizeAfterFeasible. Cycle 0 runs alone, so its nested
+// fan-outs (the matching race, the pipeline race, the batch gain sweeps)
+// own the whole pool, and a feasible cycle 0 ends the solve with no
+// speculative sibling. Only after cycle 0 ends infeasible do the cycles
+// run in deterministic parallel batches of cfg.Parallelism. Under
+// MinimizeAfterFeasible every cycle up to the budget is searched, so
+// every batch, the first included, is cfg.Parallelism wide. A batch may
 // overshoot the stopping cycle; overshoot results are discarded to keep
 // parallel == serial.
 func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome {
@@ -422,8 +429,11 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 	var best candidate
 	best.cycle = -1
 	cyclesRun := 0
-	for base := 0; base < cfg.MaxCycles && ctx.Err() == nil; base += cfg.Parallelism {
-		batch := cfg.Parallelism
+	for base, batch := 0, 0; base < cfg.MaxCycles && ctx.Err() == nil; base += batch {
+		batch = cfg.Parallelism
+		if base == 0 && !cfg.MinimizeAfterFeasible {
+			batch = 1
+		}
 		if base+batch > cfg.MaxCycles {
 			batch = cfg.MaxCycles - base
 		}

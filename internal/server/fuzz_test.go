@@ -21,6 +21,9 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte(`{"k":4}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{"graph":{"nodes":[{"id":0},{"id":1}],"edges":[{"u":0,"v":0,"weight":1}]},"k":1}`))
+	f.Add([]byte(`{"graph":{"nodes":[{"id":0,"weight":2},{"id":1,"weight":3},{"id":2,"weight":1}],` +
+		`"edges":[{"u":0,"v":1,"weight":1}],"hyperedges":[{"pins":[0,1,2],"weight":4},{"pins":[2,0],"weight":1}]},` +
+		`"k":2,"rmax":5,"options":{"replicate":true,"max_clones":2}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, g, err := DecodeJobRequest(bytes.NewReader(data))
@@ -37,8 +40,16 @@ func FuzzJobRequest(f *testing.F) {
 		if req.Bmax < 0 || req.Rmax < 0 || req.TimeoutMS < 0 {
 			t.Fatalf("accepted negative bounds: %+v", req)
 		}
-		if g.NumNodes() > MaxNodes || g.NumEdges() > MaxEdges {
-			t.Fatalf("accepted oversized graph: %d nodes %d edges", g.NumNodes(), g.NumEdges())
+		if g.NumNodes() > MaxNodes || g.NumEdges() > MaxEdges || g.NumHyperEdges() > MaxEdges {
+			t.Fatalf("accepted oversized graph: %d nodes %d edges %d nets",
+				g.NumNodes(), g.NumEdges(), g.NumHyperEdges())
+		}
+		pins := 0
+		for i := 0; i < g.NumHyperEdges(); i++ {
+			pins += len(g.HyperEdge(i).Pins)
+		}
+		if pins > MaxPins {
+			t.Fatalf("accepted %d hyperedge pins, limit %d", pins, MaxPins)
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)

@@ -31,8 +31,13 @@ const (
 	MaxBodyBytes = 16 << 20
 	// MaxNodes bounds the node count of a submitted graph.
 	MaxNodes = 200_000
-	// MaxEdges bounds the edge count of a submitted graph.
+	// MaxEdges bounds the edge count of a submitted graph, and
+	// separately its hyperedge (net) count.
 	MaxEdges = 2_000_000
+	// MaxPins bounds the total pin count over all hyperedges: MaxEdges
+	// counts nets, and one net may list every node. Two pins per edge
+	// gives nets the endpoint budget of MaxEdges pairwise edges.
+	MaxPins = 2 * MaxEdges
 )
 
 // ErrBadRequest is the base of every request-validation error; handlers
@@ -185,6 +190,12 @@ func (req *JobRequest) BuildGraph() (*graph.Graph, error) {
 	}
 	if len(req.Graph.HyperEdges) > MaxEdges {
 		return nil, fmt.Errorf("%w: %d hyperedges exceeds limit %d", ErrBadRequest, len(req.Graph.HyperEdges), MaxEdges)
+	}
+	pins := 0
+	for _, he := range req.Graph.HyperEdges {
+		if pins += len(he.Pins); pins > MaxPins {
+			return nil, fmt.Errorf("%w: hyperedge pins exceed limit %d", ErrBadRequest, MaxPins)
+		}
 	}
 	w := make([]int64, n)
 	names := make([]string, n)

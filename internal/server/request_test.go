@@ -66,6 +66,27 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestBuildGraphPinLimit checks the total hyperedge pin bound at its
+// edge: one pin over MaxPins is rejected before any graph is built, and
+// exactly MaxPins passes the bound and fails later, on the nets
+// themselves. The nets share one pin slice, since the bound counts pins
+// as listed.
+func TestBuildGraphPinLimit(t *testing.T) {
+	half := make([]int, MaxPins/2)
+	spec := GraphSpec{
+		Nodes:      []NodeSpec{{ID: 0, Weight: 1}, {ID: 1, Weight: 1}},
+		HyperEdges: []HyperEdgeSpec{{Pins: half}, {Pins: half}},
+	}
+	req := &JobRequest{Graph: spec}
+	if _, err := req.BuildGraph(); !errors.Is(err, ErrBadRequest) || strings.Contains(err.Error(), "pins exceed") {
+		t.Fatalf("MaxPins pins: err = %v, want a duplicate-pin rejection past the bound", err)
+	}
+	req.Graph.HyperEdges = append(req.Graph.HyperEdges, HyperEdgeSpec{Pins: []int{0}})
+	if _, err := req.BuildGraph(); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "pins exceed") {
+		t.Fatalf("MaxPins+1 pins: err = %v, want the pin-limit rejection", err)
+	}
+}
+
 // TestCacheKeyEffectiveCloneBudget checks that the clone budget enters the
 // key in effective form: an omitted max_clones shares the default
 // budget's entry, and max_clones without replication changes nothing.
