@@ -91,7 +91,7 @@ bench:
 # the output to JSON and merges the checked-in baseline so the file holds
 # before/after ns/op, allocs/op and cut metrics plus speedups.
 # BENCHPAT/BENCHTIME narrow the run (CI smoke uses the small instance).
-BENCHPAT ?= BenchmarkScaleGP|BenchmarkPState
+BENCHPAT ?= BenchmarkScaleGP|BenchmarkPState|BenchmarkStream
 BENCHTIME ?= 3x
 # BENCHJSONFLAGS=-allow-missing lets a deliberately narrowed run (the CI
 # smoke) skip baseline benchmarks its pattern excludes; the full run keeps
@@ -112,7 +112,7 @@ BENCHCPU ?=
 comma := ,
 BENCHRUN = for c in $(or $(subst $(comma), ,$(BENCHCPU)),default); do \
 		$(GO) test -run='^$$' -bench='$(BENCHPAT)' -benchtime=$(BENCHTIME) \
-			$$([ $$c = default ] || echo -cpu=$$c) -benchmem . ./internal/pstate; \
+			$$([ $$c = default ] || echo -cpu=$$c) -benchmem . ./internal/pstate ./internal/stream; \
 	done
 bench-json:
 	$(BENCHRUN) | \

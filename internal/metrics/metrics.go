@@ -109,12 +109,16 @@ func MaxResource(g *graph.Graph, parts []int, k int) int64 {
 // Imbalance returns max_i(resource_i) / (total/K) — 1.0 means perfectly
 // balanced. Returns 0 for an empty graph.
 func Imbalance(g *graph.Graph, parts []int, k int) float64 {
-	total := g.TotalNodeWeight()
+	return imbalance(MaxResource(g, parts, k), g.TotalNodeWeight(), k)
+}
+
+// imbalance is maxRes / (total/K), or 0 when total is 0.
+func imbalance(maxRes, total int64, k int) float64 {
 	if total == 0 {
 		return 0
 	}
 	ideal := float64(total) / float64(k)
-	return float64(MaxResource(g, parts, k)) / ideal
+	return float64(maxRes) / ideal
 }
 
 // PartSizes returns the number of nodes in each part.
@@ -188,9 +192,23 @@ func (v Violation) String() string {
 // CheckConstraints returns every violated constraint instance (empty slice
 // means the partition is feasible).
 func CheckConstraints(g *graph.Graph, parts []int, k int, c Constraints) []Violation {
+	var m [][]int64
+	if c.Bmax > 0 {
+		m = BandwidthMatrix(g, parts, k)
+	}
+	var r []int64
+	if c.Rmax > 0 || len(c.RmaxPart) > 0 {
+		r = PartResources(g, parts, k)
+	}
+	return violations(m, r, k, c)
+}
+
+// violations lists the bound violations of a bandwidth matrix m and
+// resource vector r: bandwidth pairs first, then resource parts. m is
+// read only when Bmax is set; a nil r has no resource violations.
+func violations(m [][]int64, r []int64, k int, c Constraints) []Violation {
 	var out []Violation
 	if c.Bmax > 0 {
-		m := BandwidthMatrix(g, parts, k)
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
 				if m[i][j] > c.Bmax {
@@ -199,11 +217,9 @@ func CheckConstraints(g *graph.Graph, parts []int, k int, c Constraints) []Viola
 			}
 		}
 	}
-	if c.Rmax > 0 || len(c.RmaxPart) > 0 {
-		for i, r := range PartResources(g, parts, k) {
-			if lim := c.RmaxFor(i); lim > 0 && r > lim {
-				out = append(out, Violation{Kind: "resource", PartA: i, PartB: -1, Value: r, Limit: lim})
-			}
+	for i, ri := range r {
+		if lim := c.RmaxFor(i); lim > 0 && ri > lim {
+			out = append(out, Violation{Kind: "resource", PartA: i, PartB: -1, Value: ri, Limit: lim})
 		}
 	}
 	return out
@@ -254,17 +270,37 @@ type Report struct {
 }
 
 // Evaluate builds a Report for the given partition under the constraints.
+// It walks the adjacency once, into one bandwidth matrix, and sums one
+// resource vector; the cut (the matrix's upper-triangle sum), the maxima,
+// the imbalance and the violations all derive from those two, so every
+// field equals its standalone function's value.
 func Evaluate(g *graph.Graph, parts []int, k int, c Constraints) Report {
-	viol := CheckConstraints(g, parts, k, c)
+	m := BandwidthMatrix(g, parts, k)
+	r := PartResources(g, parts, k)
+	var cut, maxBW, maxRes int64
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			cut += m[i][j]
+			if m[i][j] > maxBW {
+				maxBW = m[i][j]
+			}
+		}
+	}
+	for _, ri := range r {
+		if ri > maxRes {
+			maxRes = ri
+		}
+	}
+	viol := violations(m, r, k, c)
 	return Report{
 		K:                 k,
-		EdgeCut:           EdgeCut(g, parts),
+		EdgeCut:           cut,
 		HyperCut:          HyperCut(g, parts),
-		MaxLocalBandwidth: MaxLocalBandwidth(g, parts, k),
-		MaxResource:       MaxResource(g, parts, k),
-		PartResources:     PartResources(g, parts, k),
+		MaxLocalBandwidth: maxBW,
+		MaxResource:       maxRes,
+		PartResources:     r,
 		PartSizes:         PartSizes(parts, k),
-		Imbalance:         Imbalance(g, parts, k),
+		Imbalance:         imbalance(maxRes, g.TotalNodeWeight(), k),
 		Violations:        viol,
 		Feasible:          len(viol) == 0,
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -205,6 +206,55 @@ func TestEvaluateReport(t *testing.T) {
 	r2 := Evaluate(g, []int{0, 0, 1, 1}, 2, Constraints{})
 	if !r2.Feasible {
 		t.Fatal("unconstrained report must be feasible")
+	}
+}
+
+// TestEvaluateMatchesStandalone pins Evaluate's single walk to the
+// standalone functions field by field, on random graphs with hyperedges,
+// under every mix of Bmax, scalar Rmax and per-part RmaxPart.
+func TestEvaluateMatchesStandalone(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 200; i++ {
+		g, parts, k := randomGraphParts(rng)
+		n := g.NumNodes()
+		for h := rng.Intn(4); h > 0 && n >= 2; h-- {
+			pins := rng.Perm(n)[:2+rng.Intn(min(n-1, 4))]
+			nodes := make([]graph.Node, len(pins))
+			for j, p := range pins {
+				nodes[j] = graph.Node(p)
+			}
+			g.MustAddHyperEdge(nodes, int64(1+rng.Intn(9)))
+		}
+		var c Constraints
+		if rng.Intn(2) == 0 {
+			c.Bmax = 1 + int64(rng.Intn(60))
+		}
+		if rng.Intn(2) == 0 {
+			c.Rmax = 1 + int64(rng.Intn(200))
+		}
+		if rng.Intn(2) == 0 {
+			c.RmaxPart = make([]int64, k)
+			for p := range c.RmaxPart {
+				c.RmaxPart[p] = int64(rng.Intn(200)) - 20
+			}
+		}
+		got := Evaluate(g, parts, k, c)
+		viol := CheckConstraints(g, parts, k, c)
+		want := Report{
+			K:                 k,
+			EdgeCut:           EdgeCut(g, parts),
+			HyperCut:          HyperCut(g, parts),
+			MaxLocalBandwidth: MaxLocalBandwidth(g, parts, k),
+			MaxResource:       MaxResource(g, parts, k),
+			PartResources:     PartResources(g, parts, k),
+			PartSizes:         PartSizes(parts, k),
+			Imbalance:         Imbalance(g, parts, k),
+			Violations:        viol,
+			Feasible:          Feasible(g, parts, k, c),
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d (k=%d, %+v):\nEvaluate   %+v\nstandalone %+v", i, k, c, got, want)
+		}
 	}
 }
 

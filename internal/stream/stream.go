@@ -7,7 +7,10 @@
 // load, minus a dominant penalty on any increase of the pairwise
 // bandwidth excess over Bmax. Parts whose Rmax budget the vertex would
 // break are ineligible (with a least-loaded fallback so every vertex is
-// always assigned exactly once).
+// always assigned exactly once). The penalty's powers come from a per-part
+// memo keyed by the exact integer load (powMemo): a part sees few distinct
+// loads per pass, and a hit returns the bits of the math.Pow call a miss
+// makes, so the memo changes no result.
 //
 // A restreaming loop then re-feeds the stream with the previous
 // assignment as prior: each pass recomputes every vertex's best part as a
@@ -182,7 +185,7 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 		return nil, err
 	}
 	ws := arena.Get()
-	res, err := run(ctx, ws, g.ToCSR(), opts)
+	res, err := run(ctx, ws, g.ToCSR(), opts, (*streamer).pick)
 	if err == nil {
 		res.Parts = append([]int(nil), res.Parts...)
 	}
@@ -198,7 +201,7 @@ func PartitionCSRWS(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, op
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return run(ctx, ws, csr, opts)
+	return run(ctx, ws, csr, opts, (*streamer).pick)
 }
 
 // over is the excess of v above lim (0 when lim disables the bound).
@@ -243,17 +246,58 @@ func (s *streamer) bwExcessDelta(to, from int, conn []int64, touched []int) int6
 	return delta
 }
 
+// powMemoBits sizes the penalty memo: 1<<powMemoBits slots per part.
+const powMemoBits = 8
+
+// powMemo caches math.Pow(float64(x), gamma) for the imbalance penalty,
+// direct-mapped per part on the exact integer load x (slot x mod 256 of
+// part p's row). A hit returns the stored result of the very call a miss
+// makes, so the memo is invisible in every result bit. Zeroed storage is
+// already a valid memo: key 0 maps to math.Pow(0, gamma) = +0 for every
+// gamma > 0, and validate requires gamma >= 1. It is not safe for
+// concurrent use; each restream chunk owns one.
+type powMemo struct {
+	gamma float64
+	keys  []int64   // k << powMemoBits
+	vals  []float64 // vals[i] == math.Pow(float64(keys[i]), gamma)
+}
+
+// newPowMemo draws a zeroed memo for k parts from ws.
+func newPowMemo(ws *arena.Workspace, k int, gamma float64) *powMemo {
+	return &powMemo{
+		gamma: gamma,
+		keys:  ws.Int64s.Get(k << powMemoBits),
+		vals:  ws.Floats.Get(k << powMemoBits),
+	}
+}
+
+// release returns the memo's storage to ws.
+func (m *powMemo) release(ws *arena.Workspace) {
+	ws.Int64s.Put(m.keys)
+	ws.Floats.Put(m.vals)
+}
+
+// pow returns math.Pow(float64(x), gamma) for a load x of part p.
+func (m *powMemo) pow(p int, x int64) float64 {
+	i := p<<powMemoBits | int(x&(1<<powMemoBits-1))
+	if m.keys[i] != x {
+		m.keys[i] = x
+		m.vals[i] = math.Pow(float64(x), m.gamma)
+	}
+	return m.vals[i]
+}
+
 // score rates moving a vertex of weight w from part `from` (-1 when
 // unassigned) into part p: affinity minus the convex imbalance penalty
 // minus the dominant bandwidth-excess penalty. Higher is better.
-func (s *streamer) score(p int, w int64, from int, conn []int64, touched []int) float64 {
+func (s *streamer) score(p int, w int64, from int, conn []int64, touched []int, memo *powMemo) float64 {
 	load := s.res[p]
 	if p == from {
 		load -= w
 	}
 	sc := float64(conn[p])
 	if s.alpha > 0 {
-		sc -= s.alpha * (math.Pow(float64(load+w), s.gamma) - math.Pow(float64(load), s.gamma))
+		sc -= s.alpha * (memo.pow(p, load+w) - memo.pow(p, load))
 	}
 	if d := s.bwExcessDelta(p, from, conn, touched); d != 0 {
 		sc -= s.bwBase * float64(d)
@@ -266,10 +310,10 @@ func (s *streamer) score(p int, w int64, from int, conn []int64, touched []int) 
 // id wins. On first assignment (from == -1) parts the vertex would push
 // over Rmax are ineligible; when every part is full the least-loaded part
 // takes the vertex anyway, so the stream always assigns.
-func (s *streamer) pick(w int64, from int, conn []int64, touched []int) int {
+func (s *streamer) pick(w int64, from int, conn []int64, touched []int, memo *powMemo) int {
 	best, bestScore := from, math.Inf(-1)
 	if from >= 0 {
-		bestScore = s.score(from, w, from, conn, touched)
+		bestScore = s.score(from, w, from, conn, touched, memo)
 	}
 	for p := 0; p < s.k; p++ {
 		if p == from {
@@ -278,7 +322,7 @@ func (s *streamer) pick(w int64, from int, conn []int64, touched []int) int {
 		if lim := s.cons.RmaxFor(p); lim > 0 && s.res[p]+w > lim {
 			continue
 		}
-		if sc := s.score(p, w, from, conn, touched); sc > bestScore {
+		if sc := s.score(p, w, from, conn, touched, memo); sc > bestScore {
 			best, bestScore = p, sc
 		}
 	}
@@ -305,9 +349,14 @@ func deriveAlpha(k int, edgeWT, nodeWT int64, gamma float64) float64 {
 	return math.Sqrt(float64(k)) * float64(edgeWT) / math.Pow(float64(nodeWT), gamma)
 }
 
+// chooser picks the part for one vertex: (*streamer).pick, or in the
+// package tests the direct-math.Pow reference it must reproduce.
+type chooser func(s *streamer, w int64, from int, conn []int64, touched []int, memo *powMemo) int
+
 // streamer is the streaming state, workspace-pooled. Its methods score
 // candidate parts for one vertex against the part totals.
 type streamer struct {
+	choose chooser
 	k      int
 	cons   metrics.Constraints
 	gamma  float64
@@ -324,13 +373,15 @@ type streamer struct {
 	parts []int
 }
 
-// run executes the initial stream plus the restream loop. All scratch,
-// including the returned Parts, comes from ws.
-func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options) (*Result, error) {
+// run executes the initial stream plus the restream loop, placing every
+// vertex with choose. All scratch, including the returned Parts, comes
+// from ws.
+func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options, choose chooser) (*Result, error) {
 	opts = opts.withDefaults()
 	n := csr.NumNodes()
 	k := opts.K
 	s := &streamer{
+		choose: choose,
 		k:      k,
 		cons:   opts.Constraints,
 		gamma:  opts.Gamma,
@@ -442,6 +493,7 @@ func (s *streamer) initialStream() {
 	}
 	conn := zeroed64(&s.ws.Int64s, s.k)
 	touched := s.ws.Ints.Cap(s.k)
+	memo := newPowMemo(s.ws, s.k, s.gamma)
 	k := s.k
 	for _, ui := range order {
 		u := graph.Node(ui)
@@ -458,7 +510,7 @@ func (s *streamer) initialStream() {
 			conn[q] += wts[i]
 		}
 		w := s.csr.NodeW[u]
-		p := s.pick(w, -1, conn, touched)
+		p := s.choose(s, w, -1, conn, touched, memo)
 		s.parts[u] = p
 		s.res[p] += w
 		for _, q := range touched {
@@ -472,6 +524,7 @@ func (s *streamer) initialStream() {
 			conn[q] = 0
 		}
 	}
+	memo.release(s.ws)
 	s.ws.Int64s.Put(conn)
 	s.ws.Ints.Put(touched)
 	s.ws.Ints.Put(order)
@@ -507,6 +560,8 @@ func (s *streamer) restreamSweep(newParts []int) int {
 		cws := children[w]
 		conn := zeroed64(&cws.Int64s, s.k)
 		touched := cws.Ints.Cap(s.k)
+		memo := newPowMemo(cws, s.k, s.gamma)
+		chunkMoved := 0
 		for ui := lo; ui < hi; ui++ {
 			u := graph.Node(ui)
 			adj, wts := s.csr.Row(u)
@@ -519,15 +574,17 @@ func (s *streamer) restreamSweep(newParts []int) int {
 				conn[q] += wts[i]
 			}
 			from := s.parts[u]
-			p := s.pick(s.csr.NodeW[u], from, conn, touched)
+			p := s.choose(s, s.csr.NodeW[u], from, conn, touched, memo)
 			newParts[u] = p
 			if p != from {
-				moved[w]++
+				chunkMoved++
 			}
 			for _, q := range touched {
 				conn[q] = 0
 			}
 		}
+		moved[w] = chunkMoved
+		memo.release(cws)
 		cws.Int64s.Put(conn)
 		cws.Ints.Put(touched)
 	})
