@@ -91,7 +91,7 @@ bench:
 # the output to JSON and merges the checked-in baseline so the file holds
 # before/after ns/op, allocs/op and cut metrics plus speedups.
 # BENCHPAT/BENCHTIME narrow the run (CI smoke uses the small instance).
-BENCHPAT ?= BenchmarkScaleGP|BenchmarkPState|BenchmarkStream
+BENCHPAT ?= BenchmarkScaleGP|BenchmarkPState|BenchmarkStream|BenchmarkKWayFM|BenchmarkBatchKWay|BenchmarkReplicate|BenchmarkHeavyEdgeMatching|BenchmarkKMeansMatching
 BENCHTIME ?= 3x
 # BENCHJSONFLAGS=-allow-missing lets a deliberately narrowed run (the CI
 # smoke) skip baseline benchmarks its pattern excludes; the full run keeps
@@ -112,7 +112,8 @@ BENCHCPU ?=
 comma := ,
 BENCHRUN = for c in $(or $(subst $(comma), ,$(BENCHCPU)),default); do \
 		$(GO) test -run='^$$' -bench='$(BENCHPAT)' -benchtime=$(BENCHTIME) \
-			$$([ $$c = default ] || echo -cpu=$$c) -benchmem . ./internal/pstate ./internal/stream; \
+			$$([ $$c = default ] || echo -cpu=$$c) -benchmem . ./internal/pstate ./internal/stream \
+			./internal/refine ./internal/match; \
 	done
 bench-json:
 	$(BENCHRUN) | \

@@ -334,8 +334,8 @@ func (retryStage) Run(cy *Cycle) error {
 // for the trace.
 type refinePipeline []func(s *pstate.State, cfg *Config, ws *arena.Workspace, fm *refine.Stats)
 
-func stageCut(s *pstate.State, cfg *Config, _ *arena.Workspace, fm *refine.Stats) {
-	st := refine.KWayFM(s, cfg.RefinePasses)
+func stageCut(s *pstate.State, cfg *Config, ws *arena.Workspace, fm *refine.Stats) {
+	st := refine.KWayFM(ws, s, cfg.RefinePasses)
 	if fm != nil {
 		fm.Passes += st.Passes
 		fm.Moves += st.Moves

@@ -134,7 +134,7 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		if err != nil {
 			return
 		}
-		refine.KWayFM(s, 2)
+		refine.KWayFM(ws, s, 2)
 		refine.RebalanceResources(s, 2)
 		refine.RepairBandwidth(ws, s, 2)
 		copy(parts, s.Parts())

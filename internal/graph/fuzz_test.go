@@ -48,6 +48,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("")
 	f.Add("0 0\n")
 	f.Add("5 0\n# garbage\n")
+	f.Add("999999999 0\n") // rejected before any allocation (MaxNodes)
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {

@@ -3,9 +3,9 @@ package graph
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,6 +19,29 @@ import (
 //   - a whitespace incidence-matrix format (the paper fed incidence
 //     matrices to MATLAB);
 //   - a plain weighted edge list.
+
+// MaxNodes is the largest node count ReadMETIS and ReadEdgeList accept
+// from a header: 2^24, sixteen times the 10^6-node scale the partitioner
+// targets. ReadEdgeList sizes the graph from the header before reading a
+// line, so without the bound a 12-byte header could ask for tens of GB.
+const MaxNodes = 1 << 24
+
+// ErrTooManyNodes is returned (wrapped) by ReadMETIS and ReadEdgeList for
+// a header whose node count exceeds MaxNodes.
+var ErrTooManyNodes = errors.New("node count exceeds graph.MaxNodes")
+
+// parseNodeCount parses a header's node count, rejecting a negative or
+// malformed count and, with ErrTooManyNodes, one above MaxNodes.
+func parseNodeCount(format, field string) (int, error) {
+	n, err := strconv.Atoi(field)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("%s: bad node count %q", format, field)
+	}
+	if n > MaxNodes {
+		return 0, fmt.Errorf("%s: %w: %d > %d", format, ErrTooManyNodes, n, MaxNodes)
+	}
+	return n, nil
+}
 
 // WriteMETIS writes g in METIS .graph format with both node weights and
 // edge weights (fmt code 011). Node ids are 1-based per the format.
@@ -41,7 +64,8 @@ func WriteMETIS(w io.Writer, g *Graph) error {
 // ReadMETIS parses the METIS .graph format. Supported fmt codes: "" / 0
 // (no weights), 1 (edge weights), 10 (node weights), 11 (both), with an
 // optional leading third digit for multiple node weights (only ncon=1 is
-// supported). Comment lines start with '%'.
+// supported). Comment lines start with '%'. A header node count above
+// MaxNodes is rejected with ErrTooManyNodes.
 func ReadMETIS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -60,9 +84,9 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 	if len(header) < 2 {
 		return nil, fmt.Errorf("metis: malformed header %q", strings.Join(header, " "))
 	}
-	n, err := strconv.Atoi(header[0])
-	if err != nil || n < 0 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("metis: bad node count %q", header[0])
+	n, err := parseNodeCount("metis", header[0])
+	if err != nil {
+		return nil, err
 	}
 	m, err := strconv.Atoi(header[1])
 	if err != nil || m < 0 {
@@ -355,7 +379,9 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the edge-list format written by WriteEdgeList.
+// ReadEdgeList parses the edge-list format written by WriteEdgeList. The
+// header's node count is allocated up front, so it must not exceed
+// MaxNodes (ErrTooManyNodes).
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -366,9 +392,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if len(head) != 2 {
 		return nil, fmt.Errorf("edgelist: malformed header %q", sc.Text())
 	}
-	n, err := strconv.Atoi(head[0])
-	if err != nil || n < 0 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("edgelist: bad node count %q", head[0])
+	n, err := parseNodeCount("edgelist", head[0])
+	if err != nil {
+		return nil, err
 	}
 	m, err := strconv.Atoi(head[1])
 	if err != nil || m < 0 {

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -249,5 +252,37 @@ func TestParsersRejectNegativeWeights(t *testing.T) {
 	}
 	if _, err := ReadMETIS(strings.NewReader("1 0 010\n-4\n")); err == nil {
 		t.Fatal("metis negative node weight accepted")
+	}
+}
+
+// TestReadersRejectHugeNodeCount feeds a 12-byte header that declares a
+// billion nodes. Both readers must refuse it with ErrTooManyNodes before
+// sizing anything from it, so the call allocates about the scanner
+// buffer, not the tens of GB the header asks for.
+func TestReadersRejectHugeNodeCount(t *testing.T) {
+	const input = "999999999 0\n"
+	if len(input) != 12 {
+		t.Fatalf("input is %d bytes", len(input))
+	}
+	readers := map[string]func(string) (*Graph, error){
+		"edgelist": func(s string) (*Graph, error) { return ReadEdgeList(strings.NewReader(s)) },
+		"metis":    func(s string) (*Graph, error) { return ReadMETIS(strings.NewReader(s)) },
+	}
+	for name, read := range readers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := read(input)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTooManyNodes) {
+			t.Fatalf("%s: err = %v, want ErrTooManyNodes", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Fatalf("%s: rejecting the header allocated %d bytes", name, alloc)
+		}
+	}
+	// At the limit the header is accepted. METIS sizes nothing from the
+	// count, so it fails on the missing rows instead.
+	if _, err := ReadMETIS(strings.NewReader(fmt.Sprintf("%d 0\n", MaxNodes))); err == nil || errors.Is(err, ErrTooManyNodes) {
+		t.Fatalf("metis: a count of MaxNodes gave %v, want a missing-rows error", err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
@@ -232,23 +231,28 @@ func randomWS(ws *arena.Workspace, g *graph.CSR, rng *rand.Rand) Matching {
 // and selected when both endpoints are free. This is the matching that
 // most reduces the exposed edge weight, per Karypis–Kumar.
 //
-// The comparator is a total order (edges are unique by endpoint pair), so
-// the sorted sequence — and hence the matching — is independent of the
-// sorting algorithm; the generic non-stable sort avoids the reflection
-// overhead that used to dominate coarsening time.
-//
-// The edge sort array is pooled. When the sort key fits, edges are packed
-// into single int64 keys — (inverted weight, u, v) in descending-weight
-// lexicographic layout — and sorted with the branch-lean primitive sort;
-// the packed integer order is exactly the struct comparator's total
-// order, so the matching is bit-identical to the comparator path, which
-// remains as the general fallback.
+// The order is a total order (edges are unique by endpoint pair), so the
+// sorted sequence — and hence the matching — is independent of the
+// sorting algorithm. When the sort key fits, edges are packed into single
+// int64 keys — (inverted weight, u, v) in descending-weight
+// lexicographic layout — and radix-sorted in O(m·digits), digits being
+// the 11-bit digits below the keys' top bit (sortPackedKeys); the packed
+// integer order is exactly the comparator's, so the matching is
+// bit-identical to heavyEdgeComparatorWS, which remains as the general
+// fallback. The key and edge arrays are pooled.
 func heavyEdgeWS(ws *arena.Workspace, g *graph.CSR) Matching {
 	n := g.NumNodes()
 	if idBits := bits.Len(uint(n)); n > 0 && 2*idBits < 63 &&
 		g.EdgeWT < int64(1)<<(63-2*idBits) {
 		return heavyEdgePackedWS(ws, g, uint(idBits))
 	}
+	return heavyEdgeComparatorWS(ws, g)
+}
+
+// heavyEdgeComparatorWS is heavyEdgeWS over an edge array sorted by a
+// comparator: weight descending, then u, then v ascending.
+func heavyEdgeComparatorWS(ws *arena.Workspace, g *graph.CSR) Matching {
+	n := g.NumNodes()
 	edges := ws.Edges.Cap(g.NumEdges())
 	for u := 0; u < n; u++ {
 		nbrs, wts := g.Row(graph.Node(u))
@@ -301,7 +305,7 @@ func heavyEdgePackedWS(ws *arena.Workspace, g *graph.CSR, idBits uint) Matching 
 			}
 		}
 	}
-	slices.Sort(keys)
+	keys = sortPackedKeys(ws, keys)
 	m := NewMatching(n)
 	for _, key := range keys {
 		u := graph.Node(key >> idBits & mask)
@@ -312,6 +316,60 @@ func heavyEdgePackedWS(ws *arena.Workspace, g *graph.CSR, idBits uint) Matching 
 	}
 	ws.Int64s.Put(keys)
 	return m
+}
+
+// radixBits is the digit width of sortPackedKeys: 2048 counters per
+// digit stay in L1, and a 56-bit key takes 6 scatter passes.
+const radixBits = 11
+
+// sortPackedKeys sorts non-negative keys ascending and returns the sorted
+// slice, which is either keys or a buffer from ws.Int64s; the other one
+// goes back to ws. Below 256 keys it calls slices.Sort. Otherwise it runs
+// an LSD radix sort over the 11-bit digits below the top bit of the OR
+// of all keys: one sweep builds every digit's histogram, then each digit
+// that not all keys share takes one scatter. Equal keys keep their input
+// order, and for unique keys the result is the one order any sort
+// yields.
+func sortPackedKeys(ws *arena.Workspace, keys []int64) []int64 {
+	if len(keys) < 256 {
+		slices.Sort(keys)
+		return keys
+	}
+	var or uint64
+	for _, k := range keys {
+		or |= uint64(k)
+	}
+	const radix = 1 << radixBits
+	digits := (bits.Len64(or) + radixBits - 1) / radixBits
+	counts := ws.Ints.Get(digits * radix)
+	for _, k := range keys {
+		x := uint64(k)
+		for d := 0; d < digits; d++ {
+			counts[d*radix+int(x>>(d*radixBits)&(radix-1))]++
+		}
+	}
+	src, dst := keys, ws.Int64s.Cap(len(keys))[:len(keys)]
+	for d := 0; d < digits; d++ {
+		shift := d * radixBits
+		count := counts[d*radix : (d+1)*radix]
+		if count[uint64(src[0])>>shift&(radix-1)] == len(src) {
+			continue // every key shares this digit
+		}
+		sum := 0
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, k := range src {
+			b := uint64(k) >> shift & (radix - 1)
+			dst[count[b]] = k
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	ws.Ints.Put(counts)
+	ws.Int64s.Put(dst)
+	return src
 }
 
 // kMeansWS computes the paper's K-Means Matching: nodes are clustered by
@@ -376,8 +434,19 @@ func kMeansWS(ws *arena.Workspace, g *graph.CSR, nClusters int, rng *rand.Rand) 
 	return m
 }
 
-// kmeans1DWS is kmeans1D with every buffer drawn from ws. The returned
-// cluster table comes from ws.Ints; the caller puts it back.
+// kmeans1DWS clusters the node weights into k groups by 1-D Lloyd
+// iteration: centroids start at evenly spaced quantiles of the sorted
+// weights; each iteration assigns every weight to its nearest centroid
+// (the lowest index on ties), then moves each centroid to the mean of its
+// nodes; at most 30 iterations, stopping at the first that changes no
+// assignment. Nodes of equal weight always share a cluster, so the
+// assignment runs over the D distinct weights the sort yields, in
+// O(D·k), and the nodes take their cluster once, from the last
+// iteration's assignment. The centroid sums still add the node weights
+// in node order, so every float — and the result — is the per-node
+// iteration's for any int64 weights. Cost O(n log n + iterations·(n +
+// D·k)). The returned cluster table comes from ws.Ints; the caller puts
+// it back, and every other buffer is drawn from ws too.
 func kmeans1DWS(ws *arena.Workspace, g *graph.CSR, k int) []int {
 	n := g.NumNodes()
 	cluster := ws.Ints.Get(n)
@@ -394,34 +463,43 @@ func kmeans1DWS(ws *arena.Workspace, g *graph.CSR, k int) []int {
 		wts[u] = float64(g.NodeW[u])
 	}
 	sorted := append(ws.Floats.Cap(n), wts...)
-	sort.Float64s(sorted)
+	slices.Sort(sorted)
 	centroids := ws.Floats.Cap(k)[:k]
 	for i := range centroids {
 		centroids[i] = sorted[(i*(n-1))/(k-1)]
 	}
+	distinct := slices.Compact(sorted)
+	// which[u] indexes u's weight in distinct; dcl holds each distinct
+	// weight's cluster, all 0 before the first iteration like cluster.
+	which := ws.Ints.Cap(n)[:n]
+	for u, w := range wts {
+		which[u], _ = slices.BinarySearch(distinct, w)
+	}
+	dcl := ws.Ints.Get(len(distinct))
 	sum := ws.Floats.Cap(k)[:k]
 	cnt := ws.Ints.Cap(k)[:k]
 	for iter := 0; iter < 30; iter++ {
 		changed := false
-		for u := 0; u < n; u++ {
-			best, bestD := 0, absF(wts[u]-centroids[0])
+		for i, w := range distinct {
+			best, bestD := 0, absF(w-centroids[0])
 			for c := 1; c < k; c++ {
-				d := absF(wts[u] - centroids[c])
+				d := absF(w - centroids[c])
 				if d < bestD {
 					best, bestD = c, d
 				}
 			}
-			if cluster[u] != best {
-				cluster[u] = best
+			if dcl[i] != best {
+				dcl[i] = best
 				changed = true
 			}
 		}
 		for c := 0; c < k; c++ {
 			sum[c], cnt[c] = 0, 0
 		}
-		for u := 0; u < n; u++ {
-			sum[cluster[u]] += wts[u]
-			cnt[cluster[u]]++
+		for u, i := range which {
+			c := dcl[i]
+			sum[c] += wts[u]
+			cnt[c]++
 		}
 		for c := 0; c < k; c++ {
 			if cnt[c] > 0 {
@@ -432,10 +510,15 @@ func kmeans1DWS(ws *arena.Workspace, g *graph.CSR, k int) []int {
 			break
 		}
 	}
+	for u, i := range which {
+		cluster[u] = dcl[i]
+	}
 	ws.Floats.Put(wts)
 	ws.Floats.Put(sorted)
 	ws.Floats.Put(centroids)
 	ws.Floats.Put(sum)
+	ws.Ints.Put(which)
+	ws.Ints.Put(dcl)
 	ws.Ints.Put(cnt)
 	return cluster
 }

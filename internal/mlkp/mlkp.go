@@ -112,10 +112,10 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		refine.KWayFM(s, opts.RefinePasses)
+		refine.KWayFM(ws, s, opts.RefinePasses)
 		if finest {
 			refine.RebalanceResources(s, 8)
-			refine.KWayFM(s, opts.RefinePasses)
+			refine.KWayFM(ws, s, opts.RefinePasses)
 		}
 		copy(parts, s.Parts())
 		s.Release(ws)

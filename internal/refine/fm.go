@@ -153,50 +153,95 @@ func fmBisectPass(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource 
 }
 
 // KWayFM runs greedy k-way FM refinement on s: repeated passes over the
-// nodes, each pass moving a node (at most once) to the neighbor part with
-// the best strictly positive gain, subject to the destination's resource
-// bound (s.Fits), so a big part can absorb nodes a small one cannot. A
-// move never empties a part. Unlike 2-way FM it does not hill-climb —
-// this mirrors the coarse-grained k-way refinement used in multilevel
-// k-way partitioners. maxPasses <= 0 defaults to 8. Parts, counts,
-// resources, limits and connectivity all come from s, moves go through
-// s.Move, and the undo log is left empty.
-func KWayFM(s *pstate.State, maxPasses int) Stats {
+// nodes in id order, each pass moving a node (at most once) to the
+// neighbor part with the best strictly positive gain, subject to the
+// destination's resource bound (s.Fits), so a big part can absorb nodes a
+// small one cannot. Ties go to the lowest part id. A move never empties a
+// part. Unlike 2-way FM it does not hill-climb — this mirrors the
+// coarse-grained k-way refinement used in multilevel k-way partitioners.
+// maxPasses <= 0 defaults to 8. Parts, counts, resources, limits and
+// cut come from s, moves go through s.Move, and the undo log is left
+// empty.
+//
+// Pass 0 evaluates every node; later passes evaluate only active nodes.
+// A node is active when a neighbor moved since its last evaluation, when
+// that evaluation found a strictly positive gain s.Fits refused, or when
+// the never-empty guard skipped it. Any other node sees the connectivity
+// of its last evaluation, which left it no positive gain a freed cap
+// could admit, so it cannot move: the moves, their order and the Stats
+// are those of a sweep over every node, at O(n + Σ deg(active)) per pass
+// after the first.
+// Connectivity is gathered sparsely into a K-slot row whose touched
+// entries alone are cleared, and s.Fits is asked only of a candidate
+// that would beat the best so far. The row, its touched-part list and
+// the active flags come from ws.
+func KWayFM(ws *arena.Workspace, s *pstate.State, maxPasses int) Stats {
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}
 	st := Stats{CutBefore: s.Cut()}
 	n := s.C.NumNodes()
 	parts := s.Parts()
+	conn := ws.Int64s.Get(s.K)
+	touched := ws.Ints.Cap(s.K)
+	active := ws.Bools.Get(n)
+	for u := range active {
+		active[u] = true
+	}
 	for pass := 0; pass < maxPasses; pass++ {
 		st.Passes++
 		moves := 0
 		for u := 0; u < n; u++ {
-			un := graph.Node(u)
+			if !active[u] {
+				continue
+			}
 			from := parts[u]
 			if s.Count(from) == 1 {
-				continue // never empty a part
+				continue // never empty a part; stays active
 			}
-			conn := s.Connectivity(un)
+			active[u] = false
+			un := graph.Node(u)
+			adj, wts := s.C.Row(un)
+			// A part enters touched when its entry is zero, so a part seen
+			// only over zero-weight edges may appear more than once; that
+			// costs a repeated comparison, never a different choice.
+			touched = touched[:0]
+			for i, v := range adj {
+				p := parts[v]
+				if conn[p] == 0 {
+					touched = append(touched, p)
+				}
+				conn[p] += wts[i]
+			}
 			bestTo := -1
 			var bestGain int64
-			for to := range conn {
-				// Interior nodes have no connectivity outside from, so
-				// they fall through here without a move.
-				if to == from || conn[to] == 0 || !s.Fits(un, to) {
+			for _, to := range touched {
+				// Interior nodes touch only from, so they fall through
+				// here without a move.
+				if to == from || conn[to] == 0 {
 					continue
 				}
 				// bestGain starts at 0, so only strictly improving moves
-				// are taken; ascending iteration breaks ties toward the
-				// lowest part id.
-				if gain := conn[to] - conn[from]; gain > bestGain {
-					bestGain = gain
-					bestTo = to
+				// are taken; the id comparison breaks ties toward the
+				// lowest part whatever the touched order.
+				gain := conn[to] - conn[from]
+				if gain > bestGain || gain == bestGain && to < bestTo {
+					if s.Fits(un, to) {
+						bestGain, bestTo = gain, to
+					} else {
+						active[u] = true // a later move may make room
+					}
 				}
+			}
+			for _, p := range touched {
+				conn[p] = 0
 			}
 			if bestTo >= 0 {
 				s.Move(un, bestTo)
 				moves++
+				for _, v := range adj {
+					active[v] = true
+				}
 			}
 		}
 		s.ResetLog()
@@ -205,6 +250,9 @@ func KWayFM(s *pstate.State, maxPasses int) Stats {
 			break
 		}
 	}
+	ws.Int64s.Put(conn)
+	ws.Ints.Put(touched)
+	ws.Bools.Put(active)
 	st.CutAfter = s.Cut()
 	return st
 }

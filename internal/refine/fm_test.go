@@ -202,7 +202,7 @@ func TestKWayFMImprovesAndRespectsBounds(t *testing.T) {
 		}
 		var st Stats
 		refineOn(t, g, parts, pstate.Config{K: k, Constraints: metrics.Constraints{Rmax: rmax}}, func(s *pstate.State) {
-			st = KWayFM(s, 0)
+			st = KWayFM(new(arena.Workspace), s, 0)
 		})
 		after := metrics.EdgeCut(g, parts)
 		if after > before {
@@ -230,7 +230,7 @@ func TestKWayFMKeepsPartsNonEmpty(t *testing.T) {
 	for i := range parts {
 		parts[i] = i % k
 	}
-	refineOn(t, g, parts, pstate.Config{K: k}, func(s *pstate.State) { KWayFM(s, 0) })
+	refineOn(t, g, parts, pstate.Config{K: k}, func(s *pstate.State) { KWayFM(new(arena.Workspace), s, 0) })
 	for p, s := range metrics.PartSizes(parts, k) {
 		if s == 0 {
 			t.Fatalf("part %d emptied", p)
@@ -255,7 +255,7 @@ func TestPropertyFMPreservesAssignmentValidity(t *testing.T) {
 		for i := range kparts {
 			kparts[i] = rng.Intn(k)
 		}
-		refineOn(t, g, kparts, pstate.Config{K: k}, func(s *pstate.State) { KWayFM(s, 3) })
+		refineOn(t, g, kparts, pstate.Config{K: k}, func(s *pstate.State) { KWayFM(new(arena.Workspace), s, 3) })
 		return metrics.Validate(g, kparts, k) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -314,7 +314,7 @@ func TestKWayFMSelectionRules(t *testing.T) {
 	cons := metrics.Constraints{RmaxPart: []int64{100, 100, 100, 1}}
 	var st Stats
 	refineOn(t, g, parts, pstate.Config{K: 4, Constraints: cons}, func(s *pstate.State) {
-		st = KWayFM(s, 0)
+		st = KWayFM(new(arena.Workspace), s, 0)
 	})
 	if want := []int{1, 0, 1, 0, 1, 1, 2, 3}; !slices.Equal(parts, want) {
 		t.Fatalf("parts = %v, want %v", parts, want)

@@ -12,7 +12,7 @@ import (
 )
 
 // fanoutHyperGraph lowers a random fanout PPN to the hyperedge model.
-func fanoutHyperGraph(t *testing.T, nProcs int, seed int64) *graph.Graph {
+func fanoutHyperGraph(t testing.TB, nProcs int, seed int64) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	net, err := gen.RandomFanoutPPN(nProcs, gen.WeightRange{Lo: 10, Hi: 100},

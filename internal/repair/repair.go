@@ -187,7 +187,7 @@ func Repair(g *graph.Graph, parts []int, topo *fpga.Topology, failed []int, opts
 			arena.Put(ws)
 			return nil, err
 		}
-		refine.KWayFM(s, opts.RefinePasses)
+		refine.KWayFM(ws, s, opts.RefinePasses)
 		refine.RepairBandwidth(ws, s, opts.RefinePasses)
 		refine.RebalanceResources(s, opts.RefinePasses)
 		copy(compact, s.Parts())
