@@ -113,7 +113,8 @@ type Options struct {
 	// seeder (default 4). Zero selects the default.
 	StreamIterations int
 	// StreamGamma is the streaming objective's load-penalty exponent
-	// (default 1.5; must be >= 1). Only meaningful under AlgoStream.
+	// (default 1.5; must be finite and >= 1). Only meaningful under
+	// AlgoStream.
 	StreamGamma float64
 	// Replicate runs a post-refinement logic-replication pass: a node may
 	// be cloned into a second partition when the resource headroom exists

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"ppnpart/internal/gen"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/match"
 	"ppnpart/internal/metrics"
@@ -26,6 +28,10 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"negRmax", Options{K: 2, Constraints: metrics.Constraints{Rmax: -5}}, ErrNegativeRmax},
 		{"negRestarts", Options{K: 2, Restarts: -1}, ErrNegativeRestarts},
 		{"badHeuristic", Options{K: 2, MatchHeuristics: []match.Heuristic{match.Heuristic(42)}}, ErrUnknownHeuristic},
+		{"lowStreamGamma", Options{K: 2, Algo: AlgoStream, StreamGamma: 0.5}, ErrBadStreamGamma},
+		{"nanStreamGamma", Options{K: 2, Algo: AlgoStream, StreamGamma: math.NaN()}, ErrBadStreamGamma},
+		{"infStreamGamma", Options{K: 2, Algo: AlgoStream, StreamGamma: math.Inf(1)}, ErrBadStreamGamma},
+		{"negInfStreamGamma", Options{K: 2, Algo: AlgoStream, StreamGamma: math.Inf(-1)}, ErrBadStreamGamma},
 	}
 	for _, c := range cases {
 		_, err := Partition(g, c.opts)
@@ -38,6 +44,22 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 	if !errors.Is(ErrUnknownHeuristic, match.ErrUnknownHeuristic) {
 		t.Error("core.ErrUnknownHeuristic must wrap match.ErrUnknownHeuristic")
+	}
+}
+
+// TestStreamNaNGammaRejected pins the regression behind the non-finite
+// StreamGamma check: a NaN exponent made every penalty NaN, and the paper's
+// first instance under AlgoStream came back infeasible with no error.
+func TestStreamNaNGammaRejected(t *testing.T) {
+	insts, err := gen.AllPaperInstances()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := insts[0]
+	res, err := Partition(inst.G, Options{K: inst.K, Constraints: inst.Constraints,
+		Algo: AlgoStream, StreamGamma: math.NaN()})
+	if !errors.Is(err, ErrBadStreamGamma) {
+		t.Fatalf("StreamGamma NaN: err = %v (result %+v), want ErrBadStreamGamma", err, res)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"ppnpart/internal/graph"
 	"ppnpart/internal/match"
@@ -38,9 +39,9 @@ var (
 	ErrHeuristicsWithNLevel = fmt.Errorf("%w: MatchHeuristics has no effect with NLevelCoarsening", ErrInvalidOptions)
 	// ErrUnknownAlgorithm rejects an Algo value outside the known set.
 	ErrUnknownAlgorithm = fmt.Errorf("%w: unknown algorithm", ErrInvalidOptions)
-	// ErrBadStreamGamma rejects a StreamGamma below 1 (zero selects the
-	// default 1.5; the penalty must stay convex).
-	ErrBadStreamGamma = fmt.Errorf("%w: StreamGamma must be >= 1", ErrInvalidOptions)
+	// ErrBadStreamGamma rejects a StreamGamma below 1 or not finite (zero
+	// selects the default 1.5; the penalty must stay convex).
+	ErrBadStreamGamma = fmt.Errorf("%w: StreamGamma must be finite and >= 1", ErrInvalidOptions)
 	// ErrBadRmaxPart rejects a per-part resource-bound table with a
 	// negative entry or more entries than parts (a non-positive entry
 	// falls back to the scalar Rmax, so short tables are fine).
@@ -90,7 +91,7 @@ func (o Options) Validate(g *graph.Graph) error {
 	if !o.Algo.Valid() {
 		return fmt.Errorf("%w (algorithm %d)", ErrUnknownAlgorithm, int(o.Algo))
 	}
-	if o.StreamGamma != 0 && o.StreamGamma < 1 {
+	if sg := o.StreamGamma; sg != 0 && (math.IsNaN(sg) || math.IsInf(sg, 0) || sg < 1) {
 		return fmt.Errorf("%w (StreamGamma = %v)", ErrBadStreamGamma, o.StreamGamma)
 	}
 	if len(o.Constraints.RmaxPart) > o.K {

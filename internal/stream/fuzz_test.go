@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"reflect"
 	"testing"
 
 	"ppnpart/internal/graph"
@@ -11,8 +12,10 @@ import (
 // graph and penalty parameters and holds it to the full invariant
 // contract (checkInvariants): no panic, every vertex assigned exactly
 // once, maintained cut/goodness bit-identical to a from-scratch
-// recompute, monotone accepted trajectory — and the same assignment for
-// 1 and 4 workers, the determinism half of the tentpole's claim.
+// recompute, monotone accepted trajectory — the same assignment for 1
+// and 4 workers, and the same Parts and Iters as the direct reference
+// chooser (pickDirect), whose bandwidth term never takes the early-out
+// that the small Bmax values here switch on and off.
 func FuzzStreamAssign(f *testing.F) {
 	f.Add([]byte{20, 3, 5, 120, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{7, 1, 0, 0})
@@ -62,6 +65,14 @@ func FuzzStreamAssign(f *testing.F) {
 			t.Fatalf("Partition rejected valid input %+v: %v", opts, err)
 		}
 		checkInvariants(t, g, res, c)
+
+		ref := partitionWith(t, g, opts, (*streamer).pickDirect)
+		if !reflect.DeepEqual(res.Parts, ref.Parts) {
+			t.Fatalf("chooser diverged from the direct reference: %v vs %v", res.Parts, ref.Parts)
+		}
+		if !reflect.DeepEqual(res.Iters, ref.Iters) {
+			t.Fatalf("chooser changed the trajectory:\n%+v\nvs\n%+v", res.Iters, ref.Iters)
+		}
 
 		opts.Workers = 4
 		res4, err := Partition(g, opts)

@@ -7,10 +7,14 @@
 // load, minus a dominant penalty on any increase of the pairwise
 // bandwidth excess over Bmax. Parts whose Rmax budget the vertex would
 // break are ineligible (with a least-loaded fallback so every vertex is
-// always assigned exactly once). The penalty's powers come from a per-part
-// memo keyed by the exact integer load (powMemo): a part sees few distinct
-// loads per pass, and a hit returns the bits of the math.Pow call a miss
-// makes, so the memo changes no result.
+// always assigned exactly once). The penalty's powers come from one memo
+// shared by all parts and keyed by the exact integer load (powMemo): the
+// parts' loads move forward together, so a power computed for one part
+// serves the others, and a hit returns the bits of the math.Pow call a
+// miss makes, so the memo changes no result. The bandwidth term is skipped
+// outright while no candidate move can reach Bmax: the streamer keeps an
+// upper bound on every pairwise bandwidth, and a vertex whose affinity
+// added to that bound stays within Bmax cannot change the excess.
 //
 // A restreaming loop then re-feeds the stream with the previous
 // assignment as prior: each pass recomputes every vertex's best part as a
@@ -64,12 +68,13 @@ type Options struct {
 	// bandwidth-excess increase over Bmax is penalized dominantly.
 	Constraints metrics.Constraints
 	// Gamma is the imbalance penalty exponent (default 1.5, the HyperPRAW
-	// setting; must be >= 1: the penalty is convex so heavier parts repel
-	// marginal load harder).
+	// setting; must be finite and >= 1: the penalty is convex so heavier
+	// parts repel marginal load harder).
 	Gamma float64
-	// Alpha scales the imbalance penalty. Non-positive derives the
-	// Battaglino coefficient sqrt(K)·EdgeWT/NodeWT^Gamma from the graph
-	// totals, which keeps the penalty commensurate with edge affinities.
+	// Alpha scales the imbalance penalty and must be finite. Non-positive
+	// derives the Battaglino coefficient sqrt(K)·EdgeWT/NodeWT^Gamma from
+	// the graph totals, which keeps the penalty commensurate with edge
+	// affinities.
 	Alpha float64
 	// MaxIterations caps the restream passes after the initial stream
 	// (default 8; negative disables restreaming).
@@ -119,8 +124,11 @@ func (o Options) validate() error {
 	if o.Constraints.Rmax < 0 {
 		return fmt.Errorf("stream: negative Rmax %d", o.Constraints.Rmax)
 	}
-	if o.Gamma != 0 && o.Gamma < 1 {
-		return fmt.Errorf("stream: Gamma = %v must be >= 1 (or 0 for the default)", o.Gamma)
+	if o.Gamma != 0 && (math.IsNaN(o.Gamma) || math.IsInf(o.Gamma, 0) || o.Gamma < 1) {
+		return fmt.Errorf("stream: Gamma = %v must be finite and >= 1 (or 0 for the default)", o.Gamma)
+	}
+	if math.IsNaN(o.Alpha) || math.IsInf(o.Alpha, 0) {
+		return fmt.Errorf("stream: Alpha = %v must be finite", o.Alpha)
 	}
 	if o.Order != OrderNatural && o.Order != OrderShuffle {
 		return fmt.Errorf("stream: unknown order %d", o.Order)
@@ -246,28 +254,30 @@ func (s *streamer) bwExcessDelta(to, from int, conn []int64, touched []int) int6
 	return delta
 }
 
-// powMemoBits sizes the penalty memo: 1<<powMemoBits slots per part.
-const powMemoBits = 8
+// powMemoBits sizes the penalty memo: 1<<powMemoBits slots shared by
+// all parts.
+const powMemoBits = 16
 
 // powMemo caches math.Pow(float64(x), gamma) for the imbalance penalty,
-// direct-mapped per part on the exact integer load x (slot x mod 256 of
-// part p's row). A hit returns the stored result of the very call a miss
-// makes, so the memo is invisible in every result bit. Zeroed storage is
-// already a valid memo: key 0 maps to math.Pow(0, gamma) = +0 for every
-// gamma > 0, and validate requires gamma >= 1. It is not safe for
-// concurrent use; each restream chunk owns one.
+// direct-mapped on the exact integer load x (slot x mod 1<<powMemoBits).
+// The power does not depend on the part, so one table serves them all. A
+// hit returns the stored result of the very call a miss makes, so the
+// memo is invisible in every result bit. Zeroed storage is already a
+// valid memo: key 0 maps to math.Pow(0, gamma) = +0 for every finite
+// gamma > 0, and validate requires a finite gamma >= 1. It is not safe
+// for concurrent use; each restream chunk owns one.
 type powMemo struct {
 	gamma float64
-	keys  []int64   // k << powMemoBits
+	keys  []int64   // 1 << powMemoBits
 	vals  []float64 // vals[i] == math.Pow(float64(keys[i]), gamma)
 }
 
-// newPowMemo draws a zeroed memo for k parts from ws.
-func newPowMemo(ws *arena.Workspace, k int, gamma float64) *powMemo {
+// newPowMemo draws a zeroed memo from ws.
+func newPowMemo(ws *arena.Workspace, gamma float64) *powMemo {
 	return &powMemo{
 		gamma: gamma,
-		keys:  ws.Int64s.Get(k << powMemoBits),
-		vals:  ws.Floats.Get(k << powMemoBits),
+		keys:  ws.Int64s.Get(1 << powMemoBits),
+		vals:  ws.Floats.Get(1 << powMemoBits),
 	}
 }
 
@@ -277,9 +287,9 @@ func (m *powMemo) release(ws *arena.Workspace) {
 	ws.Floats.Put(m.vals)
 }
 
-// pow returns math.Pow(float64(x), gamma) for a load x of part p.
-func (m *powMemo) pow(p int, x int64) float64 {
-	i := p<<powMemoBits | int(x&(1<<powMemoBits-1))
+// pow returns math.Pow(float64(x), gamma) for a part load x.
+func (m *powMemo) pow(x int64) float64 {
+	i := int(x & (1<<powMemoBits - 1))
 	if m.keys[i] != x {
 		m.keys[i] = x
 		m.vals[i] = math.Pow(float64(x), m.gamma)
@@ -287,17 +297,45 @@ func (m *powMemo) pow(p int, x int64) float64 {
 	return m.vals[i]
 }
 
+// bwLive reports whether moving a vertex with per-part affinity conn
+// (touched = parts with conn > 0) can change the total bandwidth excess.
+// It cannot when Bmax is disabled, or when the affinity A summed over
+// touched keeps bwMax + A <= Bmax: every pair total bwExcessDelta reads,
+// before or after the move, is at most bwMax + A (edge weights are
+// non-negative), so every over() term is 0. The sum is checked against
+// the remaining room term by term, which cannot overflow.
+func (s *streamer) bwLive(conn []int64, touched []int) bool {
+	if s.cons.Bmax <= 0 {
+		return false
+	}
+	room := s.cons.Bmax - s.bwMax
+	if room < 0 {
+		return true
+	}
+	for _, q := range touched {
+		if conn[q] > room {
+			return true
+		}
+		room -= conn[q]
+	}
+	return false
+}
+
 // score rates moving a vertex of weight w from part `from` (-1 when
 // unassigned) into part p: affinity minus the convex imbalance penalty
-// minus the dominant bandwidth-excess penalty. Higher is better.
-func (s *streamer) score(p int, w int64, from int, conn []int64, touched []int, memo *powMemo) float64 {
+// minus the dominant bandwidth-excess penalty. Higher is better. live is
+// bwLive for the vertex: when false the excess delta is 0 and skipped.
+func (s *streamer) score(p int, w int64, from int, conn []int64, touched []int, memo *powMemo, live bool) float64 {
 	load := s.res[p]
 	if p == from {
 		load -= w
 	}
 	sc := float64(conn[p])
 	if s.alpha > 0 {
-		sc -= s.alpha * (memo.pow(p, load+w) - memo.pow(p, load))
+		sc -= s.alpha * (memo.pow(load+w) - memo.pow(load))
+	}
+	if !live {
+		return sc
 	}
 	if d := s.bwExcessDelta(p, from, conn, touched); d != 0 {
 		sc -= s.bwBase * float64(d)
@@ -311,9 +349,10 @@ func (s *streamer) score(p int, w int64, from int, conn []int64, touched []int, 
 // over Rmax are ineligible; when every part is full the least-loaded part
 // takes the vertex anyway, so the stream always assigns.
 func (s *streamer) pick(w int64, from int, conn []int64, touched []int, memo *powMemo) int {
+	live := s.bwLive(conn, touched)
 	best, bestScore := from, math.Inf(-1)
 	if from >= 0 {
-		bestScore = s.score(from, w, from, conn, touched, memo)
+		bestScore = s.score(from, w, from, conn, touched, memo, live)
 	}
 	for p := 0; p < s.k; p++ {
 		if p == from {
@@ -322,7 +361,7 @@ func (s *streamer) pick(w int64, from int, conn []int64, touched []int, memo *po
 		if lim := s.cons.RmaxFor(p); lim > 0 && s.res[p]+w > lim {
 			continue
 		}
-		if sc := s.score(p, w, from, conn, touched, memo); sc > bestScore {
+		if sc := s.score(p, w, from, conn, touched, memo, live); sc > bestScore {
 			best, bestScore = p, sc
 		}
 	}
@@ -364,6 +403,7 @@ type streamer struct {
 	bwBase float64 // dominant weight on bandwidth-excess increases
 	res    []int64 // per-part resource totals (live view)
 	bw     []int64 // k×k bandwidth matrix, row-major (live view)
+	bwMax  int64   // upper bound on every entry of bw
 
 	ws   *arena.Workspace
 	csr  *graph.CSR
@@ -465,13 +505,16 @@ func (s *streamer) iterTrace(iter, moves int, accepted bool, st *pstate.State) I
 	}
 }
 
-// refresh reloads the running totals from an accepted state.
+// refresh reloads the running totals, and bwMax, from an accepted state.
 func (s *streamer) refresh(st *pstate.State) {
 	k := s.k
+	s.bwMax = 0
 	for p := 0; p < k; p++ {
 		s.res[p] = st.Resource(p)
 		for q := 0; q < k; q++ {
-			s.bw[p*k+q] = st.Bandwidth(p, q)
+			b := st.Bandwidth(p, q)
+			s.bw[p*k+q] = b
+			s.bwMax = max(s.bwMax, b)
 		}
 	}
 }
@@ -493,7 +536,7 @@ func (s *streamer) initialStream() {
 	}
 	conn := zeroed64(&s.ws.Int64s, s.k)
 	touched := s.ws.Ints.Cap(s.k)
-	memo := newPowMemo(s.ws, s.k, s.gamma)
+	memo := newPowMemo(s.ws, s.gamma)
 	k := s.k
 	for _, ui := range order {
 		u := graph.Node(ui)
@@ -519,6 +562,7 @@ func (s *streamer) initialStream() {
 			}
 			s.bw[p*k+q] += conn[q]
 			s.bw[q*k+p] += conn[q]
+			s.bwMax = max(s.bwMax, s.bw[p*k+q])
 		}
 		for _, q := range touched {
 			conn[q] = 0
@@ -560,7 +604,7 @@ func (s *streamer) restreamSweep(newParts []int) int {
 		cws := children[w]
 		conn := zeroed64(&cws.Int64s, s.k)
 		touched := cws.Ints.Cap(s.k)
-		memo := newPowMemo(cws, s.k, s.gamma)
+		memo := newPowMemo(cws, s.gamma)
 		chunkMoved := 0
 		for ui := lo; ui < hi; ui++ {
 			u := graph.Node(ui)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -140,6 +141,12 @@ func TestOptionsValidate(t *testing.T) {
 		{K: 2, Constraints: metrics.Constraints{Bmax: -1}},
 		{K: 2, Constraints: metrics.Constraints{Rmax: -1}},
 		{K: 2, Gamma: 0.5},
+		{K: 2, Gamma: math.NaN()},
+		{K: 2, Gamma: math.Inf(1)},
+		{K: 2, Gamma: math.Inf(-1)},
+		{K: 2, Alpha: math.NaN()},
+		{K: 2, Alpha: math.Inf(1)},
+		{K: 2, Alpha: math.Inf(-1)},
 		{K: 2, Order: Order(99)},
 	}
 	for _, opts := range cases {
