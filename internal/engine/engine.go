@@ -620,11 +620,14 @@ func (s *Solver) gpCycle(cy *Cycle) (result []int, pruned bool) {
 	}
 	s.runStage(cy, PhaseRefine)
 
-	// Uncoarsen with goodness-ranked intermediate clusterings: at each
-	// level, competing refinement pipelines produce different candidate
-	// clusterings; the goodness-best is chosen to continue (§IV: "we
-	// generate different intermediate clusterings, that are compared a
-	// posteriori using a goodness function; the best is chosen").
+	// Uncoarsen and refine level by level. In the paper, goodness compares
+	// intermediate clusterings (§IV: "we generate different intermediate
+	// clusterings, that are compared a posteriori using a goodness
+	// function; the best is chosen") across the three competing matchings
+	// and across the retry cycles. The per-level race of three refinement
+	// orderings in PhaseRefine is this repo's addition, ranked by the same
+	// goodness function; with a binding Bmax it can decide feasibility
+	// (DESIGN.md §5e, "Why the refinement race stays").
 	for cy.Level > 0 {
 		if cy.abandon() {
 			cy.markPruned(PhaseUncoarsen)

@@ -6,7 +6,6 @@ import (
 	"ppnpart/internal/arena"
 	"ppnpart/internal/chaos"
 	"ppnpart/internal/coarsen"
-	"ppnpart/internal/graph"
 	"ppnpart/internal/initpart"
 	"ppnpart/internal/pstate"
 	"ppnpart/internal/refine"
@@ -192,10 +191,10 @@ func (refineStage) Run(cy *Cycle) error {
 			// fall back to the full serial pipeline race.
 			mode = "batch-degraded"
 			bt = &BatchTrace{Degraded: true}
-			win = bestRefinement(cy.CSR, cy.Parts, cy.Cfg, cy.WS, cy.abandon, cy.trace != nil)
+			win = bestRefinement(cy)
 		}
 	} else {
-		win = bestRefinement(cy.CSR, cy.Parts, cy.Cfg, cy.WS, cy.abandon, cy.trace != nil)
+		win = bestRefinement(cy)
 	}
 	if ct := cy.trace; ct != nil {
 		ct.Refines = append(ct.Refines, RefineTrace{
@@ -224,77 +223,24 @@ func (refineStage) Run(cy *Cycle) error {
 // degrades to the serial pipelines.
 const batchApplyPoint = "engine.batch-apply"
 
-// batchRefinement runs the batch pass followed by one serial
-// polish-and-repair pipeline on one partition state built from the
-// level's assignment, and writes the result into cy.Parts only once both
-// finish. ok is false when the batch pass panicked; cy.Parts is then
-// still the projected assignment the caller handed in, so the serial
-// fallback starts clean.
+// batchRefinement runs pipeline 0 after a batch pass on one partition
+// state built from the level's assignment, and writes the result into
+// cy.Parts only once both finish. ok is false when the batch pass
+// panicked; cy.Parts is then still the projected assignment the caller
+// handed in, so the serial fallback starts clean.
 func batchRefinement(cy *Cycle) (win refineWin, bt *BatchTrace, ok bool) {
-	cfg := cy.Cfg
 	// The batch path replaces the pipeline race, so it reuses pipeline
 	// 0's per-cycle child workspace for all its scratch.
 	ws := cy.WS.Child(0)
-	tracing := cy.trace != nil
 	defer func() {
 		if r := recover(); r != nil {
 			win, bt, ok = refineWin{}, nil, false
 		}
 	}()
-	s, err := pstate.NewWS(ws, cy.CSR, cy.Parts, cfg.stateConfig(cy.Parts))
-	if err != nil {
+	s, win, bt := runPipeline(cy, ws, 0, true)
+	if s == nil {
 		return refineWin{}, nil, false
 	}
-	opts := refine.BatchOptions{
-		Pool:   cfg.Pool,
-		Record: tracing,
-	}
-	if chaos.Enabled() {
-		opts.PreApply = func(round, cands int) {
-			if err := chaos.Inject(batchApplyPoint); err != nil {
-				// Error-kind injections at a mid-apply boundary cannot be
-				// "returned" — the pass has no error path by design — so
-				// they escalate to the same isolation as a panic.
-				panic(err)
-			}
-		}
-	}
-	st := refine.BatchKWay(ws, s, opts)
-	if tracing {
-		bt = &BatchTrace{
-			Rounds:      st.Rounds,
-			Moves:       st.Moves,
-			RoundSizes:  st.RoundSizes,
-			RoundGains:  st.RoundGains,
-			RoundCands:  st.RoundCands,
-			RoundQuotas: st.RoundQuotas,
-		}
-	}
-	// Serial FM polish plus the constraint-repair stages, one pipeline.
-	// The batch rounds already did the bulk cut work, so the FM stage gets
-	// a tight two-pass budget — it only mops up the local moves batch
-	// independence forbade — while the repair stages keep their full
-	// pass budget.
-	var fm *refine.Stats
-	var fmStats refine.Stats
-	if tracing {
-		fm = &fmStats
-	}
-	polishCfg := *cfg
-	polishCfg.RefinePasses = 2
-	for si, stage := range pipelines[0] {
-		if si > 0 && cy.abandon() {
-			break
-		}
-		if si == 0 {
-			stage(s, &polishCfg, ws, fm)
-		} else {
-			stage(s, cfg, ws, fm)
-		}
-	}
-	win = scoreWin(s, -1, tracing)
-	win.fmPasses = fmStats.Passes
-	win.fmMoves = fmStats.Moves
 	copy(cy.Parts, s.Parts())
 	s.Release(ws)
 	return win, bt, true
@@ -330,31 +276,30 @@ func (retryStage) Run(cy *Cycle) error {
 // refinePipeline is one ordering of the local-search stages. Every stage
 // moves through the pipeline's one partition state, built over the CSR
 // snapshot shared by all pipelines at the level, and draws scratch from
-// the pipeline's workspace. fm, when non-nil, accumulates k-way FM work
-// for the trace.
-type refinePipeline []func(s *pstate.State, cfg *Config, ws *arena.Workspace, fm *refine.Stats)
+// the pipeline's workspace. A stage returns the k-way FM work it did for
+// the trace (zero for the repair stages).
+type refinePipeline []func(s *pstate.State, ws *arena.Workspace, passes int) refine.Stats
 
-func stageCut(s *pstate.State, cfg *Config, ws *arena.Workspace, fm *refine.Stats) {
-	st := refine.KWayFM(ws, s, cfg.RefinePasses)
-	if fm != nil {
-		fm.Passes += st.Passes
-		fm.Moves += st.Moves
-	}
+func stageCut(s *pstate.State, ws *arena.Workspace, passes int) refine.Stats {
+	return refine.KWayFM(ws, s, passes)
 }
 
-func stageBandwidth(s *pstate.State, cfg *Config, ws *arena.Workspace, _ *refine.Stats) {
-	refine.RepairBandwidth(ws, s, cfg.RefinePasses)
+func stageBandwidth(s *pstate.State, ws *arena.Workspace, passes int) refine.Stats {
+	refine.RepairBandwidth(ws, s, passes)
+	return refine.Stats{}
 }
 
-func stageResources(s *pstate.State, cfg *Config, _ *arena.Workspace, _ *refine.Stats) {
-	refine.RebalanceResources(s, cfg.RefinePasses)
+func stageResources(s *pstate.State, _ *arena.Workspace, passes int) refine.Stats {
+	refine.RebalanceResources(s, passes)
+	return refine.Stats{}
 }
 
 // stageVector repairs multi-resource overflow; it only acts at the finest
 // level, the one level whose state carries the vector table
 // (Config.stateConfig).
-func stageVector(s *pstate.State, cfg *Config, _ *arena.Workspace, _ *refine.Stats) {
-	refine.RebalanceVector(s, cfg.RefinePasses)
+func stageVector(s *pstate.State, _ *arena.Workspace, passes int) refine.Stats {
+	refine.RebalanceVector(s, passes)
+	return refine.Stats{}
 }
 
 // pipelines are the candidate stage orderings compared at each level.
@@ -364,75 +309,112 @@ var pipelines = []refinePipeline{
 	{stageBandwidth, stageCut, stageResources, stageVector},
 }
 
-// refineWin is the winning candidate of one bestRefinement round.
+// refineWin is one refined candidate of a level: the pipeline that
+// produced it (-1 after a batch pass) and its score, plus its FM work,
+// cut and excesses when tracing.
 type refineWin struct {
 	pipeline int
 	score    float64
-	feasible bool
 	fmPasses int
 	fmMoves  int
 	extra    evalExtra
 }
 
-// scoreWin reads a refined state's score, feasibility and, when tracing,
-// its cut and constraint excesses.
-func scoreWin(s *pstate.State, pipeline int, tracing bool) refineWin {
-	win := refineWin{pipeline: pipeline, score: s.Score(), feasible: s.Feasible()}
+// runPipeline runs pipelines[pl] on one partition state built from
+// cy.Parts with scratch from ws, and returns the refined state and its
+// description; the state is nil (and the score +Inf) when it cannot be
+// built. With batch set (used with pipeline 0 only), refine.BatchKWay
+// runs first and the leading FM stage gets a tight two-pass budget: the
+// batch rounds already did the bulk cut work, so FM only mops up the
+// local moves batch independence forbade, while the repair stages keep
+// their full pass budget. Every
+// stage is RNG-free and deterministic. cy.abandon is polled between
+// stages: once it fires the remaining stages are skipped (the caller is
+// about to discard the whole cycle). cy.Parts is only read.
+func runPipeline(cy *Cycle, ws *arena.Workspace, pl int, batch bool) (*pstate.State, refineWin, *BatchTrace) {
+	cfg := cy.Cfg
+	tracing := cy.trace != nil
+	win := refineWin{pipeline: pl, score: math.Inf(1)}
+	s, err := pstate.NewWS(ws, cy.CSR, cy.Parts, cfg.stateConfig(cy.Parts))
+	if err != nil {
+		return nil, win, nil
+	}
+	var bt *BatchTrace
+	fmPasses := cfg.RefinePasses
+	if batch {
+		opts := refine.BatchOptions{
+			Pool:   cfg.Pool,
+			Record: tracing,
+		}
+		if chaos.Enabled() {
+			opts.PreApply = func(round, cands int) {
+				if err := chaos.Inject(batchApplyPoint); err != nil {
+					// Error-kind injections at a mid-apply boundary cannot
+					// be "returned" — the pass has no error path by design
+					// — so they escalate to the same isolation as a panic.
+					panic(err)
+				}
+			}
+		}
+		st := refine.BatchKWay(ws, s, opts)
+		if tracing {
+			bt = &BatchTrace{
+				Rounds:      st.Rounds,
+				Moves:       st.Moves,
+				RoundSizes:  st.RoundSizes,
+				RoundGains:  st.RoundGains,
+				RoundCands:  st.RoundCands,
+				RoundQuotas: st.RoundQuotas,
+			}
+		}
+		win.pipeline = -1
+		fmPasses = 2
+	}
+	for si, stage := range pipelines[pl] {
+		if si > 0 && cy.abandon() {
+			break
+		}
+		passes := cfg.RefinePasses
+		if si == 0 {
+			passes = fmPasses
+		}
+		fm := stage(s, ws, passes)
+		win.fmPasses += fm.Passes
+		win.fmMoves += fm.Moves
+	}
+	win.score = s.Score()
 	if tracing {
 		win.extra.cut = s.Cut()
 		win.extra.bwExcess, win.extra.resExcess, _ = s.Excess()
 	}
-	return win
+	return s, win, bt
 }
 
 // bestRefinement runs every pipeline concurrently, each on its own
 // partition state built from the projected partition, writes the
-// goodness-best outcome back into parts, and returns the winning
-// candidate's description. Every stage is RNG-free and deterministic,
-// each candidate is scored from its own state (a pure function of the
-// candidate, so concurrency cannot change the values), and the reduction
-// scans candidates in pipeline order with strict-improvement selection
-// (ties keep the earlier pipeline) — bit-identical to the serial loop.
+// goodness-best outcome back into cy.Parts, and returns the winning
+// candidate's description. Each candidate is scored from its own state (a
+// pure function of the candidate, so concurrency cannot change the
+// values), and the reduction scans candidates in pipeline order with
+// strict-improvement selection (ties keep the earlier pipeline) —
+// bit-identical to the serial loop.
 //
-// Pipeline i draws its state and scratch from ws.Child(i), so repeated
+// Pipeline i draws its state and scratch from cy.WS.Child(i), so repeated
 // levels and cycles on the same workspace reuse the same per-pipeline
-// buffers. abandon, when non-nil, is polled between stages: once it fires
-// the pipeline skips its remaining stages (the caller is about to discard
-// the whole cycle). tracing adds cut/excess capture and FM stats to the
-// per-candidate result.
-func bestRefinement(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspace, abandon func() bool, tracing bool) refineWin {
-	type scored struct {
+// buffers.
+func bestRefinement(cy *Cycle) refineWin {
+	cands := make([]struct {
 		state *pstate.State
 		win   refineWin
-		fm    refine.Stats
-	}
-	cands := make([]scored, len(pipelines))
+	}, len(pipelines))
 	// Children must be materialized before the pool tasks fork: Child
 	// appends to the parent's child list on first use.
 	children := make([]*arena.Workspace, len(pipelines))
 	for i := range pipelines {
-		children[i] = ws.Child(i)
+		children[i] = cy.WS.Child(i)
 	}
-	stCfg := cfg.stateConfig(parts)
-	cfg.Pool.Run(len(pipelines), func(i int) {
-		pl, pws := pipelines[i], children[i]
-		cands[i].win = refineWin{pipeline: i, score: math.Inf(1)}
-		s, err := pstate.NewWS(pws, csr, parts, stCfg)
-		if err != nil {
-			return
-		}
-		var fm *refine.Stats
-		if tracing {
-			fm = &cands[i].fm
-		}
-		for si, stage := range pl {
-			if si > 0 && abandon != nil && abandon() {
-				break
-			}
-			stage(s, cfg, pws, fm)
-		}
-		cands[i].state = s
-		cands[i].win = scoreWin(s, i, tracing)
+	cy.Cfg.Pool.Run(len(pipelines), func(i int) {
+		cands[i].state, cands[i].win, _ = runPipeline(cy, children[i], i, false)
 	})
 	best := 0
 	for i := 1; i < len(cands); i++ {
@@ -440,16 +422,13 @@ func bestRefinement(csr *graph.CSR, parts []int, cfg *Config, ws *arena.Workspac
 			best = i
 		}
 	}
-	win := cands[best].win
-	win.fmPasses = cands[best].fm.Passes
-	win.fmMoves = cands[best].fm.Moves
 	if s := cands[best].state; s != nil {
-		copy(parts, s.Parts())
+		copy(cy.Parts, s.Parts())
 	}
-	for i := range cands {
-		if s := cands[i].state; s != nil {
-			s.Release(children[i])
+	for i, c := range cands {
+		if c.state != nil {
+			c.state.Release(children[i])
 		}
 	}
-	return win
+	return cands[best].win
 }

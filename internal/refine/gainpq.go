@@ -38,12 +38,6 @@ func newGainPQ(n int) *gainPQ {
 
 func (pq *gainPQ) Len() int { return len(pq.heap) }
 
-// Contains reports whether u is in the queue.
-func (pq *gainPQ) Contains(u graph.Node) bool { return pq.pos[u] >= 0 }
-
-// Gain returns the current key of u (meaningful only if Contains(u)).
-func (pq *gainPQ) Gain(u graph.Node) int64 { return pq.gain[u] }
-
 // less orders the heap: higher gain first, then lower id.
 func (pq *gainPQ) less(i, j int) bool {
 	gi, gj := pq.gain[pq.heap[i]], pq.gain[pq.heap[j]]
@@ -130,12 +124,6 @@ func (pq *gainPQ) Pop() (graph.Node, int64) {
 	g := pq.gain[u]
 	pq.Remove(u)
 	return u, g
-}
-
-// Peek returns the max-gain node without removal.
-func (pq *gainPQ) Peek() (graph.Node, int64) {
-	u := pq.heap[0]
-	return u, pq.gain[u]
 }
 
 // Remove deletes u from the queue if present.

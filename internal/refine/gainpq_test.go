@@ -2,6 +2,7 @@ package refine
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -16,13 +17,9 @@ func TestGainPQBasicOrdering(t *testing.T) {
 	if pq.Len() != 3 {
 		t.Fatalf("Len = %d", pq.Len())
 	}
-	u, g := pq.Peek()
+	u, g := pq.Pop()
 	if u != 1 || g != 30 {
-		t.Fatalf("Peek = %d/%d, want 1/30", u, g)
-	}
-	u, g = pq.Pop()
-	if u != 1 || g != 30 {
-		t.Fatalf("Pop = %d/%d", u, g)
+		t.Fatalf("Pop = %d/%d, want 1/30", u, g)
 	}
 	u, _ = pq.Pop()
 	if u != 2 {
@@ -48,29 +45,51 @@ func TestGainPQTieBreaksByLowerID(t *testing.T) {
 	}
 }
 
+// peekByPop reads the max-gain entry through Pop and pushes it back,
+// leaving the queue's contents unchanged.
+func peekByPop(pq *gainPQ) (graph.Node, int64) {
+	u, g := pq.Pop()
+	pq.Push(u, g)
+	return u, g
+}
+
+// drainPQ pops every entry, highest gain (then lowest id) first.
+func drainPQ(pq *gainPQ) [][2]int64 {
+	var out [][2]int64
+	for pq.Len() > 0 {
+		u, g := pq.Pop()
+		out = append(out, [2]int64{int64(u), g})
+	}
+	return out
+}
+
 func TestGainPQUpdateAndAdjust(t *testing.T) {
 	pq := newGainPQ(4)
 	pq.Push(0, 1)
 	pq.Push(1, 2)
 	pq.Update(0, 100)
-	if u, g := pq.Peek(); u != 0 || g != 100 {
-		t.Fatalf("after Update Peek = %d/%d", u, g)
+	if u, g := peekByPop(pq); u != 0 || g != 100 {
+		t.Fatalf("after Update top = %d/%d", u, g)
 	}
 	pq.Adjust(1, 200) // 2 + 200 = 202
-	if u, g := pq.Peek(); u != 1 || g != 202 {
-		t.Fatalf("after Adjust Peek = %d/%d", u, g)
+	if u, g := peekByPop(pq); u != 1 || g != 202 {
+		t.Fatalf("after Adjust top = %d/%d", u, g)
 	}
 	pq.Adjust(3, 50) // absent: no-op
-	if pq.Contains(3) {
+	if pq.Len() != 2 {
 		t.Fatal("Adjust inserted absent node")
 	}
 	pq.Update(3, 5) // absent: inserts
-	if !pq.Contains(3) || pq.Gain(3) != 5 {
+	if pq.Len() != 3 {
 		t.Fatal("Update on absent node should insert")
 	}
 	pq.Push(1, 1) // present: updates key downward
-	if pq.Gain(1) != 1 {
-		t.Fatal("Push on present node should update")
+	if pq.Len() != 3 {
+		t.Fatal("Push on present node should update, not insert")
+	}
+	want := [][2]int64{{0, 100}, {3, 5}, {1, 1}}
+	if got := drainPQ(pq); !reflect.DeepEqual(got, want) {
+		t.Fatalf("drain = %v, want %v", got, want)
 	}
 }
 
@@ -80,13 +99,17 @@ func TestGainPQRemove(t *testing.T) {
 		pq.Push(graph.Node(i), int64(i))
 	}
 	pq.Remove(4) // max
-	if u, _ := pq.Peek(); u != 3 {
-		t.Fatalf("after removing max, Peek = %d, want 3", u)
+	if u, _ := peekByPop(pq); u != 3 {
+		t.Fatalf("after removing max, top = %d, want 3", u)
 	}
 	pq.Remove(0)
 	pq.Remove(0) // double remove is a no-op
 	if pq.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", pq.Len())
+	}
+	want := [][2]int64{{3, 3}, {2, 2}, {1, 1}}
+	if got := drainPQ(pq); !reflect.DeepEqual(got, want) {
+		t.Fatalf("drain = %v, want %v", got, want)
 	}
 }
 
