@@ -71,10 +71,10 @@ func TestDeterminismBaselineGoldens(t *testing.T) {
 			return res.Parts, nil
 		}},
 		{"recursive-bisect/k5", "cc16936401be667632e03217f7c083ba6e89700e5605784d4c3c8490b64207f8", func() ([]int, error) {
-			return initpart.RecursiveBisect(large, 5, rand.New(rand.NewSource(11)))
+			return initpart.RecursiveBisect(large.ToCSR(), 5, rand.New(rand.NewSource(11)))
 		}},
 		{"spectral/k4", "cc81310516034728549507f5029d9847361e792460103699eb651bc5406d876b", func() ([]int, error) {
-			return initpart.SpectralKWay(mk(200, 600, 8), 4, rand.New(rand.NewSource(12)))
+			return initpart.SpectralKWay(mk(200, 600, 8).ToCSR(), 4, rand.New(rand.NewSource(12)))
 		}},
 	}
 	for _, c := range cases {

@@ -12,7 +12,6 @@ import (
 	"ppnpart/internal/graph"
 	"ppnpart/internal/match"
 	"ppnpart/internal/metrics"
-	"ppnpart/internal/refine"
 )
 
 // newRand builds a deterministic source for the harness.
@@ -162,10 +161,10 @@ type polishStrategy struct {
 var polishStrategies = []polishStrategy{
 	{"polish-none", nil},
 	{"polish-tabu", func(csr *graph.CSR, parts []int, k int, c metrics.Constraints, _ int64) {
-		refine.TabuSearchCSR(csr, parts, k, c, refine.TabuOptions{})
+		tabuSearch(csr, parts, k, c)
 	}},
 	{"polish-anneal", func(csr *graph.CSR, parts []int, k int, c metrics.Constraints, seed int64) {
-		refine.AnnealCSR(csr, parts, k, c, refine.AnnealOptions{}, rand.New(rand.NewSource(seed^0x5DEECE66D)))
+		anneal(csr, parts, k, c, rand.New(rand.NewSource(seed^0x5DEECE66D)))
 	}},
 }
 

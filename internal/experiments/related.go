@@ -71,7 +71,7 @@ func RunRelated() ([]RelatedRow, error) {
 		eval("METIS-like", base.Parts, base.Runtime)
 
 		t0 := time.Now()
-		spec, err := initpart.SpectralKWay(w.g, w.k, rand.New(rand.NewSource(1)))
+		spec, err := initpart.SpectralKWay(w.g.ToCSR(), w.k, rand.New(rand.NewSource(1)))
 		if err != nil {
 			return nil, err
 		}

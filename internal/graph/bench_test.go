@@ -61,11 +61,3 @@ func BenchmarkEdgesEnumeration(b *testing.B) {
 		_ = g.Edges()
 	}
 }
-
-func BenchmarkBFSOrder(b *testing.B) {
-	g := benchGraph(10000, 30000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.BFSOrder(0)
-	}
-}

@@ -96,3 +96,89 @@ func (c *CSR) ToGraph() *Graph {
 	}
 	return g
 }
+
+// InducedSubgraph returns the CSR induced by nodes: node i of the result
+// is nodes[i], and an edge survives when both its ends are listed. Row i
+// lists its lower-id neighbors in ascending id order, then its higher
+// ones in c's row order. Those are the rows a Graph snapshot gives when
+// each edge {i, j}, i < j, is added to it for i ascending and, within
+// one i, in c's row order. local is scratch with one entry per node of
+// c; it must be all zero and is left all zero. Hyperedges are not
+// carried over.
+func (c *CSR) InducedSubgraph(nodes []Node, local []int32) *CSR {
+	m := len(nodes)
+	sub := &CSR{XAdj: make([]int32, m+1), NodeW: make([]int64, m)}
+	for i, u := range nodes {
+		local[u] = int32(i + 1)
+		sub.NodeW[i] = c.NodeW[u]
+		sub.NodeWT += c.NodeW[u]
+	}
+	for i, u := range nodes {
+		adj, _ := c.Row(u)
+		for _, v := range adj {
+			if local[v] != 0 {
+				sub.XAdj[i+1]++
+			}
+		}
+	}
+	for i := 1; i <= m; i++ {
+		sub.XAdj[i] += sub.XAdj[i-1]
+	}
+	sub.Adj = make([]Node, sub.XAdj[m])
+	sub.AdjW = make([]int64, sub.XAdj[m])
+	// XAdj[i] serves as row i's fill cursor, which leaves it at row i's
+	// end; the shift below restores the row starts.
+	for i, u := range nodes {
+		adj, wts := c.Row(u)
+		for k, v := range adj {
+			j := local[v] - 1
+			if j <= int32(i) {
+				continue // not listed, or filled in from row j already
+			}
+			sub.Adj[sub.XAdj[i]], sub.AdjW[sub.XAdj[i]] = Node(j), wts[k]
+			sub.XAdj[i]++
+			sub.Adj[sub.XAdj[j]], sub.AdjW[sub.XAdj[j]] = Node(i), wts[k]
+			sub.XAdj[j]++
+			sub.EdgeWT += wts[k]
+		}
+	}
+	copy(sub.XAdj[1:], sub.XAdj[:m])
+	sub.XAdj[0] = 0
+	for _, u := range nodes {
+		local[u] = 0
+	}
+	return sub
+}
+
+// BFSOrder returns the nodes in breadth-first order from start, each
+// row walked in order, then every unreached component from its lowest
+// node on.
+func (c *CSR) BFSOrder(start Node) []Node {
+	n := c.NumNodes()
+	order := make([]Node, 0, n)
+	if n == 0 {
+		return order
+	}
+	visited := make([]bool, n)
+	visit := func(u Node) {
+		visited[u] = true
+		order = append(order, u)
+	}
+	visit(start)
+	next := 0 // no node below next is unvisited
+	for head := 0; head < n; head++ {
+		if head == len(order) {
+			for visited[next] {
+				next++
+			}
+			visit(Node(next))
+		}
+		adj, _ := c.Row(order[head])
+		for _, v := range adj {
+			if !visited[v] {
+				visit(v)
+			}
+		}
+	}
+	return order
+}

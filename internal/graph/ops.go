@@ -49,30 +49,6 @@ func (g *Graph) IsConnected() bool {
 	return k == 1
 }
 
-// InducedSubgraph returns the subgraph induced by the given nodes together
-// with the mapping old→new. Nodes absent from the list are dropped along
-// with their incident edges. The order of nodes determines new ids.
-func (g *Graph) InducedSubgraph(nodes []Node) (*Graph, map[Node]Node) {
-	remap := make(map[Node]Node, len(nodes))
-	w := make([]int64, len(nodes))
-	for i, u := range nodes {
-		remap[u] = Node(i)
-		w[i] = g.nodeWeights[u]
-	}
-	sub := NewWithWeights(w)
-	for i, u := range nodes {
-		if name := g.Name(u); name != "" {
-			sub.SetName(Node(i), name)
-		}
-		for _, h := range g.adj[u] {
-			if v, ok := remap[h.To]; ok && Node(i) < v {
-				sub.MustAddEdge(Node(i), v, h.Weight)
-			}
-		}
-	}
-	return sub, remap
-}
-
 // Quotient collapses the graph according to a block assignment: all nodes
 // with the same block id become one coarse node whose weight is the sum of
 // its members; edges between blocks fold together with summed weights;
@@ -124,79 +100,4 @@ func (g *Graph) Quotient(blocks []int, k int) (*Graph, error) {
 		q.MustAddEdge(Node(p.a), Node(p.b), acc[p])
 	}
 	return q, nil
-}
-
-// Permute relabels nodes by perm (new id of old node u is perm[u]) and
-// returns the relabeled graph. perm must be a bijection on [0, n).
-func (g *Graph) Permute(perm []Node) (*Graph, error) {
-	n := g.NumNodes()
-	if len(perm) != n {
-		return nil, fmt.Errorf("graph: perm length %d != nodes %d", len(perm), n)
-	}
-	seen := make([]bool, n)
-	for _, p := range perm {
-		if int(p) < 0 || int(p) >= n || seen[p] {
-			return nil, fmt.Errorf("graph: perm is not a bijection")
-		}
-		seen[p] = true
-	}
-	w := make([]int64, n)
-	for u := 0; u < n; u++ {
-		w[perm[u]] = g.nodeWeights[u]
-	}
-	out := NewWithWeights(w)
-	for u := 0; u < n; u++ {
-		if name := g.Name(Node(u)); name != "" {
-			out.SetName(perm[u], name)
-		}
-		for _, h := range g.adj[u] {
-			if Node(u) < h.To {
-				out.MustAddEdge(perm[u], perm[h.To], h.Weight)
-			}
-		}
-	}
-	return out, nil
-}
-
-// BFSOrder returns nodes in breadth-first order from the given start,
-// visiting unreached components afterwards in node order. Used by the
-// bandwidth-reducing node orderings in the initial partitioner.
-func (g *Graph) BFSOrder(start Node) []Node {
-	n := g.NumNodes()
-	order := make([]Node, 0, n)
-	visited := make([]bool, n)
-	queue := make([]Node, 0, n)
-	enqueue := func(u Node) {
-		visited[u] = true
-		queue = append(queue, u)
-	}
-	if n == 0 {
-		return order
-	}
-	enqueue(start)
-	for s := 0; ; s++ {
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			order = append(order, u)
-			for _, h := range g.adj[u] {
-				if !visited[h.To] {
-					enqueue(h.To)
-				}
-			}
-		}
-		// find next unvisited node, if any
-		found := false
-		for u := 0; u < n; u++ {
-			if !visited[u] {
-				enqueue(Node(u))
-				found = true
-				break
-			}
-		}
-		if !found {
-			break
-		}
-	}
-	return order
 }

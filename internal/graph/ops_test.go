@@ -44,37 +44,6 @@ func TestIsConnectedTrivial(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := NewWithWeights([]int64{1, 2, 3, 4})
-	g.SetName(2, "keep")
-	g.MustAddEdge(0, 1, 10)
-	g.MustAddEdge(1, 2, 20)
-	g.MustAddEdge(2, 3, 30)
-	g.MustAddEdge(0, 3, 40)
-	sub, remap := g.InducedSubgraph([]Node{1, 2, 3})
-	if sub.NumNodes() != 3 {
-		t.Fatalf("sub nodes = %d, want 3", sub.NumNodes())
-	}
-	if sub.NumEdges() != 2 {
-		t.Fatalf("sub edges = %d, want 2 ({1,2},{2,3})", sub.NumEdges())
-	}
-	if sub.EdgeWeight(remap[1], remap[2]) != 20 {
-		t.Fatal("edge {1,2} weight lost")
-	}
-	if sub.EdgeWeight(remap[2], remap[3]) != 30 {
-		t.Fatal("edge {2,3} weight lost")
-	}
-	if sub.NodeWeight(remap[3]) != 4 {
-		t.Fatal("node weight lost")
-	}
-	if sub.Name(remap[2]) != "keep" {
-		t.Fatal("name lost")
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
 func TestQuotientBasic(t *testing.T) {
 	// Square 0-1-2-3 with equal weights; blocks {0,1} and {2,3}.
 	g := NewWithWeights([]int64{1, 2, 3, 4})
@@ -104,63 +73,6 @@ func TestQuotientErrors(t *testing.T) {
 	}
 	if _, err := g.Quotient([]int{0, 1, 5}, 2); err == nil {
 		t.Fatal("out-of-range block accepted")
-	}
-}
-
-func TestPermute(t *testing.T) {
-	g := NewWithWeights([]int64{10, 20, 30})
-	g.SetName(0, "zero")
-	g.MustAddEdge(0, 1, 7)
-	perm := []Node{2, 0, 1} // old 0 -> new 2, old 1 -> new 0, old 2 -> new 1
-	p, err := g.Permute(perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NodeWeight(2) != 10 || p.NodeWeight(0) != 20 || p.NodeWeight(1) != 30 {
-		t.Fatal("permuted node weights wrong")
-	}
-	if p.EdgeWeight(2, 0) != 7 {
-		t.Fatal("permuted edge lost")
-	}
-	if p.Name(2) != "zero" {
-		t.Fatal("permuted name lost")
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
-func TestPermuteRejectsNonBijection(t *testing.T) {
-	g := New(3)
-	if _, err := g.Permute([]Node{0, 0, 1}); err == nil {
-		t.Fatal("duplicate perm accepted")
-	}
-	if _, err := g.Permute([]Node{0, 1}); err == nil {
-		t.Fatal("short perm accepted")
-	}
-	if _, err := g.Permute([]Node{0, 1, 7}); err == nil {
-		t.Fatal("out-of-range perm accepted")
-	}
-}
-
-func TestBFSOrderCoversAllNodes(t *testing.T) {
-	g := New(5)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	// 3, 4 disconnected
-	order := g.BFSOrder(1)
-	if len(order) != 5 {
-		t.Fatalf("BFS order covers %d nodes, want 5", len(order))
-	}
-	if order[0] != 1 {
-		t.Fatalf("BFS order starts at %d, want 1", order[0])
-	}
-	seen := make(map[Node]bool)
-	for _, u := range order {
-		if seen[u] {
-			t.Fatalf("node %d visited twice", u)
-		}
-		seen[u] = true
 	}
 }
 
@@ -201,47 +113,6 @@ func TestPropertyQuotientPreservesTotals(t *testing.T) {
 		return q.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyPermuteRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		g := randomGraph(rng, n, rng.Intn(60))
-		perm := make([]Node, n)
-		inv := make([]Node, n)
-		order := rng.Perm(n)
-		for i, p := range order {
-			perm[i] = Node(p)
-			inv[p] = Node(i)
-		}
-		p1, err := g.Permute(perm)
-		if err != nil {
-			return false
-		}
-		back, err := p1.Permute(inv)
-		if err != nil {
-			return false
-		}
-		ge, be := g.Edges(), back.Edges()
-		if len(ge) != len(be) {
-			return false
-		}
-		for i := range ge {
-			if ge[i] != be[i] {
-				return false
-			}
-		}
-		for u := 0; u < n; u++ {
-			if g.NodeWeight(Node(u)) != back.NodeWeight(Node(u)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -22,23 +22,29 @@ func BenchmarkGreedyGrow(b *testing.B) {
 	}
 }
 
+// BenchmarkRecursiveBisect seeds a 4-way partition of a random 200-node
+// graph, the coarsest-graph scale mlkp seeds at; cut pins the seeding.
 func BenchmarkRecursiveBisect(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnected(rng, 200)
+	csr := g.ToCSR()
 	b.ResetTimer()
+	var parts []int
 	for i := 0; i < b.N; i++ {
-		if _, err := RecursiveBisect(g, 4, rand.New(rand.NewSource(2))); err != nil {
+		var err error
+		if parts, err = RecursiveBisect(csr, 4, rand.New(rand.NewSource(2))); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(metrics.EdgeCut(g, parts)), "cut")
 }
 
 func BenchmarkSpectralBisect(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 200)
+	csr := randomConnected(rng, 200).ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SpectralBisect(g, rand.New(rand.NewSource(2))); err != nil {
+		if _, err := SpectralBisect(csr, rand.New(rand.NewSource(2))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,9 +52,9 @@ func BenchmarkSpectralBisect(b *testing.B) {
 
 func BenchmarkFiedlerVector(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 500)
+	csr := randomConnected(rng, 500).ToCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = FiedlerVector(g, rand.New(rand.NewSource(2)))
+		_ = FiedlerVector(csr, rand.New(rand.NewSource(2)))
 	}
 }

@@ -125,7 +125,7 @@ func TestRebalanceToIdealMorePartsThanLiveOnes(t *testing.T) {
 	for i := range parts {
 		parts[i] = i % 2
 	}
-	rebalanceToIdeal(new(arena.Workspace), g, parts, k)
+	rebalanceToIdeal(new(arena.Workspace), g.ToCSR(), parts, k)
 	if err := metrics.Validate(g, parts, k); err != nil {
 		t.Fatalf("rebalance broke the assignment: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestRebalanceToIdealAllEqualWeights(t *testing.T) {
 	}
 	// Heavily skewed start: everything in part 0.
 	parts := make([]int, n)
-	rebalanceToIdeal(new(arena.Workspace), g, parts, k)
+	rebalanceToIdeal(new(arena.Workspace), g.ToCSR(), parts, k)
 	if err := metrics.Validate(g, parts, k); err != nil {
 		t.Fatalf("rebalance broke the assignment: %v", err)
 	}

@@ -9,6 +9,7 @@ package initpart
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"ppnpart/internal/arena"
@@ -452,23 +453,23 @@ func RandomPartitionWS(ws *arena.Workspace, csr *graph.CSR, k int, rng *rand.Ran
 	return parts, nil
 }
 
-// RecursiveBisect produces a k-way partition by recursive FM-refined
-// bisection — the METIS-style initial partitioner. Parts are balanced by
-// resources. k need not be a power of two: each split allocates part ids
-// proportionally.
-func RecursiveBisect(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
-	return recursiveKWay(g, k, rng, growBisection)
+// RecursiveBisect produces a k-way partition of csr by recursive
+// FM-refined bisection — the METIS-style initial partitioner. Parts are
+// balanced by resources. k need not be a power of two: each split
+// allocates part ids proportionally.
+func RecursiveBisect(csr *graph.CSR, k int, rng *rand.Rand) ([]int, error) {
+	return recursiveKWay(csr, k, rng, growBisection)
 }
 
 // bisector splits a subgraph into sides 0 and 1, aiming for targetLeft
 // resources on side 0.
-type bisector func(sub *graph.Graph, targetLeft int64, rng *rand.Rand) []int
+type bisector func(sub *graph.CSR, targetLeft int64, rng *rand.Rand) []int
 
 // recursiveKWay is the k-way recursion shared by RecursiveBisect and
 // SpectralKWay: bisect splits every induced subgraph, FM cleans up each
 // split, and the result is repaired for empty parts and rebalanced.
-func recursiveKWay(g *graph.Graph, k int, rng *rand.Rand, bisect bisector) ([]int, error) {
-	n := g.NumNodes()
+func recursiveKWay(csr *graph.CSR, k int, rng *rand.Rand, bisect bisector) ([]int, error) {
+	n := csr.NumNodes()
 	if k <= 0 {
 		return nil, fmt.Errorf("initpart: K = %d must be positive", k)
 	}
@@ -482,17 +483,21 @@ func recursiveKWay(g *graph.Graph, k int, rng *rand.Rand, bisect bisector) ([]in
 	for i := range nodes {
 		nodes[i] = graph.Node(i)
 	}
-	recursiveSplit(ws, g, nodes, 0, k, parts, rng, bisect)
-	fixEmptyParts(g.NodeWeights(), parts, k, rng)
-	rebalanceToIdeal(ws, g, parts, k)
+	// One local-id table serves every split's InducedSubgraph, which
+	// leaves it zeroed.
+	local := ws.Int32s.Get(n)
+	recursiveSplit(ws, csr, local, nodes, 0, k, parts, rng, bisect)
+	ws.Int32s.Put(local)
+	fixEmptyParts(csr.NodeW, parts, k, rng)
+	rebalanceToIdeal(ws, csr, parts, k)
 	return parts, nil
 }
 
 // rebalanceToIdeal drives every part under ideal-share-plus-one-node,
 // the balance a k-way seeder is expected to deliver.
-func rebalanceToIdeal(ws *arena.Workspace, g *graph.Graph, parts []int, k int) {
-	bound := g.TotalNodeWeight()/int64(k) + g.MaxNodeWeight()
-	s, err := pstate.NewWS(ws, g.ToCSR(), parts, pstate.Config{K: k, Constraints: metrics.Constraints{Rmax: bound}})
+func rebalanceToIdeal(ws *arena.Workspace, csr *graph.CSR, parts []int, k int) {
+	bound := csr.NodeWT/int64(k) + slices.Max(csr.NodeW)
+	s, err := pstate.NewWS(ws, csr, parts, pstate.Config{K: k, Constraints: metrics.Constraints{Rmax: bound}})
 	if err != nil {
 		return
 	}
@@ -503,7 +508,7 @@ func rebalanceToIdeal(ws *arena.Workspace, g *graph.Graph, parts []int, k int) {
 
 // recursiveSplit splits the node set into kLeft+kRight shares and
 // recurses; base case assigns the whole set to one part id.
-func recursiveSplit(ws *arena.Workspace, g *graph.Graph, nodes []graph.Node, firstPart, k int, parts []int, rng *rand.Rand, bisect bisector) {
+func recursiveSplit(ws *arena.Workspace, csr *graph.CSR, local []int32, nodes []graph.Node, firstPart, k int, parts []int, rng *rand.Rand, bisect bisector) {
 	if k == 1 {
 		for _, u := range nodes {
 			parts[u] = firstPart
@@ -512,15 +517,14 @@ func recursiveSplit(ws *arena.Workspace, g *graph.Graph, nodes []graph.Node, fir
 	}
 	kLeft := k / 2
 	kRight := k - kLeft
-	sub, _ := g.InducedSubgraph(nodes)
+	sub := csr.InducedSubgraph(nodes, local)
 	// Target share of resources proportional to part counts.
-	total := sub.TotalNodeWeight()
+	total := sub.NodeWT
 	targetLeft := total * int64(kLeft) / int64(k)
 	bi := bisect(sub, targetLeft, rng)
 	// Refine with FM under a resource bound with slack.
-	slack := sub.MaxNodeWeight()
-	bound := maxI64(targetLeft, total-targetLeft) + slack
-	refine.FMBisectWS(ws, sub.ToCSR(), bi, bound, 6)
+	bound := max(targetLeft, total-targetLeft) + slices.Max(sub.NodeW)
+	refine.FMBisectWS(ws, sub, bi, bound, 6)
 	var left, right []graph.Node
 	for i, u := range nodes {
 		if bi[i] == 0 {
@@ -538,14 +542,14 @@ func recursiveSplit(ws *arena.Workspace, g *graph.Graph, nodes []graph.Node, fir
 		right = append(right, left[len(left)-1])
 		left = left[:len(left)-1]
 	}
-	recursiveSplit(ws, g, left, firstPart, kLeft, parts, rng, bisect)
-	recursiveSplit(ws, g, right, firstPart+kLeft, kRight, parts, rng, bisect)
+	recursiveSplit(ws, csr, local, left, firstPart, kLeft, parts, rng, bisect)
+	recursiveSplit(ws, csr, local, right, firstPart+kLeft, kRight, parts, rng, bisect)
 }
 
 // growBisection seeds side 0 from a random node and BFS-grows it until the
 // resource target is reached; remainder is side 1.
-func growBisection(g *graph.Graph, targetLeft int64, rng *rand.Rand) []int {
-	n := g.NumNodes()
+func growBisection(sub *graph.CSR, targetLeft int64, rng *rand.Rand) []int {
+	n := sub.NumNodes()
 	parts := make([]int, n)
 	for i := range parts {
 		parts[i] = 1
@@ -554,7 +558,7 @@ func growBisection(g *graph.Graph, targetLeft int64, rng *rand.Rand) []int {
 		return parts
 	}
 	start := graph.Node(rng.Intn(n))
-	order := g.BFSOrder(start)
+	order := sub.BFSOrder(start)
 	var acc int64
 	placed := 0
 	for _, u := range order {
@@ -562,7 +566,7 @@ func growBisection(g *graph.Graph, targetLeft int64, rng *rand.Rand) []int {
 			break
 		}
 		parts[u] = 0
-		acc += g.NodeWeight(u)
+		acc += sub.NodeW[u]
 		placed++
 	}
 	// Both sides must be non-empty.
@@ -570,11 +574,4 @@ func growBisection(g *graph.Graph, targetLeft int64, rng *rand.Rand) []int {
 		parts[order[n-1]] = 1
 	}
 	return parts
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -158,7 +158,7 @@ func TestRecursiveBisectBalancedAndValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, k := range []int{2, 3, 4, 5, 7, 8} {
 		g := randomConnected(rng, 80)
-		parts, err := RecursiveBisect(g, k, rng)
+		parts, err := RecursiveBisect(g.ToCSR(), k, rng)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -187,7 +187,7 @@ func TestRecursiveBisectSeparatesClusters(t *testing.T) {
 	}
 	g.MustAddEdge(0, 10, 1)
 	rng := rand.New(rand.NewSource(10))
-	parts, err := RecursiveBisect(g, 2, rng)
+	parts, err := RecursiveBisect(g.ToCSR(), 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSpectralBisectSeparatesClusters(t *testing.T) {
 	}
 	g.MustAddEdge(3, 11, 1)
 	rng := rand.New(rand.NewSource(11))
-	parts, err := SpectralBisect(g, rng)
+	parts, err := SpectralBisect(g.ToCSR(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSpectralBisectSeparatesClusters(t *testing.T) {
 
 func TestSpectralBisectErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	if _, err := SpectralBisect(graph.New(1), rng); err == nil {
+	if _, err := SpectralBisect(graph.New(1).ToCSR(), rng); err == nil {
 		t.Fatal("n=1 accepted")
 	}
 }
@@ -229,7 +229,7 @@ func TestSpectralBisectErrors(t *testing.T) {
 func TestFiedlerVectorOrthogonalToConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomConnected(rng, 24)
-	f := FiedlerVector(g, rng)
+	f := FiedlerVector(g.ToCSR(), rng)
 	var sum, norm float64
 	for _, v := range f {
 		sum += v
@@ -250,7 +250,7 @@ func TestFiedlerVectorSignStructureOnPath(t *testing.T) {
 		g.MustAddEdge(graph.Node(i-1), graph.Node(i), 1)
 	}
 	rng := rand.New(rand.NewSource(14))
-	f := FiedlerVector(g, rng)
+	f := FiedlerVector(g.ToCSR(), rng)
 	changes := 0
 	for i := 1; i < len(f); i++ {
 		if (f[i-1] < 0) != (f[i] < 0) {
@@ -266,7 +266,7 @@ func TestSpectralKWay(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	g := randomConnected(rng, 60)
 	for _, k := range []int{2, 3, 4, 6} {
-		parts, err := SpectralKWay(g, k, rng)
+		parts, err := SpectralKWay(g.ToCSR(), k, rng)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -277,10 +277,10 @@ func TestSpectralKWay(t *testing.T) {
 			t.Fatalf("k=%d: empty part", k)
 		}
 	}
-	if _, err := SpectralKWay(g, 0, rng); err == nil {
+	if _, err := SpectralKWay(g.ToCSR(), 0, rng); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := SpectralKWay(g, 61, rng); err == nil {
+	if _, err := SpectralKWay(g.ToCSR(), 61, rng); err == nil {
 		t.Fatal("K>n accepted")
 	}
 }
@@ -293,8 +293,8 @@ func TestPropertyAllSeedersProduceValidPartitions(t *testing.T) {
 		k := 2 + rng.Intn(5)
 		pg, err1 := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), GreedyOptions{K: k, Restarts: 3}, rng)
 		pr, err2 := RandomPartitionWS(new(arena.Workspace), g.ToCSR(), k, rng)
-		pb, err3 := RecursiveBisect(g, k, rng)
-		ps, err4 := SpectralKWay(g, k, rng)
+		pb, err3 := RecursiveBisect(g.ToCSR(), k, rng)
+		ps, err4 := SpectralKWay(g.ToCSR(), k, rng)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return false
 		}

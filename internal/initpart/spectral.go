@@ -16,12 +16,12 @@ import (
 // with deflation of the constant eigenvector — dependency-free and
 // adequate for the coarsest graphs (a few hundred nodes) where spectral
 // seeding is used. This is the Global Search comparator of §II-B.
-func SpectralBisect(g *graph.Graph, rng *rand.Rand) ([]int, error) {
-	n := g.NumNodes()
+func SpectralBisect(csr *graph.CSR, rng *rand.Rand) ([]int, error) {
+	n := csr.NumNodes()
 	if n < 2 {
 		return nil, fmt.Errorf("initpart: spectral bisection needs >= 2 nodes, have %d", n)
 	}
-	f := FiedlerVector(g, rng)
+	f := FiedlerVector(csr, rng)
 	// Split at the node-weight-weighted median of the Fiedler values.
 	idx := make([]int, n)
 	for i := range idx {
@@ -33,7 +33,7 @@ func SpectralBisect(g *graph.Graph, rng *rand.Rand) ([]int, error) {
 		}
 		return idx[a] < idx[b]
 	})
-	half := g.TotalNodeWeight() / 2
+	half := csr.NodeWT / 2
 	parts := make([]int, n)
 	var acc int64
 	placed := 0
@@ -42,7 +42,7 @@ func SpectralBisect(g *graph.Graph, rng *rand.Rand) ([]int, error) {
 			break
 		}
 		parts[u] = 0
-		acc += g.NodeWeight(graph.Node(u))
+		acc += csr.NodeW[u]
 		placed++
 	}
 	for _, u := range idx[placed:] {
@@ -58,14 +58,14 @@ func SpectralBisect(g *graph.Graph, rng *rand.Rand) ([]int, error) {
 // Laplacian L = D - A by power iteration on (cI - L), which maps the
 // smallest eigenvalues of L to the largest of the iterated operator;
 // the constant vector (eigenvalue 0) is deflated each step.
-func FiedlerVector(g *graph.Graph, rng *rand.Rand) []float64 {
-	n := g.NumNodes()
+func FiedlerVector(csr *graph.CSR, rng *rand.Rand) []float64 {
+	n := csr.NumNodes()
 	// c must exceed lambda_max(L); 2*max weighted degree is a standard
 	// upper bound (Gershgorin: lambda_max <= 2*d_max).
 	var dmax float64
 	deg := make([]float64, n)
 	for u := 0; u < n; u++ {
-		deg[u] = float64(g.WeightedDegree(graph.Node(u)))
+		deg[u] = float64(csr.WeightedDegree(graph.Node(u)))
 		if deg[u] > dmax {
 			dmax = deg[u]
 		}
@@ -83,8 +83,9 @@ func FiedlerVector(g *graph.Graph, rng *rand.Rand) []float64 {
 		// y = (cI - L) x = c·x - D·x + A·x
 		for u := 0; u < n; u++ {
 			y[u] = (c - deg[u]) * x[u]
-			for _, h := range g.Neighbors(graph.Node(u)) {
-				y[u] += float64(h.Weight) * x[h.To]
+			adj, wts := csr.Row(graph.Node(u))
+			for i, v := range adj {
+				y[u] += float64(wts[i]) * x[v]
 			}
 		}
 		x, y = y, x
@@ -127,18 +128,18 @@ func normalize(x []float64) {
 // SpectralKWay produces a k-way partition by recursive spectral bisection
 // with FM cleanup on each split, mirroring RecursiveBisect but seeded
 // spectrally.
-func SpectralKWay(g *graph.Graph, k int, rng *rand.Rand) ([]int, error) {
-	return recursiveKWay(g, k, rng, spectralBisection)
+func SpectralKWay(csr *graph.CSR, k int, rng *rand.Rand) ([]int, error) {
+	return recursiveKWay(csr, k, rng, spectralBisection)
 }
 
 // spectralBisection is SpectralKWay's bisector: a Fiedler split, or a
 // resource-halving BFS growth when the subgraph has no edges or the
 // spectral split fails. The split's resource target is left to FM.
-func spectralBisection(sub *graph.Graph, _ int64, rng *rand.Rand) []int {
+func spectralBisection(sub *graph.CSR, _ int64, rng *rand.Rand) []int {
 	if sub.NumNodes() >= 2 && sub.NumEdges() > 0 {
 		if bi, err := SpectralBisect(sub, rng); err == nil && bi != nil {
 			return bi
 		}
 	}
-	return growBisection(sub, sub.TotalNodeWeight()/2, rng)
+	return growBisection(sub, sub.NodeWT/2, rng)
 }

@@ -98,7 +98,7 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 
 	// Initial partitioning on the coarsest graph via recursive bisection.
 	coarsest := hier.Coarsest()
-	parts, err := initpart.RecursiveBisect(coarsest.ToGraph(), opts.K, rng)
+	parts, err := initpart.RecursiveBisect(coarsest, opts.K, rng)
 	if err != nil {
 		return nil, fmt.Errorf("mlkp: initial partitioning: %v", err)
 	}

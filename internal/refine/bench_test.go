@@ -10,6 +10,8 @@ import (
 	"ppnpart/internal/pstate"
 )
 
+// BenchmarkFMBisect refines an alternating bisection of a random
+// 5000-node graph under a balance bound; cut pins the moves made.
 func BenchmarkFMBisect(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnected(rng, 5000)
@@ -20,10 +22,12 @@ func BenchmarkFMBisect(b *testing.B) {
 	bound := g.TotalNodeWeight()/2 + g.MaxNodeWeight()
 	ws, csr := new(arena.Workspace), g.ToCSR()
 	b.ResetTimer()
+	var st Stats
 	for i := 0; i < b.N; i++ {
 		parts := append([]int(nil), base...)
-		FMBisectWS(ws, csr, parts, bound, 4)
+		st = FMBisectWS(ws, csr, parts, bound, 4)
 	}
+	b.ReportMetric(float64(st.CutAfter), "cut")
 }
 
 // BenchmarkKWayFM refines a round-robin 8-way start of a random
@@ -115,37 +119,5 @@ func BenchmarkRepairBandwidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, _ := pstate.New(csr, base, cfg)
 		RepairBandwidth(ws, s, 4)
-	}
-}
-
-func BenchmarkTabuSearch(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	g := randomConnected(rng, 500)
-	base := make([]int, 500)
-	for i := range base {
-		base[i] = rng.Intn(4)
-	}
-	c := metrics.Constraints{Bmax: g.TotalEdgeWeight() / 4, Rmax: g.TotalNodeWeight()}
-	csr := g.ToCSR()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts := append([]int(nil), base...)
-		TabuSearchCSR(csr, parts, 4, c, TabuOptions{Iterations: 200})
-	}
-}
-
-func BenchmarkAnneal(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomConnected(rng, 2000)
-	base := make([]int, 2000)
-	for i := range base {
-		base[i] = rng.Intn(4)
-	}
-	c := metrics.Constraints{Bmax: g.TotalEdgeWeight() / 4, Rmax: g.TotalNodeWeight()}
-	csr := g.ToCSR()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts := append([]int(nil), base...)
-		AnnealCSR(csr, parts, 4, c, AnnealOptions{Iterations: 5000}, rand.New(rand.NewSource(9)))
 	}
 }

@@ -3,6 +3,7 @@ package refine
 import (
 	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
+	"ppnpart/internal/metrics"
 	"ppnpart/internal/pstate"
 )
 
@@ -19,137 +20,110 @@ type Stats struct {
 // Improved reports whether the refinement reduced the cut.
 func (s Stats) Improved() bool { return s.CutAfter < s.CutBefore }
 
-// FMBisectWS runs Fiduccia–Mattheyses passes on a 2-way partition
-// (parts[u] ∈ {0,1}) of the CSR snapshot, mutating parts in place. Each
-// pass moves every node at most once, always taking the highest-gain
-// admissible move, allowing negative-gain moves (hill climbing), and
-// finally rolls back to the best prefix seen. maxResource bounds the
-// node-weight total of each side (<= 0: the only bound is that no side
-// may be emptied); maxPasses <= 0 defaults to 8. Terminates when a pass
-// yields no improvement. The per-pass gain and lock tables come from ws.
+// FMBisectWS runs Fiduccia–Mattheyses passes on a 2-way partition of the
+// CSR snapshot, mutating parts in place; parts must hold one entry in
+// {0,1} per node (anything else panics). Each pass moves every node at
+// most once, always taking the highest-gain admissible move, allowing
+// negative-gain moves (hill climbing), and finally rolls back to the
+// best prefix seen. maxResource bounds the node-weight total of each
+// side (<= 0: the only bound is that no side may be emptied); maxPasses
+// <= 0 defaults to 8. Terminates when a pass yields no improvement.
+//
+// The passes move nodes through one K=2 pstate.State drawn from ws:
+// gains start from s.Connectivity, s.Fits and s.Count decide
+// admissibility, and the rollback undoes the log down to the best
+// prefix. The lock table also comes from ws.
 func FMBisectWS(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource int64, maxPasses int) Stats {
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}
-	st := Stats{CutBefore: csrEdgeCut(csr, parts)}
-	cur := st.CutBefore
+	s, err := pstate.NewWS(ws, csr, parts, pstate.Config{K: 2, Constraints: metrics.Constraints{Rmax: maxResource}})
+	if err != nil {
+		panic("refine: FMBisectWS: " + err.Error())
+	}
+	n := csr.NumNodes()
+	pq := newGainPQ(n)
+	locked := ws.Bools.Get(n)
+	st := Stats{CutBefore: s.Cut()}
 	for pass := 0; pass < maxPasses; pass++ {
 		st.Passes++
-		improved, newCut, kept := fmBisectPass(ws, csr, parts, maxResource, cur)
-		cur = newCut
-		st.Moves += kept
-		if !improved {
+		startCut := s.Cut()
+		st.Moves += fmBisectPass(s, pq, locked)
+		if s.Cut() >= startCut {
 			break
 		}
 	}
-	st.CutAfter = cur
+	st.CutAfter = s.Cut()
+	copy(parts, s.Parts())
+	s.Release(ws)
+	ws.Bools.Put(locked)
 	return st
 }
 
-// fmBisectPass runs one FM pass. Returns (improved, cut after rollback,
-// moves kept).
-func fmBisectPass(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource int64, startCut int64) (bool, int64, int) {
-	n := csr.NumNodes()
-	// Side resource totals.
-	var res [2]int64
-	var cnt [2]int
-	for u := 0; u < n; u++ {
-		res[parts[u]] += csr.NodeW[u]
-		cnt[parts[u]]++
-	}
+// fmBisectPass runs one FM pass on s, leaving s at the best prefix with
+// an empty undo log, and returns the moves kept. pq must be empty;
+// locked is cleared here.
+func fmBisectPass(s *pstate.State, pq *gainPQ, locked []bool) int {
+	n := s.C.NumNodes()
 	// gain(u) = external(u) - internal(u): cut reduction if u switches side.
-	pq := newGainPQ(n)
-	gains := ws.Int64s.Get(n)
-	defer ws.Int64s.Put(gains)
 	for u := 0; u < n; u++ {
-		var ext, int_ int64
-		adj, wts := csr.Row(graph.Node(u))
-		for i, v := range adj {
-			if parts[v] == parts[u] {
-				int_ += wts[i]
-			} else {
-				ext += wts[i]
-			}
-		}
-		gains[u] = ext - int_
-		pq.Push(graph.Node(u), gains[u])
+		un := graph.Node(u)
+		conn, p := s.Connectivity(un), s.Part(un)
+		pq.Push(un, conn[1-p]-conn[p])
 	}
-	locked := ws.Bools.Get(n)
-	defer ws.Bools.Put(locked)
-	type move struct {
-		node graph.Node
-		from int
-	}
-	var seq []move
-	cut := startCut
-	bestCut := startCut
-	bestLen := 0
-
+	clear(locked)
+	bestCut, bestMoves := s.Cut(), 0
+	var skipped []graph.Node
 	for pq.Len() > 0 {
 		// Find the best admissible move: highest gain whose move does not
 		// overflow the destination or empty the source.
 		var chosen graph.Node = -1
-		var skipped []graph.Node
+		skipped = skipped[:0]
 		for pq.Len() > 0 {
 			u, _ := pq.Pop()
-			from := parts[u]
-			to := 1 - from
-			w := csr.NodeW[u]
-			overflow := maxResource > 0 && res[to]+w > maxResource
-			empties := cnt[from] == 1
-			if overflow || empties {
+			if from := s.Part(u); !s.Fits(u, 1-from) || s.Count(from) == 1 {
 				skipped = append(skipped, u)
 				continue
 			}
 			chosen = u
 			break
 		}
-		// Skipped nodes stay candidates for later (resources shift).
-		for _, s := range skipped {
-			pq.Push(s, gains[s])
+		// Skipped nodes stay candidates for later (resources shift); Pop
+		// leaves a node's key in place, so it returns with its gain.
+		for _, v := range skipped {
+			pq.Push(v, pq.gain[v])
 		}
 		if chosen < 0 {
 			break
 		}
 		u := chosen
-		from := parts[u]
-		to := 1 - from
-		cut -= gains[u]
-		parts[u] = to
-		res[from] -= csr.NodeW[u]
-		res[to] += csr.NodeW[u]
-		cnt[from]--
-		cnt[to]++
+		to := 1 - s.Part(u)
+		s.Move(u, to)
 		locked[u] = true
-		seq = append(seq, move{u, from})
-		// Update neighbor gains: for neighbor v on side s, edge {u,v}
-		// changed from internal↔external.
-		adj, wts := csr.Row(u)
+		// Update neighbor gains: edge {u,v} turned internal for a
+		// neighbor on `to` and external for one left behind.
+		adj, wts := s.C.Row(u)
 		for i, v := range adj {
 			if locked[v] {
 				continue
 			}
-			var delta int64
-			if parts[v] == to {
-				// Edge was external to v (u was opposite), now internal.
-				delta = -2 * wts[i]
+			if s.Part(v) == to {
+				pq.Adjust(v, -2*wts[i])
 			} else {
-				// Edge was internal to v's side? v is on `from`; u left it.
-				delta = 2 * wts[i]
+				pq.Adjust(v, 2*wts[i])
 			}
-			gains[v] += delta
-			pq.Adjust(v, delta)
 		}
-		if cut < bestCut {
-			bestCut = cut
-			bestLen = len(seq)
+		if s.Cut() < bestCut {
+			bestCut, bestMoves = s.Cut(), s.Moves()
 		}
 	}
-	// Roll back to the best prefix.
-	for i := len(seq) - 1; i >= bestLen; i-- {
-		parts[seq[i].node] = seq[i].from
+	// Roll back to the best prefix and leave the queue empty.
+	for s.Moves() > bestMoves {
+		s.Undo()
 	}
-	return bestCut < startCut, bestCut, bestLen
+	s.ResetLog()
+	pq.clear()
+	return bestMoves
 }
 
 // KWayFM runs greedy k-way FM refinement on s: repeated passes over the

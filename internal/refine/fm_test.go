@@ -326,3 +326,187 @@ func TestKWayFMSelectionRules(t *testing.T) {
 		t.Fatalf("stats %+v disagree with recomputed cut %d (gain 1 + 2 expected)", st, got)
 	}
 }
+
+// fmBisectReference is the bisection FM as it stood before it moved onto
+// pstate: it recounts the side totals and counts every pass, keeps its
+// own move log, rolls back by hand and sums the cut from the rows.
+// FMBisectWS must make the same moves and report the same Stats.
+func fmBisectReference(csr *graph.CSR, parts []int, maxResource int64, maxPasses int) Stats {
+	if maxPasses <= 0 {
+		maxPasses = 8
+	}
+	n := csr.NumNodes()
+	var cur int64
+	for u := 0; u < n; u++ {
+		adj, wts := csr.Row(graph.Node(u))
+		for i, v := range adj {
+			if graph.Node(u) < v && parts[u] != parts[v] {
+				cur += wts[i]
+			}
+		}
+	}
+	st := Stats{CutBefore: cur}
+	for pass := 0; pass < maxPasses; pass++ {
+		st.Passes++
+		var res [2]int64
+		var cnt [2]int
+		for u := 0; u < n; u++ {
+			res[parts[u]] += csr.NodeW[u]
+			cnt[parts[u]]++
+		}
+		pq := newGainPQ(n)
+		gains := make([]int64, n)
+		for u := 0; u < n; u++ {
+			adj, wts := csr.Row(graph.Node(u))
+			for i, v := range adj {
+				if parts[v] == parts[u] {
+					gains[u] -= wts[i]
+				} else {
+					gains[u] += wts[i]
+				}
+			}
+			pq.Push(graph.Node(u), gains[u])
+		}
+		locked := make([]bool, n)
+		type move struct {
+			node graph.Node
+			from int
+		}
+		var seq []move
+		cut, bestCut, bestLen := cur, cur, 0
+		for pq.Len() > 0 {
+			var chosen graph.Node = -1
+			var skipped []graph.Node
+			for pq.Len() > 0 {
+				u, _ := pq.Pop()
+				from := parts[u]
+				if maxResource > 0 && res[1-from]+csr.NodeW[u] > maxResource || cnt[from] == 1 {
+					skipped = append(skipped, u)
+					continue
+				}
+				chosen = u
+				break
+			}
+			for _, s := range skipped {
+				pq.Push(s, gains[s])
+			}
+			if chosen < 0 {
+				break
+			}
+			u := chosen
+			from := parts[u]
+			to := 1 - from
+			cut -= gains[u]
+			parts[u] = to
+			res[from] -= csr.NodeW[u]
+			res[to] += csr.NodeW[u]
+			cnt[from]--
+			cnt[to]++
+			locked[u] = true
+			seq = append(seq, move{u, from})
+			adj, wts := csr.Row(u)
+			for i, v := range adj {
+				if locked[v] {
+					continue
+				}
+				delta := 2 * wts[i]
+				if parts[v] == to {
+					delta = -delta
+				}
+				gains[v] += delta
+				pq.Adjust(v, delta)
+			}
+			if cut < bestCut {
+				bestCut, bestLen = cut, len(seq)
+			}
+		}
+		for i := len(seq) - 1; i >= bestLen; i-- {
+			parts[seq[i].node] = seq[i].from
+		}
+		improved := bestCut < cur
+		cur = bestCut
+		st.Moves += bestLen
+		if !improved {
+			break
+		}
+	}
+	st.CutAfter = cur
+	return st
+}
+
+// fmBisectInstance draws one differential instance: a random graph of
+// 2..81 nodes in which about a fifth of the edges weigh zero, a random
+// start or one with a single node on side 0, a side bound that is
+// disabled (zero or negative), tight (the larger starting side, or
+// below it), or loose, and 0..8 passes.
+func fmBisectInstance(rng *rand.Rand) (*graph.CSR, []int, int64, int) {
+	n := 2 + rng.Intn(80)
+	w := make([]int64, n)
+	for i := range w {
+		w[i] = int64(1 + rng.Intn(30))
+	}
+	g := graph.NewWithWeights(w)
+	edgeW := func() int64 {
+		if rng.Intn(5) == 0 {
+			return 0
+		}
+		return int64(1 + rng.Intn(20))
+	}
+	for i := 1; i < n; i++ {
+		if rng.Intn(6) != 0 {
+			g.MustAddEdge(graph.Node(rng.Intn(i)), graph.Node(i), edgeW())
+		}
+	}
+	for i := rng.Intn(3 * n); i > 0; i-- {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.MustAddEdge(graph.Node(u), graph.Node(v), edgeW())
+		}
+	}
+	parts := make([]int, n)
+	if rng.Intn(4) == 0 {
+		for i := range parts {
+			parts[i] = 1
+		}
+		parts[rng.Intn(n)] = 0
+	} else {
+		for i := range parts {
+			parts[i] = rng.Intn(2)
+		}
+	}
+	var side [2]int64
+	for u, p := range parts {
+		side[p] += w[u]
+	}
+	var bound int64
+	switch rng.Intn(5) {
+	case 0:
+		bound = 0
+	case 1:
+		bound = -int64(1 + rng.Intn(10))
+	case 2:
+		bound = max(side[0], side[1])
+	case 3:
+		bound = g.TotalNodeWeight()/2 + int64(rng.Intn(10))
+	default:
+		bound = g.TotalNodeWeight()
+	}
+	return g.ToCSR(), parts, bound, rng.Intn(9)
+}
+
+// TestFMBisectMatchesReference checks FMBisectWS against the reference
+// pass on seeded instances: the same final assignment and the same Stats,
+// with one workspace reused across instances.
+func TestFMBisectMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	ws := new(arena.Workspace)
+	for trial := 0; trial < 400; trial++ {
+		csr, parts, bound, passes := fmBisectInstance(rng)
+		want := slices.Clone(parts)
+		wantSt := fmBisectReference(csr, want, bound, passes)
+		gotSt := FMBisectWS(ws, csr, parts, bound, passes)
+		if gotSt != wantSt || !slices.Equal(parts, want) {
+			t.Fatalf("trial %d (n=%d, bound %d, passes %d): stats %+v parts %v, reference %+v parts %v",
+				trial, csr.NumNodes(), bound, passes, gotSt, parts, wantSt, want)
+		}
+	}
+}

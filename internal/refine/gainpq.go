@@ -3,11 +3,12 @@
 // greedy k-way FM variant, the batch data-parallel k-way pass, the
 // bandwidth-repair pass that drives pairwise traffic under Bmax, the
 // resource and vector rebalancing passes that drive per-part totals under
-// their caps, tabu search and annealing, and logic replication. The k-way
-// stages (KWayFM, BatchKWay, RepairBandwidth, RebalanceResources,
-// RebalanceVector) move nodes through the caller's pstate.State and
-// report what they changed; FMBisectWS, TabuSearchCSR and AnnealCSR
-// refine an assignment vector in place.
+// their caps, and logic replication. Every pass moves nodes through one
+// pstate.State, the package's single move arithmetic. The k-way stages
+// (KWayFM, BatchKWay, RepairBandwidth, RebalanceResources,
+// RebalanceVector) run on the caller's state and report what they
+// changed; FMBisectWS refines an assignment vector in place on a K=2
+// state of its own, ordering moves with the gainPQ heap below.
 package refine
 
 import "ppnpart/internal/graph"
@@ -37,6 +38,14 @@ func newGainPQ(n int) *gainPQ {
 }
 
 func (pq *gainPQ) Len() int { return len(pq.heap) }
+
+// clear empties the queue for reuse.
+func (pq *gainPQ) clear() {
+	for _, u := range pq.heap {
+		pq.pos[u] = -1
+	}
+	pq.heap = pq.heap[:0]
+}
 
 // less orders the heap: higher gain first, then lower id.
 func (pq *gainPQ) less(i, j int) bool {
