@@ -19,14 +19,25 @@
 // deterministic, so any cut increase is a real quality regression.
 //
 //	go test -bench ScaleGP -benchmem . | benchjson -baseline old.json -gate-allocs 20 -o BENCH.json
+//
+// When the -o file already exists, the run is folded into it the way
+// -write-baseline folds into the baseline: rows the run covered take the
+// new numbers and every other row is kept, so a narrowed run never
+// shrinks the trajectory file. The run's rows are renamed to the file's
+// width convention first (a run at GOMAXPROCS 2 folded into a file of
+// width-1 rows lands on the "-2" rows). The gates still judge only the
+// run's rows.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
+	"maps"
 	"os"
 	"regexp"
 	"sort"
@@ -314,7 +325,7 @@ func Gate(out *File, limits GateLimits) []string {
 func main() {
 	var (
 		baselinePath = flag.String("baseline", "", "baseline JSON to merge (computes speedups)")
-		outPath      = flag.String("o", "", "output file (default stdout)")
+		outPath      = flag.String("o", "", "output file; an existing one is folded into, not replaced (default stdout)")
 		inPath       = flag.String("i", "", "bench output to parse (default stdin)")
 		allowMissing = flag.Bool("allow-missing", false,
 			"tolerate baseline benchmarks absent from the current run (narrowed smoke runs)")
@@ -337,6 +348,39 @@ func main() {
 	}
 }
 
+// atWidth renames a run's rows to the naming of a file whose bare names
+// mean width w: the run's bare rows (its default width d) gain "-d", and
+// its "-w" rows lose that suffix. Rows at any other width keep their
+// names.
+func atWidth(rows []Entry, d, w string) []Entry {
+	if d == w || d == "" || w == "" {
+		return rows
+	}
+	out := make([]Entry, len(rows))
+	for i, e := range rows {
+		if name, ok := strings.CutSuffix(e.Name, "-"+w); ok {
+			e.Name = name
+		} else if !gomaxprocsSuffix.MatchString(e.Name) {
+			e.Name += "-" + d
+		}
+		out[i] = e
+	}
+	return out
+}
+
+// readFile loads a trajectory or baseline JSON file.
+func readFile(path string) (*File, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	f := &File{}
+	if err := json.Unmarshal(raw, f); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	return f, nil
+}
+
 func run(inPath, baselinePath, outPath, writeBaseline string, allowMissing bool, limits GateLimits) error {
 	in := io.Reader(os.Stdin)
 	if inPath != "" {
@@ -356,13 +400,8 @@ func run(inPath, baselinePath, outPath, writeBaseline string, allowMissing bool,
 	}
 	var base *File
 	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
+		if base, err = readFile(baselinePath); err != nil {
 			return err
-		}
-		base = &File{}
-		if err := json.Unmarshal(raw, base); err != nil {
-			return fmt.Errorf("baseline %s: %v", baselinePath, err)
 		}
 	}
 	out, err := Merge(entries, ctx, base, allowMissing)
@@ -372,7 +411,29 @@ func run(inPath, baselinePath, outPath, writeBaseline string, allowMissing bool,
 	if limits.active() && base == nil {
 		return fmt.Errorf("-gate-ns/-gate-allocs/-gate-cut need a -baseline to compare against")
 	}
-	enc, err := json.MarshalIndent(out, "", "  ")
+	written := out
+	if outPath != "" {
+		prev, err := readFile(outPath)
+		switch {
+		case err == nil:
+			// The file's bare names mean its own width, which need not
+			// be the run's default.
+			w := prev.Context["gomaxprocs"]
+			fctx := maps.Clone(ctx)
+			if w != "" {
+				fctx["gomaxprocs"] = w
+			}
+			folded := MergeBaseline(atWidth(entries, ctx["gomaxprocs"], w), fctx, prev)
+			// allowMissing: the fold keeps every earlier row, and the
+			// run's own coverage was checked above.
+			if written, err = Merge(folded.Benchmarks, folded.Context, base, true); err != nil {
+				return err
+			}
+		case !errors.Is(err, fs.ErrNotExist):
+			return err
+		}
+	}
+	enc, err := json.MarshalIndent(written, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -362,5 +365,108 @@ func TestGateIgnoresMissingMetrics(t *testing.T) {
 	// say even when armed.
 	if got := Gate(out, GateLimits{AllocsPct: 1, CutPct: 0}); len(got) != 0 {
 		t.Fatalf("missing metric flagged: %v", got)
+	}
+}
+
+// TestRunFoldsNarrowedRunIntoOutput pins that a narrowed run never
+// shrinks an existing -o file: the rows the run covered take the new
+// numbers, every other row is kept in place, and the gates judge only the
+// run's rows (row A's stale cut regression does not fail a -gate-cut 0
+// run that did not cover A).
+func TestRunFoldsNarrowedRunIntoOutput(t *testing.T) {
+	dir := t.TempDir()
+	writeJSON := func(name string, f *File) string {
+		t.Helper()
+		raw, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	row := func(name string, ns, cut float64) Entry {
+		return Entry{Name: name, Metrics: map[string]float64{"ns/op": ns, "cut": cut}}
+	}
+	basePath := writeJSON("base.json", &File{Benchmarks: []Entry{row("A", 100, 10), row("B", 200, 20), row("C", 300, 30)}})
+	outPath := writeJSON("out.json", &File{Benchmarks: []Entry{row("A", 110, 11), row("B", 210, 20), row("C", 310, 30)}})
+	inPath := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(inPath, []byte("BenchmarkB \t 3\t 190 ns/op\t 20 cut\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(inPath, basePath, outPath, "", true, GateLimits{CutPct: 0}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range got.Benchmarks {
+		names = append(names, e.Name)
+	}
+	if strings.Join(names, ",") != "A,B,C" {
+		t.Fatalf("folded rows = %v, want A,B,C", names)
+	}
+	if got.Benchmarks[0].Metrics["ns/op"] != 110 || got.Benchmarks[1].Metrics["ns/op"] != 190 {
+		t.Fatalf("fold kept %+v and took %+v, want A at 110 and B at 190",
+			got.Benchmarks[0], got.Benchmarks[1])
+	}
+	if got.Speedup["B"] != 200.0/190 || got.Speedup["A"] != 100.0/110 {
+		t.Fatalf("speedups %v not computed over the folded rows", got.Speedup)
+	}
+
+	// Without an existing file the output holds just the run.
+	fresh := filepath.Join(dir, "fresh.json")
+	if err := run(inPath, basePath, fresh, "", true, noGates()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = readFile(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Benchmarks) != 1 || got.Benchmarks[0].Name != "B" {
+		t.Fatalf("fresh output = %+v, want only B", got.Benchmarks)
+	}
+}
+
+// TestRunFoldKeepsTheFileWidth pins the fold across widths: a run at
+// GOMAXPROCS 2 folded into a file recorded at width 1 updates the file's
+// "-2" row, leaves the bare width-1 row alone and keeps the file's
+// gomaxprocs.
+func TestRunFoldKeepsTheFileWidth(t *testing.T) {
+	dir := t.TempDir()
+	outPath := filepath.Join(dir, "out.json")
+	raw, err := json.Marshal(&File{
+		Context: map[string]string{"gomaxprocs": "1"},
+		Benchmarks: []Entry{
+			{Name: "A", Metrics: map[string]float64{"ns/op": 100}},
+			{Name: "A-2", Metrics: map[string]float64{"ns/op": 90}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(outPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inPath := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(inPath, []byte("BenchmarkA-2 \t 3\t 80 ns/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(inPath, "", outPath, "", false, noGates()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Benchmarks) != 2 || got.Benchmarks[0].Metrics["ns/op"] != 100 ||
+		got.Benchmarks[1].Name != "A-2" || got.Benchmarks[1].Metrics["ns/op"] != 80 {
+		t.Fatalf("folded rows = %+v, want A at 100 and A-2 at 80", got.Benchmarks)
+	}
+	if got.Context["gomaxprocs"] != "1" {
+		t.Fatalf("context = %v, want the file's gomaxprocs 1", got.Context)
 	}
 }

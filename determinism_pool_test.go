@@ -15,8 +15,8 @@ import (
 )
 
 // The shared worker pool executes every parallel fan-out of a solve —
-// cycle batches, the pipeline race, batch gain sweeps, matching
-// heuristics, restream sweeps — and its width must never change a result
+// cycle batches, the pipeline race, matching heuristics, restream
+// sweeps — and its width must never change a result
 // bit: the width-1 pool is a plain serial in-order loop, so comparing
 // golden trace bytes across widths 1, 4, and 16 pins the whole solve
 // trajectory (every RNG draw, tie-break, and reduction) as

@@ -192,8 +192,7 @@ func TestDeterminismGoldenTrace(t *testing.T) {
 	// The same contract holds with batch refinement forced on: two
 	// identically-seeded batch-refined runs must serialize to
 	// byte-identical trace JSON, and the trace must actually record batch
-	// work (mode, pipeline sentinel, applied rounds) — determinism that
-	// the concurrent gain sweep is explicitly designed to preserve.
+	// work (mode, pipeline sentinel, applied rounds).
 	batchOpts := opts
 	batchOpts.Refine = engine.RefineBatch
 	runBatch := func() []byte {

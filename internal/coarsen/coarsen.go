@@ -153,21 +153,24 @@ func (l *Level) ProjectUpInto(coarseParts, fine []int) error {
 	return nil
 }
 
+const (
+	// kmeansClusters is the cluster count for the k-means matching
+	// heuristic.
+	kmeansClusters = 4
+	// minShrink aborts coarsening when a level shrinks the node count by
+	// less than this factor (guards against matching starvation on star
+	// graphs).
+	minShrink = 0.02
+)
+
 // Options configures hierarchy construction.
 type Options struct {
 	// TargetSize stops coarsening once the graph has at most this many
 	// nodes (paper default: 100).
 	TargetSize int
-	// KMeansClusters is the cluster count for the k-means matching
-	// heuristic (<= 0 defaults to 4).
-	KMeansClusters int
 	// Heuristics restricts which matchings compete at each level; nil
 	// means all three (the paper's configuration).
 	Heuristics []match.Heuristic
-	// MinShrink aborts coarsening when a level shrinks the node count by
-	// less than this factor (guards against matching starvation on star
-	// graphs). Defaults to 0.02 (2%).
-	MinShrink float64
 	// Pool executes the per-level heuristic fan-out (nil: the shared
 	// pool.Default()). The RNG chain stays one task, so the pool width
 	// cannot change any random draw.
@@ -183,14 +186,8 @@ func (o Options) withDefaults() Options {
 	if o.TargetSize <= 1 {
 		o.TargetSize = 100
 	}
-	if o.KMeansClusters <= 0 {
-		o.KMeansClusters = 4
-	}
 	if o.Heuristics == nil {
 		o.Heuristics = match.All()
-	}
-	if o.MinShrink <= 0 {
-		o.MinShrink = 0.02
 	}
 	return o
 }
@@ -223,12 +220,6 @@ func (h *Hierarchy) GraphAt(level int) *graph.CSR {
 		return h.Original
 	}
 	return h.Levels[level-1].Coarse
-}
-
-// ProjectToFinest lifts a partition of the coarsest graph all the way to
-// the original graph.
-func (h *Hierarchy) ProjectToFinest(coarseParts []int) ([]int, error) {
-	return h.ProjectTo(coarseParts, len(h.Levels), 0)
 }
 
 // ProjectTo lifts a partition at fromLevel (Depth() = coarsest, 0 =
@@ -284,7 +275,7 @@ func bestMatchingWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.R
 		tasks = append(tasks, func() {
 			// Unknown heuristics yield a nil matching and are skipped in
 			// the reduction; callers validate up front.
-			results[i], _ = match.ComputeWS(cws, h, g, opts.KMeansClusters, rng)
+			results[i], _ = match.ComputeWS(cws, h, g, kmeansClusters, rng)
 		})
 	}
 	if len(rngChain) > 0 {
@@ -293,7 +284,7 @@ func bestMatchingWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.R
 		// draws are exactly those of a serial run for any pool width.
 		tasks = append(tasks, func() {
 			for _, i := range rngChain {
-				results[i], _ = match.ComputeWS(ws, opts.Heuristics[i], g, opts.KMeansClusters, rng)
+				results[i], _ = match.ComputeWS(ws, opts.Heuristics[i], g, kmeansClusters, rng)
 			}
 		})
 	}
@@ -345,7 +336,7 @@ func BuildWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.Rand) (*
 		shrink := 1 - float64(lvl.Coarse.NumNodes())/float64(cur.NumNodes())
 		h.Levels = append(h.Levels, lvl)
 		cur = lvl.Coarse
-		if shrink < opts.MinShrink {
+		if shrink < minShrink {
 			break
 		}
 	}

@@ -197,7 +197,7 @@ func TestProjectToFinestRoundTrip(t *testing.T) {
 	for i := range coarseParts {
 		coarseParts[i] = i % 4
 	}
-	fine, err := h.ProjectToFinest(coarseParts)
+	fine, err := h.ProjectTo(coarseParts, h.Depth(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestPropertyProjectionPreservesMetrics(t *testing.T) {
 		for i := range parts {
 			parts[i] = rng.Intn(k)
 		}
-		fine, err := h.ProjectToFinest(parts)
+		fine, err := h.ProjectTo(parts, h.Depth(), 0)
 		if err != nil {
 			return false
 		}

@@ -79,7 +79,7 @@ func TestBuildNLevelProjection(t *testing.T) {
 	for i := range parts {
 		parts[i] = i % 3
 	}
-	fine, err := h.ProjectToFinest(parts)
+	fine, err := h.ProjectTo(parts, h.Depth(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,9 +85,9 @@ type Config struct {
 	// yields the same partition as a serial run.
 	Parallelism int
 	// Pool executes every parallel fan-out of the solve — the cycle
-	// batches, the pipeline race, the batch gain sweeps, the matching
-	// heuristics, and the restream sweeps — so a solve spawns workers
-	// once instead of per round/level/pass. Nil uses the process-wide
+	// batches, the pipeline race, the matching heuristics, and the
+	// restream sweeps — so a solve spawns workers once instead of per
+	// level or pass. Nil uses the process-wide
 	// shared pool.Default(); the pool width never changes any result bit
 	// (the determinism goldens pin runs across widths 1–16).
 	Pool *pool.Pool
@@ -401,8 +401,7 @@ type candidate struct {
 //
 // Serial semantics: stop at the first feasible cycle (lowest cycle
 // index) unless MinimizeAfterFeasible. Cycle 0 runs alone, so its nested
-// fan-outs (the matching race, the pipeline race, the batch gain sweeps)
-// own the whole pool, and a feasible cycle 0 ends the solve with no
+// fan-outs (the matching race, the pipeline race) own the whole pool, and a feasible cycle 0 ends the solve with no
 // speculative sibling. Only after cycle 0 ends infeasible do the cycles
 // run in deterministic parallel batches of cfg.Parallelism. Under
 // MinimizeAfterFeasible every cycle up to the budget is searched, so

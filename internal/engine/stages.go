@@ -342,10 +342,7 @@ func runPipeline(cy *Cycle, ws *arena.Workspace, pl int, batch bool) (*pstate.St
 	var bt *BatchTrace
 	fmPasses := cfg.RefinePasses
 	if batch {
-		opts := refine.BatchOptions{
-			Pool:   cfg.Pool,
-			Record: tracing,
-		}
+		opts := refine.BatchOptions{Record: tracing}
 		if chaos.Enabled() {
 			opts.PreApply = func(round, cands int) {
 				if err := chaos.Inject(batchApplyPoint); err != nil {

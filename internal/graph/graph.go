@@ -236,25 +236,6 @@ func (g *Graph) NodeWeights() []int64 {
 	return append([]int64(nil), g.nodeWeights...)
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		nodeWeights: append([]int64(nil), g.nodeWeights...),
-		adj:         make([][]Half, len(g.adj)),
-		numEdges:    g.numEdges,
-		totalEdgeW:  g.totalEdgeW,
-		totalNodeW:  g.totalNodeW,
-	}
-	if g.names != nil {
-		c.names = append([]string(nil), g.names...)
-	}
-	for u := range g.adj {
-		c.adj[u] = append([]Half(nil), g.adj[u]...)
-	}
-	g.cloneHyperInto(c)
-	return c
-}
-
 // Validate checks structural invariants: symmetric adjacency, no self
 // loops, no duplicate neighbor entries, non-negative weights, and
 // consistent cached totals. It is used by tests and by the I/O layer after
@@ -329,18 +310,4 @@ func (g *Graph) MaxNodeWeight() int64 {
 		}
 	}
 	return m
-}
-
-// HeaviestNode returns the node with the largest weight (ties broken by
-// lowest id); it is the seed of the paper's greedy initial partitioner.
-func (g *Graph) HeaviestNode() Node {
-	best := Node(0)
-	var bw int64 = -1
-	for u, w := range g.nodeWeights {
-		if w > bw {
-			bw = w
-			best = Node(u)
-		}
-	}
-	return best
 }

@@ -69,18 +69,6 @@ func (g *Graph) HyperEdges() []HyperEdge { return g.hedges }
 // TotalHyperWeight returns the sum of all hyperedge weights.
 func (g *Graph) TotalHyperWeight() int64 { return g.totalHyperW }
 
-// cloneHyperInto deep-copies the hyperedge set into c.
-func (g *Graph) cloneHyperInto(c *Graph) {
-	if g.hedges == nil {
-		return
-	}
-	c.hedges = make([]HyperEdge, len(g.hedges))
-	for i, h := range g.hedges {
-		c.hedges[i] = HyperEdge{Pins: append([]Node(nil), h.Pins...), Weight: h.Weight}
-	}
-	c.totalHyperW = g.totalHyperW
-}
-
 // validateHyper checks hyperedge invariants: >= 2 distinct in-range pins,
 // non-negative weights, and a consistent cached total.
 func (g *Graph) validateHyper() error {

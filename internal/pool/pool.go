@@ -1,9 +1,9 @@
 // Package pool is the solver's shared, bounded, deterministic worker
 // pool. Every parallel site in the solve path — the cycle fan-out, the
-// pipeline race, the batch gain sweeps, the matching heuristics, and the
-// restream sweeps — used to spawn fresh goroutines per round, level, or
-// pass; threading one pool through them means a solve pays the goroutine
-// start-up cost once per process instead of once per round.
+// pipeline race, the matching heuristics, and the restream sweeps — used
+// to spawn fresh goroutines per level or pass; threading one pool
+// through them means a solve pays the goroutine start-up cost once per
+// process instead of once per pass.
 //
 // Determinism is structural, not scheduled: Run(n, fn) executes fn for
 // every index 0..n-1 exactly once, callers give each task its own result

@@ -3,21 +3,15 @@ package refine
 import (
 	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
-	"ppnpart/internal/pool"
 	"ppnpart/internal/pstate"
 )
 
+// batchMaxRounds bounds the gain-sweep/select/apply rounds of one
+// BatchKWay pass; rounds also stop when gains dry up.
+const batchMaxRounds = 64
+
 // BatchOptions configures BatchKWay.
 type BatchOptions struct {
-	// MaxRounds bounds the number of gain-sweep/select/apply rounds
-	// (default 64; rounds also stop when gains dry up).
-	MaxRounds int
-	// Workers is the gain-sweep chunk fan-out (default: the pool's
-	// width). The sweep writes each node's candidate into a slot indexed
-	// by the node, so any worker count produces bit-identical results.
-	Workers int
-	// Pool executes the sweep chunks (nil: the shared pool.Default()).
-	Pool *pool.Pool
 	// Record enables RoundSizes/RoundGains/RoundCands/RoundQuotas capture
 	// (trace support); off, the pass allocates nothing beyond the pooled
 	// workspace buffers.
@@ -54,9 +48,6 @@ type BatchStats struct {
 	CutBefore, CutAfter int64
 }
 
-// Improved reports whether the pass reduced the cut.
-func (s BatchStats) Improved() bool { return s.CutAfter < s.CutBefore }
-
 // batchBucketsKey caches the pass's gainBuckets on the workspace so
 // repeated levels and cycles reuse the same bucket storage.
 type batchBucketsKey struct{}
@@ -70,17 +61,16 @@ func batchBuckets(ws *arena.Workspace) *gainBuckets {
 	return gb
 }
 
-// BatchKWay runs data-parallel batch k-way refinement on s. Each round:
+// BatchKWay runs batch k-way refinement on s. Each round:
 //
-//  1. Gain sweep: boundary vertices are scanned in chunked CSR sweeps
-//     fanned over the shared worker pool; each vertex's best
-//     positive-gain destination (KWayFM's gain rule: connectivity delta,
-//     ties to the lowest part id) lands in a per-node slot of a pooled
-//     buffer, so the sweep result is independent of the worker count and
-//     chunk split. A vertex's candidate depends only on its own and its
-//     neighbors' assignments, so after the first round the sweep is
-//     incremental: only vertices adjacent to the previous round's moves
-//     are re-scanned, and every other slot is provably still current.
+//  1. Gain sweep: a serial scan in node order records each boundary
+//     vertex's best positive-gain destination (KWayFM's gain rule:
+//     connectivity delta, ties to the lowest part id) in a per-node slot
+//     of a pooled buffer. A vertex's candidate depends only on its own
+//     and its neighbors' assignments, so after the first round the sweep
+//     is incremental: only vertices flagged dirty by the previous
+//     round's moves (the moved vertices and their neighbors) are
+//     re-scanned, and every other slot is provably still current.
 //  2. Conflict-free selection and apply: candidates are held in an
 //     incremental gain-bucket ranking (gainBuckets: log2-quantized
 //     buckets, exact (gain desc, node asc) order within and across
@@ -101,7 +91,7 @@ func batchBuckets(ws *arena.Workspace) *gainBuckets {
 //     the default divisor is undone move-for-move and ends the pass.
 //
 // Rounds repeat until gains dry up, a round fails the applied-state check,
-// or MaxRounds is hit. The pass is deterministic by construction: no
+// or batchMaxRounds is hit. The pass is deterministic by construction: no
 // coloring, no RNG, index-ordered tie-breaks everywhere. The undo log is
 // reset on entry and left empty.
 func BatchKWay(ws *arena.Workspace, s *pstate.State, opts BatchOptions) BatchStats {
@@ -112,19 +102,6 @@ func BatchKWay(ws *arena.Workspace, s *pstate.State, opts BatchOptions) BatchSta
 	if n == 0 || k <= 1 {
 		return BatchStats{}
 	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 64
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = opts.Pool.Workers()
-	}
-	const minChunk = 2048
-	if max := (n + minChunk - 1) / minChunk; workers > max {
-		workers = max
-	}
-
 	stats := BatchStats{CutBefore: s.Cut()}
 
 	// cand[u] = best destination + 1 (0: no candidate); gains[u] its gain.
@@ -132,14 +109,14 @@ func BatchKWay(ws *arena.Workspace, s *pstate.State, opts BatchOptions) BatchSta
 	gains := ws.Int64s.Get(n)
 	// blocked[u]: u neighbors an accepted move this round.
 	blocked := ws.Bools.Get(n)
-	// dirty/dirtyList collect the nodes whose candidate slot must be
-	// re-swept next round: the applied moves and their neighborhoods.
+	// dirty[u]: u's candidate slot must be re-swept next round (the
+	// applied moves and their neighborhoods; every node before round 0).
 	dirty := ws.Bools.Get(n)
-	dirtyList := ws.Ints.Cap(n)
-	// Per-worker connectivity scratch, carved up front on the owning
-	// goroutine (arena pools are single-owner; sweep tasks only write
-	// their own k-slot window and their chunk's cand/gains range).
-	conn := ws.Int64s.Get(workers * k)
+	for u := range dirty {
+		dirty[u] = true
+	}
+	// conn is the sweep's k-slot connectivity scratch.
+	conn := ws.Int64s.Get(k)
 	// quotaUsed[p] counts the round's moves into part p.
 	quotaUsed := ws.Ints.Get(k)
 	sel := ws.Ints.Cap(n)
@@ -148,7 +125,6 @@ func BatchKWay(ws *arena.Workspace, s *pstate.State, opts BatchOptions) BatchSta
 		ws.Int64s.Put(gains)
 		ws.Bools.Put(blocked)
 		ws.Bools.Put(dirty)
-		ws.Ints.Put(dirtyList)
 		ws.Int64s.Put(conn)
 		ws.Ints.Put(quotaUsed)
 		ws.Ints.Put(sel)
@@ -165,85 +141,27 @@ func BatchKWay(ws *arena.Workspace, s *pstate.State, opts BatchOptions) BatchSta
 	// rate.
 	quotaDiv := 2 * k
 rounds:
-	for round := 0; round < maxRounds; round++ {
-		// (1) Chunked gain sweep over the shared pool. The first round
-		// scans every node; later rounds re-scan only the dirty list
-		// (previous round's moves plus their neighborhoods) — every
-		// other candidate slot is a function of assignments that did not
-		// change. Chunks are contiguous ranges, so every write lands in
-		// a slot owned by one task.
-		todo := n
-		if round > 0 {
-			todo = len(dirtyList)
-		}
-		chunk := (todo + workers - 1) / workers
-		tasks := 0
-		if chunk > 0 {
-			tasks = (todo + chunk - 1) / chunk
-		}
-		dl := dirtyList
-		incremental := round > 0
-		opts.Pool.Run(tasks, func(w int) {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > todo {
-				hi = todo
+	for round := 0; round < batchMaxRounds; round++ {
+		// (1) Gain sweep of the dirty nodes, folded into the bucket
+		// ranking: round 0 sweeps every node, later rounds only the
+		// previous round's moves plus their neighborhoods — every other
+		// candidate slot is a function of assignments that did not
+		// change. Scanning the flags in node order, not a list of them,
+		// reads the CSR rows front to back and hands the buckets sorted
+		// runs, which saves more than the O(n) flag scan per round costs.
+		for u, d := range dirty {
+			if !d {
+				continue
 			}
-			var list []int
-			if incremental {
-				list = dl[lo:hi]
-			}
-			sweepGains(csr, pp, conn[w*k:(w+1)*k], k, lo, hi, list, cand, gains)
-		})
-
-		// Fold the sweep into the bucket ranking: round 0 inserts every
-		// candidate, later rounds re-bucket only the re-swept dirty set.
-		if round == 0 {
-			for u := 0; u < n; u++ {
-				if cand[u] != 0 {
-					gb.set(u, gains[u])
-				}
-			}
-		} else {
-			for _, u := range dirtyList {
-				if cand[u] != 0 {
-					gb.set(u, gains[u])
-				} else {
-					gb.remove(u)
-				}
+			dirty[u] = false
+			if sweepGain(csr, pp, conn, u, cand, gains) {
+				gb.set(u, gains[u])
+			} else {
+				gb.remove(u)
 			}
 		}
 		if gb.count == 0 {
 			break
-		}
-
-		// Un-block for the next round (touching only what this round
-		// set) and collect the dirty set: the moved nodes and everything
-		// adjacent to them are the only candidate slots the next sweep
-		// must recompute.
-		clearBlocked := func() {
-			dirtyList = dirtyList[:0]
-			for _, u := range sel {
-				if !dirty[u] {
-					dirty[u] = true
-					dirtyList = append(dirtyList, u)
-				}
-				adj, _ := csr.Row(graph.Node(u))
-				for _, v := range adj {
-					blocked[v] = false
-					if !dirty[v] {
-						dirty[v] = true
-						dirtyList = append(dirtyList, int(v))
-					}
-				}
-			}
-			// dirty is only a dedup aid while building the list; reset it
-			// so the next accepted round starts clean. The list itself
-			// needs no ordering: sweep results are per-node and
-			// independent of scan order.
-			for _, u := range dirtyList {
-				dirty[u] = false
-			}
 		}
 
 		for {
@@ -323,7 +241,17 @@ rounds:
 						}
 					}
 				}
-				clearBlocked()
+				// Un-block for the next round (touching only what this
+				// round set) and mark the moved nodes and their
+				// neighborhoods for the next sweep.
+				for _, u := range sel {
+					dirty[u] = true
+					adj, _ := csr.Row(graph.Node(u))
+					for _, v := range adj {
+						blocked[v] = false
+						dirty[v] = true
+					}
+				}
 				continue rounds
 			}
 			// The independent cut gains were positive, but the applied
@@ -352,56 +280,47 @@ rounds:
 	return stats
 }
 
-// sweepGains computes each scanned node's best single-move candidate
-// under KWayFM's gain rule (connectivity delta, ties to the lowest part
-// id) against the current assignment. With list nil it scans nodes
-// [lo, hi); otherwise it scans exactly the nodes in list (an incremental
-// re-sweep). The candidate is a pure function of the node's own and its
-// neighbors' assignments — per-part totals are deliberately NOT consulted
-// here, the selection phase checks the caps and never-empty-a-part against
-// the state — which is what makes incremental re-sweeps sound.
-// conn is the task's private k-slot connectivity scratch; cand/gains
-// writes stay inside the task's node set.
-func sweepGains(csr *graph.CSR, parts []int, conn []int64,
-	k, lo, hi int, list []int, cand []int, gains []int64) {
-	for i := lo; i < hi; i++ {
-		u := i
-		if list != nil {
-			u = list[i-lo]
-		}
-		cand[u] = 0
-		from := parts[u]
-		for i := range conn {
-			conn[i] = 0
-		}
-		boundary := false
-		adj, wts := csr.Row(graph.Node(u))
-		for i, v := range adj {
-			conn[parts[v]] += wts[i]
-			if parts[v] != from {
-				boundary = true
-			}
-		}
-		if !boundary {
-			continue
-		}
-		bestTo := -1
-		var bestGain int64
-		for to := 0; to < k; to++ {
-			if to == from || conn[to] == 0 {
-				continue
-			}
-			// bestGain starts at 0, so only strictly improving moves are
-			// kept; ascending iteration breaks ties toward the lowest
-			// part id — the same discipline as KWayFM.
-			if gain := conn[to] - conn[from]; gain > bestGain {
-				bestGain = gain
-				bestTo = to
-			}
-		}
-		if bestTo >= 0 {
-			cand[u] = bestTo + 1
-			gains[u] = bestGain
+// sweepGain records node u's best single-move candidate under KWayFM's
+// gain rule (connectivity delta, ties to the lowest part id) against the
+// current assignment in cand[u] (destination + 1, 0: none) and gains[u],
+// and reports whether u has one. The candidate is a pure function of the
+// node's own and its neighbors' assignments — per-part totals are
+// deliberately NOT consulted here, the selection phase checks the caps and
+// never-empty-a-part against the state — which is what makes incremental
+// re-sweeps sound. conn is k slots of connectivity scratch.
+func sweepGain(csr *graph.CSR, parts []int, conn []int64, u int, cand []int, gains []int64) bool {
+	cand[u] = 0
+	from := parts[u]
+	clear(conn)
+	boundary := false
+	adj, wts := csr.Row(graph.Node(u))
+	for i, v := range adj {
+		conn[parts[v]] += wts[i]
+		if parts[v] != from {
+			boundary = true
 		}
 	}
+	if !boundary {
+		return false
+	}
+	bestTo := -1
+	var bestGain int64
+	for to, c := range conn {
+		if to == from || c == 0 {
+			continue
+		}
+		// bestGain starts at 0, so only strictly improving moves are
+		// kept; ascending iteration breaks ties toward the lowest part
+		// id — the same discipline as KWayFM.
+		if gain := c - conn[from]; gain > bestGain {
+			bestGain = gain
+			bestTo = to
+		}
+	}
+	if bestTo < 0 {
+		return false
+	}
+	cand[u] = bestTo + 1
+	gains[u] = bestGain
+	return true
 }

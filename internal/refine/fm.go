@@ -17,9 +17,6 @@ type Stats struct {
 	CutBefore, CutAfter int64
 }
 
-// Improved reports whether the refinement reduced the cut.
-func (s Stats) Improved() bool { return s.CutAfter < s.CutBefore }
-
 // FMBisectWS runs Fiduccia–Mattheyses passes on a 2-way partition of the
 // CSR snapshot, mutating parts in place; parts must hold one entry in
 // {0,1} per node (anything else panics). Each pass moves every node at

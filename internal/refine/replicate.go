@@ -60,9 +60,6 @@ type ReplicateStats struct {
 	ObjectiveBefore, ObjectiveAfter int64
 }
 
-// Improved reports whether any replica was committed.
-func (s ReplicateStats) Improved() bool { return s.Clones > 0 }
-
 // Replicate runs the replication pass over a settled assignment of g. The
 // assignment itself is never changed — replication is an overlay — and
 // the returned vector maps each node to its replica part (-1 = none).

@@ -69,13 +69,10 @@ type Options struct {
 	Constraints metrics.Constraints
 	// Gamma is the imbalance penalty exponent (default 1.5, the HyperPRAW
 	// setting; must be finite and >= 1: the penalty is convex so heavier
-	// parts repel marginal load harder).
+	// parts repel marginal load harder). The penalty's scale is the
+	// Battaglino coefficient sqrt(K)·EdgeWT/NodeWT^Gamma of the graph
+	// totals, which keeps it commensurate with edge affinities.
 	Gamma float64
-	// Alpha scales the imbalance penalty and must be finite. Non-positive
-	// derives the Battaglino coefficient sqrt(K)·EdgeWT/NodeWT^Gamma from
-	// the graph totals, which keeps the penalty commensurate with edge
-	// affinities.
-	Alpha float64
 	// MaxIterations caps the restream passes after the initial stream
 	// (default 8; negative disables restreaming).
 	MaxIterations int
@@ -126,9 +123,6 @@ func (o Options) validate() error {
 	}
 	if o.Gamma != 0 && (math.IsNaN(o.Gamma) || math.IsInf(o.Gamma, 0) || o.Gamma < 1) {
 		return fmt.Errorf("stream: Gamma = %v must be finite and >= 1 (or 0 for the default)", o.Gamma)
-	}
-	if math.IsNaN(o.Alpha) || math.IsInf(o.Alpha, 0) {
-		return fmt.Errorf("stream: Alpha = %v must be finite", o.Alpha)
 	}
 	if o.Order != OrderNatural && o.Order != OrderShuffle {
 		return fmt.Errorf("stream: unknown order %d", o.Order)
@@ -425,15 +419,12 @@ func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options,
 		k:      k,
 		cons:   opts.Constraints,
 		gamma:  opts.Gamma,
-		alpha:  opts.Alpha,
+		alpha:  deriveAlpha(k, csr.EdgeWT, csr.NodeWT, opts.Gamma),
 		bwBase: float64(csr.EdgeWT + 1),
 		ws:     ws,
 		csr:    csr,
 		opts:   opts,
 		n:      n,
-	}
-	if s.alpha <= 0 {
-		s.alpha = deriveAlpha(k, csr.EdgeWT, csr.NodeWT, opts.Gamma)
 	}
 	s.parts = ws.Ints.Cap(n)[:n]
 	s.res = zeroed64(&ws.Int64s, k)

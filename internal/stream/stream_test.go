@@ -144,9 +144,6 @@ func TestOptionsValidate(t *testing.T) {
 		{K: 2, Gamma: math.NaN()},
 		{K: 2, Gamma: math.Inf(1)},
 		{K: 2, Gamma: math.Inf(-1)},
-		{K: 2, Alpha: math.NaN()},
-		{K: 2, Alpha: math.Inf(1)},
-		{K: 2, Alpha: math.Inf(-1)},
 		{K: 2, Order: Order(99)},
 	}
 	for _, opts := range cases {
