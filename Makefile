@@ -106,8 +106,9 @@ BENCHJSONFLAGS ?=
 # shared worker pool is sized on first use, so in one process every later
 # width would run on the first width's pool. benchjson keeps a row per
 # benchmark and width; the first width's rows keep the bare names
-# bench_baseline.json matches, the others a -N suffix. Empty runs once at
-# the default GOMAXPROCS.
+# bench_baseline.json matches, the others a -N suffix, and benchjson
+# refuses a run whose first width is not the baseline's (width 1). Empty
+# runs once at the default GOMAXPROCS.
 BENCHCPU ?=
 comma := ,
 BENCHRUN = for c in $(or $(subst $(comma), ,$(BENCHCPU)),default); do \

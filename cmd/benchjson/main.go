@@ -20,6 +20,9 @@
 //
 //	go test -bench ScaleGP -benchmem . | benchjson -baseline old.json -gate-allocs 20 -o BENCH.json
 //
+// A run whose default GOMAXPROCS differs from the baseline's is refused
+// with an error naming both widths, since rows are matched by bare name.
+//
 // When the -o file already exists, the run is folded into it the way
 // -write-baseline folds into the baseline: rows the run covered take the
 // new numbers and every other row is kept, so a narrowed run never
@@ -166,11 +169,15 @@ func Parse(r io.Reader) ([]Entry, map[string]string, error) {
 // a silent disappearance would make the trajectory file look complete
 // while a regression (a renamed or deleted hot-path benchmark) goes
 // untracked. Runs that deliberately narrow the benchmark pattern set
-// allowMissing to skip absent baseline entries instead.
+// allowMissing to skip absent baseline entries instead. A run at another
+// width than the baseline's is refused (widthMismatch).
 func Merge(cur []Entry, curCtx map[string]string, base *File, allowMissing bool) (*File, error) {
 	out := &File{Context: curCtx, Benchmarks: cur}
 	if base == nil {
 		return out, nil
+	}
+	if err := widthMismatch(curCtx, base.Context); err != nil {
+		return nil, err
 	}
 	out.Baseline = base.Benchmarks
 	out.BaselineContext = base.Context
@@ -271,8 +278,13 @@ const nsGateFloor = 100_000
 // Gate compares every benchmark present in both runs against the
 // baseline and returns one violation string per metric that regressed
 // beyond its threshold. Benchmarks missing on either side are not
-// gate-relevant (Merge already polices baseline coverage).
+// gate-relevant (Merge already polices baseline coverage). Rows recorded
+// at another width than the baseline's are not compared at all: the one
+// violation is the width mismatch.
 func Gate(out *File, limits GateLimits) []string {
+	if err := widthMismatch(out.Context, out.BaselineContext); err != nil {
+		return []string{err.Error()}
+	}
 	byName := map[string]Entry{}
 	for _, b := range out.Baseline {
 		byName[b.Name] = b
@@ -320,6 +332,19 @@ func Gate(out *File, limits GateLimits) []string {
 		}
 	}
 	return violations
+}
+
+// widthMismatch refuses to compare a run with a baseline recorded at
+// another GOMAXPROCS: both name their own default width's rows bare, so
+// matching rows by name would pair different widths. A side that records
+// no width is taken to match.
+func widthMismatch(cur, base map[string]string) error {
+	c, b := cur["gomaxprocs"], base["gomaxprocs"]
+	if c == "" || b == "" || c == b {
+		return nil
+	}
+	return fmt.Errorf("run width gomaxprocs=%s does not match the baseline width gomaxprocs=%s; "+
+		"run width %s first (make bench-json BENCHCPU=%s)", c, b, b, b)
 }
 
 func main() {

@@ -470,3 +470,39 @@ func TestRunFoldKeepsTheFileWidth(t *testing.T) {
 		t.Fatalf("context = %v, want the file's gomaxprocs 1", got.Context)
 	}
 }
+
+// TestMergeAndGateRefuseWidthMismatch pins the width check: a run at
+// GOMAXPROCS 2 is not merged with, nor gated against, a baseline recorded
+// at width 1, though its bare row names match, and both errors name the
+// two widths. A run at the baseline's width merges and gates as before.
+func TestMergeAndGateRefuseWidthMismatch(t *testing.T) {
+	base := &File{
+		Context:    map[string]string{"gomaxprocs": "1"},
+		Benchmarks: []Entry{{Name: "A", Metrics: map[string]float64{"ns/op": 100, "cut": 10}}},
+	}
+	cur, ctx, err := Parse(strings.NewReader("BenchmarkA-2 \t 3\t 90 ns/op\t 10 cut\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Merge(cur, ctx, base, false); err == nil ||
+		!strings.Contains(err.Error(), "gomaxprocs=2") || !strings.Contains(err.Error(), "gomaxprocs=1") {
+		t.Fatalf("Merge across widths: err = %v, want a refusal naming widths 2 and 1", err)
+	}
+	crossed := &File{Context: ctx, Benchmarks: cur, Baseline: base.Benchmarks, BaselineContext: base.Context}
+	if v := Gate(crossed, GateLimits{CutPct: 0}); len(v) != 1 ||
+		!strings.Contains(v[0], "gomaxprocs=2") || !strings.Contains(v[0], "gomaxprocs=1") {
+		t.Fatalf("Gate across widths = %v, want one violation naming widths 2 and 1", v)
+	}
+
+	cur, ctx, err = Parse(strings.NewReader("BenchmarkA \t 3\t 90 ns/op\t 10 cut\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Merge(cur, ctx, base, false)
+	if err != nil {
+		t.Fatalf("Merge at the baseline's width: %v", err)
+	}
+	if v := Gate(out, GateLimits{CutPct: 0}); len(v) != 0 || out.Speedup["A"] != 100.0/90 {
+		t.Fatalf("same-width gate = %v, speedups %v; want none and A at 100/90", v, out.Speedup)
+	}
+}

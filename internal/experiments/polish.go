@@ -21,7 +21,7 @@ import (
 // excess is the bandwidth plus resource overflow: one unit of excess
 // outweighs any cut difference, so every infeasible state scores worse
 // than every feasible one, as in GP's goodness function. Both move
-// through a pstate.State, so a candidate move costs O(deg + K), and both
+// through a pstate.State, so a candidate move costs O(deg), and both
 // write the best state seen into parts whenever it improves. Neither
 // reports anything: partitionPolished re-scores the result.
 
@@ -65,11 +65,12 @@ func tabuSearch(csr *graph.CSR, parts []int, k int, c metrics.Constraints) {
 			if s.Count(from) == 1 {
 				continue
 			}
+			r := s.Row(un)
 			for to := 0; to < k; to++ {
 				if to == from {
 					continue
 				}
-				cd, ed, red := s.MoveDelta(un, to)
+				cd, ed, red := s.RowDelta(r, un, to)
 				d := cd + (ed+red)*penalty
 				if tabuUntil[u] > iter && cur+d >= best {
 					continue // tabu and not aspirational

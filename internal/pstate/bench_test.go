@@ -25,7 +25,7 @@ func benchSetup(n, k int) (*graph.Graph, *State, []int) {
 }
 
 // BenchmarkPStateMove measures one incremental Move+Undo round trip — the
-// O(deg + K) unit the refinement loops pay per candidate step.
+// O(deg) unit the refinement loops pay per candidate step.
 func BenchmarkPStateMove(b *testing.B) {
 	n, k := 10000, 8
 	_, s, _ := benchSetup(n, k)

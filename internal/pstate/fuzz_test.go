@@ -9,8 +9,10 @@ import (
 
 // FuzzStateDifferential drives a State with a fuzz-chosen graph, partition
 // and move/undo sequence, and cross-checks every maintained quantity
-// against the from-scratch metrics implementations after each step. Any
-// divergence between the incremental engine and the reference is a bug.
+// against the from-scratch metrics implementations after each step, and
+// every MoveDelta against the move it predicts. Chord weights include 0.
+// Any divergence between the incremental engine and the reference is a
+// bug.
 func FuzzStateDifferential(f *testing.F) {
 	f.Add([]byte{8, 3, 20, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{12, 2, 0, 9, 9, 9, 1, 0, 255, 254, 3})
@@ -42,7 +44,7 @@ func FuzzStateDifferential(f *testing.F) {
 			u := int(data[i]) % n
 			v := int(data[i+1]) % n
 			if u != v {
-				g.MustAddEdge(graph.Node(u), graph.Node(v), int64(data[i+2]%9)+1)
+				g.MustAddEdge(graph.Node(u), graph.Node(v), int64(data[i+2]%10))
 			}
 		}
 		data = data[i:]
@@ -101,7 +103,16 @@ func FuzzStateDifferential(f *testing.F) {
 			if data[j]%5 == 4 {
 				s.Undo()
 			} else {
-				s.Move(graph.Node(int(data[j])%n), int(data[j+1])%k)
+				u, to := graph.Node(int(data[j])%n), int(data[j+1])%k
+				cd, bd, rd := s.MoveDelta(u, to)
+				cut0 := s.Cut()
+				bw0, res0, _ := s.Excess()
+				s.Move(u, to)
+				bw1, res1, _ := s.Excess()
+				if s.Cut()-cut0 != cd || bw1-bw0 != bd || res1-res0 != rd {
+					t.Fatalf("MoveDelta(%d, %d) = (%d,%d,%d), the move made (%d,%d,%d)",
+						u, to, cd, bd, rd, s.Cut()-cut0, bw1-bw0, res1-res0)
+				}
 			}
 			check()
 		}

@@ -12,7 +12,7 @@ import "ppnpart/internal/graph"
 //
 // under Move/Undo: a move only touches the Φ entries of the nets incident
 // to the moved node, so the cost stays O(inc(u)) on top of the pairwise
-// O(deg+K) update. The arithmetic mirrors metrics.HyperCut exactly.
+// O(deg) update. The arithmetic mirrors metrics.HyperCut exactly.
 //
 // Replication is a terminal overlay on a settled assignment: Replicate
 // clones a node into a second part (RePart-style logic replication),
@@ -165,7 +165,7 @@ func (s *State) Replicate(u graph.Node, p int) {
 // Replicate), reversing every Replicate effect exactly.
 func (s *State) unreplicate(u graph.Node, p int) {
 	w := s.C.NodeW[u]
-	s.resExcess += overLim(s.res[p]-w, s.rlim[p]) - overLim(s.res[p], s.rlim[p])
+	s.resExcess += over(s.res[p]-w, s.rlim[p]) - over(s.res[p], s.rlim[p])
 	s.res[p] -= w
 	if s.vectors != nil {
 		pb := p * s.dims
@@ -174,7 +174,7 @@ func (s *State) unreplicate(u graph.Node, p int) {
 				continue
 			}
 			lim := s.vlim[pb+d]
-			s.vecExcess += overLim(s.vecTotals[pb+d]-v, lim) - overLim(s.vecTotals[pb+d], lim)
+			s.vecExcess += over(s.vecTotals[pb+d]-v, lim) - over(s.vecTotals[pb+d], lim)
 			s.vecTotals[pb+d] -= v
 		}
 	}
@@ -189,7 +189,7 @@ func (s *State) unreplicate(u graph.Node, p int) {
 // Replicate(u, p). O(1+D), read-only.
 func (s *State) replicaExcessDelta(u graph.Node, p int) (res, vec int64) {
 	w := s.C.NodeW[u]
-	res = overLim(s.res[p]+w, s.rlim[p]) - overLim(s.res[p], s.rlim[p])
+	res = over(s.res[p]+w, s.rlim[p]) - over(s.res[p], s.rlim[p])
 	if s.vectors != nil {
 		pb := p * s.dims
 		for d, v := range s.vectors[u] {
@@ -197,7 +197,7 @@ func (s *State) replicaExcessDelta(u graph.Node, p int) (res, vec int64) {
 				continue
 			}
 			lim := s.vlim[pb+d]
-			vec += overLim(s.vecTotals[pb+d]+v, lim) - overLim(s.vecTotals[pb+d], lim)
+			vec += over(s.vecTotals[pb+d]+v, lim) - over(s.vecTotals[pb+d], lim)
 		}
 	}
 	return res, vec
@@ -208,7 +208,7 @@ func (s *State) replicaExcessDelta(u graph.Node, p int) (res, vec int64) {
 // bridges, plus the re-priced cost of u's incident nets. It reads only
 // u's row and u's nets, so it goes stale only when a neighbour of u or a
 // pin of one of u's nets changes its replica. Preconditions are those of
-// Replicate. Clobbers the Connectivity scratch buffer.
+// Replicate. Clobbers the scratch row.
 func (s *State) ReplicaDelta(u graph.Node, p int) int64 {
 	d := -s.replicaCutRelief(u, p)
 	if s.hyper {
@@ -267,8 +267,7 @@ func (s *State) repriceNets(u graph.Node) {
 // parts holding a reader copy but no writer copy — the parts the producer
 // stream must still be forwarded to. Mirrors metrics.ReplicatedHyperCut.
 // When u >= 0, u's replica is taken to be q instead of its recorded one,
-// which prices a clone before it is made. Clobbers the Connectivity
-// scratch buffer.
+// which prices a clone before it is made. Clobbers the scratch row.
 func (s *State) netCost(e int32, u graph.Node, q int) int64 {
 	replica := func(v graph.Node) int {
 		if v == u {
@@ -276,32 +275,23 @@ func (s *State) netCost(e int32, u graph.Node, q int) int64 {
 		}
 		return s.Replica(v)
 	}
+	// The scratch row marks the parts holding a reader copy.
 	pins := s.C.HyperPins(e)
-	mark := s.conn
-	for i := range mark {
-		mark[i] = 0
-	}
+	mark := &s.row
+	mark.clear()
 	for _, r := range pins[1:] {
-		mark[s.parts[r]] = 1
+		mark.add(s.parts[r], 1)
 		if rp := replica(r); rp >= 0 {
-			mark[rp] = 1
+			mark.add(rp, 1)
 		}
 	}
 	src := pins[0]
 	ps, rs := s.parts[src], replica(src)
 	var need int64
-	for p := 0; p < s.K; p++ {
-		if mark[p] != 0 && p != ps && p != rs {
+	for _, p := range mark.Parts {
+		if p != ps && p != rs {
 			need++
 		}
 	}
 	return s.C.HW[e] * need
-}
-
-// overLim is the shared excess helper: max(0, v-lim) when lim is active.
-func overLim(v, lim int64) int64 {
-	if lim > 0 && v > lim {
-		return v - lim
-	}
-	return 0
 }

@@ -11,12 +11,18 @@
 //   - optional per-part vector (multi-kind) resource totals,
 //   - the total constraint excess (bandwidth + scalar + vector overflow),
 //
-// with Move(u, to) and Undo() updating everything in O(deg(u) + K), and
+// with Move(u, to) and Undo() updating everything in O(deg(u) + D), and
 // Goodness()/Feasible() answering from the maintained excess counters in
 // O(1). The arithmetic mirrors internal/metrics exactly (same formulas,
 // same float operation order), so a State evaluation is bit-for-bit
 // interchangeable with the from-scratch functions — the differential tests
 // and the fuzz target in this package enforce that equivalence.
+//
+// The package also owns the move arithmetic every refiner and the
+// streamer use: a node's sparse connectivity row (Row, gathered once per
+// node from a CSR and an assignment) and the bandwidth-excess delta of a
+// move over that row (Row.BandwidthDelta). MoveDelta, RowDelta and Move
+// are built from them.
 //
 // The State reads adjacency from a graph.CSR snapshot: contiguous arrays,
 // no per-node slice headers, built once per hierarchy level and shared by
@@ -70,8 +76,8 @@ type State struct {
 	reps  []int // replica part per node, -1 = none
 	nreps int
 
-	conn []int64 // scratch: per-part connectivity of the node in hand
-	log  []moveRec
+	row Row // scratch: the connectivity row of the node in hand
+	log []moveRec
 }
 
 type moveRec struct {
@@ -130,7 +136,7 @@ func NewWS(ws *arena.Workspace, c *graph.CSR, parts []int, cfg Config) (*State, 
 }
 
 // Release parks s on ws's free list for reuse by a later NewWS. The
-// caller must drop every reference into s (Parts, Connectivity) first.
+// caller must drop every reference into s (Parts, Row) first.
 func (s *State) Release(ws *arena.Workspace) {
 	lst, _ := ws.Ext(wsCacheKey{}).(*[]*State)
 	if lst == nil {
@@ -197,7 +203,7 @@ func (s *State) init(c *graph.CSR, parts []int, cfg Config) {
 			s.hasRes = true
 		}
 	}
-	s.conn = grow64(s.conn, k)
+	s.row.reset(k)
 	s.vectors, s.vecRmax, s.dims = nil, nil, 0
 	s.log = s.log[:0]
 	s.nreps = 0
@@ -370,63 +376,44 @@ func (s *State) score(obj, excess, vecExcess int64) float64 {
 	return sc
 }
 
-// Connectivity fills the State's scratch buffer with u's total edge weight
-// into every part and returns it. The buffer is invalidated by the next
-// call to Connectivity, Move, Undo or MoveDelta.
-func (s *State) Connectivity(u graph.Node) []int64 {
-	for i := range s.conn {
-		s.conn[i] = 0
-	}
-	adj, wts := s.C.Row(u)
-	for i, v := range adj {
-		s.conn[s.parts[v]] += wts[i]
-	}
-	return s.conn
+// Row gathers node u's connectivity row into the State's scratch row and
+// returns it. The row is valid until the next Row, MoveDelta, Move, Undo,
+// Replicate or ReplicaDelta call.
+func (s *State) Row(u graph.Node) *Row {
+	s.row.Gather(s.C, s.parts, u)
+	return &s.row
 }
 
 // MoveDelta computes, without mutating, how the maintained quantities
 // would change if u moved to part `to`: the cut delta, the bandwidth-
-// excess delta and the scalar-resource-excess delta. O(deg(u) + K).
+// excess delta and the scalar-resource-excess delta. O(deg(u)).
 func (s *State) MoveDelta(u graph.Node, to int) (cutDelta, bwExcessDelta, resExcessDelta int64) {
+	return s.RowDelta(s.Row(u), u, to)
+}
+
+// RowDelta is MoveDelta on r, the row s.Row(u) returned with no move in
+// between, so that a caller weighing several targets for u gathers once.
+func (s *State) RowDelta(r *Row, u graph.Node, to int) (cutDelta, bwExcessDelta, resExcessDelta int64) {
 	from := s.parts[u]
 	if from == to {
 		return 0, 0, 0
 	}
-	conn := s.Connectivity(u)
-	cutDelta = conn[from] - conn[to]
-	if s.cons.Bmax > 0 {
-		over := func(v int64) int64 {
-			if v > s.cons.Bmax {
-				return v - s.cons.Bmax
-			}
-			return 0
-		}
-		for p := 0; p < s.K; p++ {
-			if p == from || p == to || conn[p] == 0 {
-				continue
-			}
-			bwExcessDelta += over(s.bw[from*s.K+p]-conn[p]) - over(s.bw[from*s.K+p])
-			bwExcessDelta += over(s.bw[to*s.K+p]+conn[p]) - over(s.bw[to*s.K+p])
-		}
-		ft := s.bw[from*s.K+to]
-		bwExcessDelta += over(ft-conn[to]+conn[from]) - over(ft)
+	return r.W[from] - r.W[to], r.BandwidthDelta(s.bw, s.cons.Bmax, from, to), s.resDelta(u, from, to)
+}
+
+// resDelta is the scalar-resource-excess change of moving u from part
+// `from` to `to`.
+func (s *State) resDelta(u graph.Node, from, to int) int64 {
+	if !s.hasRes {
+		return 0
 	}
-	if s.hasRes {
-		w := s.C.NodeW[u]
-		over := func(v, lim int64) int64 {
-			if lim > 0 && v > lim {
-				return v - lim
-			}
-			return 0
-		}
-		resExcessDelta = over(s.res[from]-w, s.rlim[from]) - over(s.res[from], s.rlim[from]) +
-			over(s.res[to]+w, s.rlim[to]) - over(s.res[to], s.rlim[to])
-	}
-	return cutDelta, bwExcessDelta, resExcessDelta
+	w := s.C.NodeW[u]
+	return over(s.res[from]-w, s.rlim[from]) - over(s.res[from], s.rlim[from]) +
+		over(s.res[to]+w, s.rlim[to]) - over(s.res[to], s.rlim[to])
 }
 
 // Move reassigns u to part `to`, updating every maintained quantity in
-// O(deg(u) + K + D) and recording the move for Undo. Move is not defined
+// O(deg(u) + D) and recording the move for Undo. Move is not defined
 // while replicas exist — the λ-based hyperedge maintenance assumes one
 // copy per node — so it panics then; undo the replication first (the log
 // ordering guarantees Undo pops replications before moves).
@@ -466,37 +453,23 @@ func (s *State) ResetLog() { s.log = s.log[:0] }
 
 // apply performs the bookkeeping of moving u from part `from` to `to`.
 func (s *State) apply(u graph.Node, from, to int) {
-	conn := s.Connectivity(u)
+	r := s.Row(u)
 	k := s.K
-	over := func(v, lim int64) int64 {
-		if lim > 0 && v > lim {
-			return v - lim
-		}
-		return 0
-	}
-	for p := 0; p < k; p++ {
-		if p == from || p == to || conn[p] == 0 {
+	s.bwExcess += r.BandwidthDelta(s.bw, s.cons.Bmax, from, to)
+	for _, p := range r.Parts {
+		if p == from || p == to {
 			continue
 		}
-		fp := s.bw[from*k+p]
-		s.bwExcess += over(fp-conn[p], s.cons.Bmax) - over(fp, s.cons.Bmax)
-		s.bw[from*k+p] = fp - conn[p]
-		s.bw[p*k+from] = fp - conn[p]
-		tp := s.bw[to*k+p]
-		s.bwExcess += over(tp+conn[p], s.cons.Bmax) - over(tp, s.cons.Bmax)
-		s.bw[to*k+p] = tp + conn[p]
-		s.bw[p*k+to] = tp + conn[p]
+		fp, tp := s.bw[from*k+p]-r.W[p], s.bw[to*k+p]+r.W[p]
+		s.bw[from*k+p], s.bw[p*k+from] = fp, fp
+		s.bw[to*k+p], s.bw[p*k+to] = tp, tp
 	}
-	ft := s.bw[from*k+to]
-	nft := ft - conn[to] + conn[from]
-	s.bwExcess += over(nft, s.cons.Bmax) - over(ft, s.cons.Bmax)
-	s.bw[from*k+to] = nft
-	s.bw[to*k+from] = nft
-	s.cut += conn[from] - conn[to]
+	ft := s.bw[from*k+to] - r.W[to] + r.W[from]
+	s.bw[from*k+to], s.bw[to*k+from] = ft, ft
+	s.cut += r.W[from] - r.W[to]
 
 	w := s.C.NodeW[u]
-	s.resExcess += over(s.res[from]-w, s.rlim[from]) - over(s.res[from], s.rlim[from]) +
-		over(s.res[to]+w, s.rlim[to]) - over(s.res[to], s.rlim[to])
+	s.resExcess += s.resDelta(u, from, to)
 	s.res[from] -= w
 	s.res[to] += w
 	s.cnt[from]--

@@ -9,20 +9,26 @@ import (
 )
 
 // randomGraph builds a connected-ish weighted graph for differential
-// testing.
+// testing, with edge weights in [1, 9].
 func randomGraph(n, extraEdges int, rng *rand.Rand) *graph.Graph {
+	return randomGraphFrom(n, extraEdges, 1, rng)
+}
+
+// randomGraphFrom is randomGraph with edge weights in [lo, 9]; lo = 0
+// makes about one edge in ten weigh zero.
+func randomGraphFrom(n, extraEdges, lo int, rng *rand.Rand) *graph.Graph {
 	w := make([]int64, n)
 	for i := range w {
 		w[i] = int64(1 + rng.Intn(50))
 	}
 	g := graph.NewWithWeights(w)
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(graph.Node(rng.Intn(i)), graph.Node(i), int64(1+rng.Intn(9)))
+		g.MustAddEdge(graph.Node(rng.Intn(i)), graph.Node(i), int64(lo+rng.Intn(10-lo)))
 	}
 	for i := 0; i < extraEdges; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			g.MustAddEdge(graph.Node(u), graph.Node(v), int64(1+rng.Intn(9)))
+			g.MustAddEdge(graph.Node(u), graph.Node(v), int64(lo+rng.Intn(10-lo)))
 		}
 	}
 	return g
@@ -78,7 +84,7 @@ func TestStateMatchesScratchUnderMoves(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		n := 8 + rng.Intn(40)
-		g := randomGraph(n, 2*n, rng)
+		g := randomGraphFrom(n, 2*n, 0, rng)
 		k := 2 + rng.Intn(4)
 		c := metrics.Constraints{}
 		if rng.Intn(2) == 0 {
@@ -106,7 +112,7 @@ func TestStateMatchesScratchUnderMoves(t *testing.T) {
 func TestUndoRestoresEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 30
-	g := randomGraph(n, 60, rng)
+	g := randomGraphFrom(n, 60, 0, rng)
 	k := 4
 	c := metrics.Constraints{Bmax: 25, Rmax: 220}
 	parts := make([]int, n)
@@ -193,7 +199,7 @@ func TestVectorStateMatchesScratch(t *testing.T) {
 func TestMoveDeltaPredictsApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	n, k := 24, 4
-	g := randomGraph(n, 50, rng)
+	g := randomGraphFrom(n, 50, 0, rng)
 	c := metrics.Constraints{Bmax: 18, Rmax: 150}
 	parts := make([]int, n)
 	for i := range parts {

@@ -30,8 +30,9 @@ type BandwidthStats struct {
 // the move with the best (excess reduction, cut reduction) lexicographic
 // gain; a node moves at most once per pass. Stops when feasible (at once
 // when s has no Bmax), when a pass makes no progress, or after maxPasses
-// (default 16). Moves go through s, which leaves the undo log empty; the
-// per-pass moved set comes from ws.
+// (default 16). A candidate node's row is gathered once, at its first
+// target that fits, and priced for every target with s.RowDelta. Moves go through s, which leaves the
+// undo log empty; the per-pass moved set comes from ws.
 func RepairBandwidth(ws *arena.Workspace, s *pstate.State, maxPasses int) BandwidthStats {
 	st := BandwidthStats{}
 	if maxPasses <= 0 {
@@ -83,11 +84,15 @@ func RepairBandwidth(ws *arena.Workspace, s *pstate.State, maxPasses int) Bandwi
 				if !touches {
 					continue
 				}
+				var r *pstate.Row // gathered at the first target that fits
 				for to := 0; to < k; to++ {
 					if to == from || !s.Fits(un, to) {
 						continue
 					}
-					cd, ed, _ := s.MoveDelta(un, to)
+					if r == nil {
+						r = s.Row(un)
+					}
+					cd, ed, _ := s.RowDelta(r, un, to)
 					if ed < bestExcess || (ed == bestExcess && ed < 0 && cd < bestCut) {
 						bestU, bestTo, bestExcess, bestCut = un, to, ed, cd
 					}
@@ -145,7 +150,7 @@ func RebalanceResources(s *pstate.State, maxPasses int) (int, bool) {
 				continue
 			}
 			w := s.C.NodeW[u]
-			conn := s.Connectivity(un)
+			conn := s.Row(un).W
 			// Choose the destination that fits and costs the least cut,
 			// breaking ties toward the most free space.
 			bestTo := -1

@@ -2,6 +2,7 @@ package refine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,7 +29,7 @@ func bwExcessOf(g *graph.Graph, parts []int, k int, bmax int64) int64 {
 
 func TestRepairStateMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 40)
+	g := randomConnectedFrom(rng, 40, 0)
 	csr := g.ToCSR()
 	k := 4
 	parts := make([]int, 40)
@@ -68,7 +69,7 @@ func TestRepairStateMatchesRecompute(t *testing.T) {
 
 func TestMoveDeltaMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := randomConnected(rng, 30)
+	g := randomConnectedFrom(rng, 30, 0)
 	csr := g.ToCSR()
 	k := 3
 	var bmax int64 = 25
@@ -308,5 +309,116 @@ func TestPropertyRebalanceNeverOverflowsFittingParts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// repairBandwidthProbe is the reference bandwidth repair: RepairBandwidth
+// with every (node, target) pair priced by a Move, a read of the state's
+// cut and excess, and an Undo instead of a shared row and s.RowDelta.
+func repairBandwidthProbe(s *pstate.State, maxPasses int) BandwidthStats {
+	st := BandwidthStats{}
+	st.ExcessBefore, _, _ = s.Excess()
+	st.ExcessAfter = st.ExcessBefore
+	if st.ExcessBefore == 0 {
+		st.Feasible = true
+		return st
+	}
+	defer s.ResetLog()
+	n := s.C.NumNodes()
+	moved := make([]bool, n)
+	for pass := 0; pass < maxPasses; pass++ {
+		st.Passes++
+		clear(moved)
+		progressed := false
+		for {
+			var bestU graph.Node = -1
+			bestTo := -1
+			var bestExcess, bestCut int64
+			for u := 0; u < n; u++ {
+				un := graph.Node(u)
+				from := s.Part(un)
+				if moved[u] || s.Count(from) == 1 {
+					continue
+				}
+				touches := false
+				adj, _ := s.C.Row(un)
+				for _, v := range adj {
+					if p := s.Part(v); p != from && s.Bandwidth(from, p) > s.Bmax() {
+						touches = true
+					}
+				}
+				for to := 0; to < s.K && touches; to++ {
+					if to == from || !s.Fits(un, to) {
+						continue
+					}
+					ex0, _, _ := s.Excess()
+					cut0 := s.Cut()
+					s.Move(un, to)
+					ex1, _, _ := s.Excess()
+					ed, cd := ex1-ex0, s.Cut()-cut0
+					s.Undo()
+					if ed < bestExcess || (ed == bestExcess && ed < 0 && cd < bestCut) {
+						bestU, bestTo, bestExcess, bestCut = un, to, ed, cd
+					}
+				}
+			}
+			if bestU < 0 || bestExcess >= 0 {
+				break
+			}
+			s.Move(bestU, bestTo)
+			moved[bestU] = true
+			st.Moves++
+			progressed = true
+			st.ExcessAfter += bestExcess
+			if st.ExcessAfter == 0 {
+				st.Feasible = true
+				return st
+			}
+		}
+		if !progressed {
+			break
+		}
+	}
+	st.ExcessAfter, _, _ = s.Excess()
+	st.Feasible = st.ExcessAfter == 0
+	return st
+}
+
+// TestRepairBandwidthMatchesProbe checks RepairBandwidth against the
+// probing reference on seeded instances with zero-weight edges, a Bmax
+// below the starting pair bandwidths and every resource mode of
+// batchInstance: the Stats, the final parts and the cut must agree.
+func TestRepairBandwidthMatchesProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	ws := new(arena.Workspace)
+	repaired := 0
+	for trial := 0; trial < 60; trial++ {
+		k := 2 + trial%7
+		csr, parts, cfg := batchInstance(rng, k, trial%4)
+		cfg.Constraints.Bmax = 1 + rng.Int63n(csr.EdgeWT/int64(k*k)+1)
+		passes := 1 + rng.Intn(16)
+		want, err := pstate.New(csr, parts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pstate.New(csr, parts, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wst := repairBandwidthProbe(want, passes)
+		gst := RepairBandwidth(ws, got, passes)
+		if gst != wst {
+			t.Fatalf("trial %d (k=%d): stats %+v, want %+v", trial, k, gst, wst)
+		}
+		if !slices.Equal(got.Parts(), want.Parts()) || got.Cut() != want.Cut() {
+			t.Fatalf("trial %d (k=%d): parts or cut differ from the probe (cut %d, want %d)",
+				trial, k, got.Cut(), want.Cut())
+		}
+		if wst.Moves > 0 {
+			repaired++
+		}
+	}
+	if repaired < 30 {
+		t.Fatalf("weak instance mix: only %d of 60 trials moved a node", repaired)
 	}
 }

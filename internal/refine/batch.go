@@ -64,7 +64,7 @@ func batchBuckets(ws *arena.Workspace) *gainBuckets {
 // BatchKWay runs batch k-way refinement on s. Each round:
 //
 //  1. Gain sweep: a serial scan in node order records each boundary
-//     vertex's best positive-gain destination (KWayFM's gain rule:
+//     vertex's best positive-gain destination (bestGain, KWayFM's rule:
 //     connectivity delta, ties to the lowest part id) in a per-node slot
 //     of a pooled buffer. A vertex's candidate depends only on its own
 //     and its neighbors' assignments, so after the first round the sweep
@@ -104,7 +104,8 @@ func BatchKWay(ws *arena.Workspace, s *pstate.State, opts BatchOptions) BatchSta
 	}
 	stats := BatchStats{CutBefore: s.Cut()}
 
-	// cand[u] = best destination + 1 (0: no candidate); gains[u] its gain.
+	// cand[u] is the best destination and gains[u] its gain, for the
+	// candidates the buckets hold.
 	cand := ws.Ints.Get(n)
 	gains := ws.Int64s.Get(n)
 	// blocked[u]: u neighbors an accepted move this round.
@@ -115,8 +116,6 @@ func BatchKWay(ws *arena.Workspace, s *pstate.State, opts BatchOptions) BatchSta
 	for u := range dirty {
 		dirty[u] = true
 	}
-	// conn is the sweep's k-slot connectivity scratch.
-	conn := ws.Int64s.Get(k)
 	// quotaUsed[p] counts the round's moves into part p.
 	quotaUsed := ws.Ints.Get(k)
 	sel := ws.Ints.Cap(n)
@@ -125,7 +124,6 @@ func BatchKWay(ws *arena.Workspace, s *pstate.State, opts BatchOptions) BatchSta
 		ws.Int64s.Put(gains)
 		ws.Bools.Put(blocked)
 		ws.Bools.Put(dirty)
-		ws.Int64s.Put(conn)
 		ws.Ints.Put(quotaUsed)
 		ws.Ints.Put(sel)
 	}()
@@ -154,8 +152,13 @@ rounds:
 				continue
 			}
 			dirty[u] = false
-			if sweepGain(csr, pp, conn, u, cand, gains) {
-				gb.set(u, gains[u])
+			// The candidate is a pure function of u's and its neighbors'
+			// assignments — the caps and the never-empty check wait for
+			// the selection, against the state — which is what makes the
+			// incremental re-sweep sound.
+			if to, gain, _ := bestGain(s.Row(graph.Node(u)), pp[u], nil); to >= 0 {
+				cand[u], gains[u] = to, gain
+				gb.set(u, gain)
 			} else {
 				gb.remove(u)
 			}
@@ -185,7 +188,7 @@ rounds:
 					return
 				}
 				un := graph.Node(u)
-				to := cand[u] - 1
+				to := cand[u]
 				if quotaUsed[to] >= quota || s.Count(pp[u]) == 1 || !s.Fits(un, to) {
 					return
 				}
@@ -278,49 +281,4 @@ rounds:
 	}
 	stats.CutAfter = s.Cut()
 	return stats
-}
-
-// sweepGain records node u's best single-move candidate under KWayFM's
-// gain rule (connectivity delta, ties to the lowest part id) against the
-// current assignment in cand[u] (destination + 1, 0: none) and gains[u],
-// and reports whether u has one. The candidate is a pure function of the
-// node's own and its neighbors' assignments — per-part totals are
-// deliberately NOT consulted here, the selection phase checks the caps and
-// never-empty-a-part against the state — which is what makes incremental
-// re-sweeps sound. conn is k slots of connectivity scratch.
-func sweepGain(csr *graph.CSR, parts []int, conn []int64, u int, cand []int, gains []int64) bool {
-	cand[u] = 0
-	from := parts[u]
-	clear(conn)
-	boundary := false
-	adj, wts := csr.Row(graph.Node(u))
-	for i, v := range adj {
-		conn[parts[v]] += wts[i]
-		if parts[v] != from {
-			boundary = true
-		}
-	}
-	if !boundary {
-		return false
-	}
-	bestTo := -1
-	var bestGain int64
-	for to, c := range conn {
-		if to == from || c == 0 {
-			continue
-		}
-		// bestGain starts at 0, so only strictly improving moves are
-		// kept; ascending iteration breaks ties toward the lowest part
-		// id — the same discipline as KWayFM.
-		if gain := c - conn[from]; gain > bestGain {
-			bestGain = gain
-			bestTo = to
-		}
-	}
-	if bestTo < 0 {
-		return false
-	}
-	cand[u] = bestTo + 1
-	gains[u] = bestGain
-	return true
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // batchKWayFullSweep is the reference batch pass: every round re-sweeps
-// every node through s.Connectivity and ranks the candidates with a full
+// every node through denseConn and ranks the candidates with a full
 // stable sort by (gain desc, node asc), then selects, applies and
 // re-checks exactly as BatchKWay documents. BatchKWay, which re-sweeps
 // only the dirty nodes and keeps an incremental bucket ranking, must make
@@ -36,7 +36,7 @@ rounds:
 		var order []int
 		for u := 0; u < n; u++ {
 			from := parts[u]
-			conn := s.Connectivity(graph.Node(u))
+			conn := denseConn(s, graph.Node(u))
 			cand[u] = -1
 			var best int64
 			for to := range conn {

@@ -27,7 +27,7 @@ type Stats struct {
 // <= 0 defaults to 8. Terminates when a pass yields no improvement.
 //
 // The passes move nodes through one K=2 pstate.State drawn from ws:
-// gains start from s.Connectivity, s.Fits and s.Count decide
+// gains start from the state's connectivity row, s.Fits and s.Count decide
 // admissibility, and the rollback undoes the log down to the best
 // prefix. The lock table also comes from ws.
 func FMBisectWS(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource int64, maxPasses int) Stats {
@@ -65,7 +65,7 @@ func fmBisectPass(s *pstate.State, pq *gainPQ, locked []bool) int {
 	// gain(u) = external(u) - internal(u): cut reduction if u switches side.
 	for u := 0; u < n; u++ {
 		un := graph.Node(u)
-		conn, p := s.Connectivity(un), s.Part(un)
+		conn, p := s.Row(un).W, s.Part(un)
 		pq.Push(un, conn[1-p]-conn[p])
 	}
 	clear(locked)
@@ -141,11 +141,9 @@ func fmBisectPass(s *pstate.State, pq *gainPQ, locked []bool) int {
 // of its last evaluation, which left it no positive gain a freed cap
 // could admit, so it cannot move: the moves, their order and the Stats
 // are those of a sweep over every node, at O(n + Σ deg(active)) per pass
-// after the first.
-// Connectivity is gathered sparsely into a K-slot row whose touched
-// entries alone are cleared, and s.Fits is asked only of a candidate
-// that would beat the best so far. The row, its touched-part list and
-// the active flags come from ws.
+// after the first. The choice is bestGain over the state's sparse
+// connectivity row, which asks s.Fits only of a candidate that would beat
+// the best so far. The active flags come from ws.
 func KWayFM(ws *arena.Workspace, s *pstate.State, maxPasses int) Stats {
 	if maxPasses <= 0 {
 		maxPasses = 8
@@ -153,8 +151,6 @@ func KWayFM(ws *arena.Workspace, s *pstate.State, maxPasses int) Stats {
 	st := Stats{CutBefore: s.Cut()}
 	n := s.C.NumNodes()
 	parts := s.Parts()
-	conn := ws.Int64s.Get(s.K)
-	touched := ws.Ints.Cap(s.K)
 	active := ws.Bools.Get(n)
 	for u := range active {
 		active[u] = true
@@ -170,46 +166,13 @@ func KWayFM(ws *arena.Workspace, s *pstate.State, maxPasses int) Stats {
 			if s.Count(from) == 1 {
 				continue // never empty a part; stays active
 			}
-			active[u] = false
 			un := graph.Node(u)
-			adj, wts := s.C.Row(un)
-			// A part enters touched when its entry is zero, so a part seen
-			// only over zero-weight edges may appear more than once; that
-			// costs a repeated comparison, never a different choice.
-			touched = touched[:0]
-			for i, v := range adj {
-				p := parts[v]
-				if conn[p] == 0 {
-					touched = append(touched, p)
-				}
-				conn[p] += wts[i]
-			}
-			bestTo := -1
-			var bestGain int64
-			for _, to := range touched {
-				// Interior nodes touch only from, so they fall through
-				// here without a move.
-				if to == from || conn[to] == 0 {
-					continue
-				}
-				// bestGain starts at 0, so only strictly improving moves
-				// are taken; the id comparison breaks ties toward the
-				// lowest part whatever the touched order.
-				gain := conn[to] - conn[from]
-				if gain > bestGain || gain == bestGain && to < bestTo {
-					if s.Fits(un, to) {
-						bestGain, bestTo = gain, to
-					} else {
-						active[u] = true // a later move may make room
-					}
-				}
-			}
-			for _, p := range touched {
-				conn[p] = 0
-			}
-			if bestTo >= 0 {
-				s.Move(un, bestTo)
+			to, _, refused := bestGain(s.Row(un), from, func(to int) bool { return s.Fits(un, to) })
+			active[u] = refused // a later move may make room
+			if to >= 0 {
+				s.Move(un, to)
 				moves++
+				adj, _ := s.C.Row(un)
 				for _, v := range adj {
 					active[v] = true
 				}
@@ -221,9 +184,29 @@ func KWayFM(ws *arena.Workspace, s *pstate.State, maxPasses int) Stats {
 			break
 		}
 	}
-	ws.Int64s.Put(conn)
-	ws.Ints.Put(touched)
 	ws.Bools.Put(active)
 	st.CutAfter = s.Cut()
 	return st
+}
+
+// bestGain is the k-way move rule KWayFM and BatchKWay share: among the
+// parts r lists, the destination whose gain r.W[to] − r.W[from] is
+// strictly positive and largest, ties to the lowest part whatever the
+// list order, and that gain; -1 when no move gains. admit, when non-nil,
+// is asked only of a part that would beat the best so far, and refused
+// reports whether it turned one down.
+func bestGain(r *pstate.Row, from int, admit func(to int) bool) (best int, gain int64, refused bool) {
+	best = -1
+	for _, to := range r.Parts {
+		g := r.W[to] - r.W[from]
+		if to == from || g < gain || g == gain && (best < 0 || to > best) {
+			continue
+		}
+		if admit != nil && !admit(to) {
+			refused = true
+			continue
+		}
+		best, gain = to, g
+	}
+	return best, gain, refused
 }

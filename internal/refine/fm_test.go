@@ -45,19 +45,24 @@ func twoClusters(sz int) *graph.Graph {
 	return g
 }
 
-func randomConnected(rng *rand.Rand, n int) *graph.Graph {
+func randomConnected(rng *rand.Rand, n int) *graph.Graph { return randomConnectedFrom(rng, n, 1) }
+
+// randomConnectedFrom draws a connected graph with node weights in
+// [1, 20] and edge weights in [lo, 15]; lo = 0 makes about one edge in
+// sixteen weigh zero.
+func randomConnectedFrom(rng *rand.Rand, n int, lo int) *graph.Graph {
 	w := make([]int64, n)
 	for i := range w {
 		w[i] = int64(1 + rng.Intn(20))
 	}
 	g := graph.NewWithWeights(w)
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(graph.Node(i-1), graph.Node(i), int64(1+rng.Intn(15)))
+		g.MustAddEdge(graph.Node(i-1), graph.Node(i), int64(lo+rng.Intn(16-lo)))
 	}
 	for i := 0; i < 2*n; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			g.MustAddEdge(graph.Node(u), graph.Node(v), int64(1+rng.Intn(15)))
+			g.MustAddEdge(graph.Node(u), graph.Node(v), int64(lo+rng.Intn(16-lo)))
 		}
 	}
 	return g

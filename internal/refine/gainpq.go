@@ -4,7 +4,9 @@
 // bandwidth-repair pass that drives pairwise traffic under Bmax, the
 // resource and vector rebalancing passes that drive per-part totals under
 // their caps, and logic replication. Every pass moves nodes through one
-// pstate.State, the package's single move arithmetic. The k-way stages
+// pstate.State and reads gains off the state's connectivity row
+// (pstate.Row), the package's single move arithmetic; KWayFM and
+// BatchKWay pick destinations with one rule, bestGain. The k-way stages
 // (KWayFM, BatchKWay, RepairBandwidth, RebalanceResources,
 // RebalanceVector) run on the caller's state and report what they
 // changed; FMBisectWS refines an assignment vector in place on a K=2

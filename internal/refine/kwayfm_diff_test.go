@@ -10,8 +10,19 @@ import (
 	"ppnpart/internal/pstate"
 )
 
+// denseConn is the reference connectivity gather: node u's edge weight
+// into each of the K parts, in a fresh dense slice.
+func denseConn(s *pstate.State, u graph.Node) []int64 {
+	conn := make([]int64, s.K)
+	adj, wts := s.C.Row(u)
+	for i, v := range adj {
+		conn[s.Part(v)] += wts[i]
+	}
+	return conn
+}
+
 // kwayFMFullSweep is the reference k-way FM: every pass evaluates every
-// node, gathering its connectivity through s.Connectivity and asking
+// node, gathering its connectivity densely (denseConn) and asking
 // s.Fits of every candidate part in ascending id order. KWayFM must make
 // the same moves in the same order. refused counts the positive-gain
 // candidates s.Fits turned down.
@@ -31,7 +42,7 @@ func kwayFMFullSweep(s *pstate.State, maxPasses int) (st Stats, refused int) {
 			if s.Count(from) == 1 {
 				continue
 			}
-			conn := s.Connectivity(un)
+			conn := denseConn(s, un)
 			bestTo := -1
 			var bestGain int64
 			for to := range conn {

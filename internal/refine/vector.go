@@ -70,7 +70,7 @@ func RebalanceVector(s *pstate.State, maxPasses int) (int, bool) {
 			if !overflowing(from) || s.Count(from) == 1 || !relieves(from, row) {
 				continue
 			}
-			conn := s.Connectivity(un)
+			conn := s.Row(un).W
 			for to := 0; to < k; to++ {
 				if to == from || !fitsAfterAdd(to, row) {
 					continue

@@ -53,7 +53,7 @@ func BenchmarkStreamPartition(b *testing.B) {
 // BenchmarkStreamPartitionTightBmax streams the bench graph with Bmax at
 // the average pair's share of the total edge weight, EW/K². Pair totals
 // pass it within the initial stream and every pass ends with a
-// bandwidth excess, so the exact bwExcessDelta path runs for the rest of
+// bandwidth excess, so the exact BandwidthDelta path runs for the rest of
 // the initial stream and for every vertex of the restream passes.
 func BenchmarkStreamPartitionTightBmax(b *testing.B) {
 	g, k, c := benchGraph(b)

@@ -48,7 +48,8 @@ func FuzzStreamAssign(f *testing.F) {
 		data = data[4:]
 
 		g := graph.New(n)
-		// Ring backbone keeps the graph connected, then fuzz-chosen chords.
+		// Ring backbone keeps the graph connected, then fuzz-chosen
+		// chords, some of weight 0.
 		for i := 1; i < n; i++ {
 			g.MustAddEdge(graph.Node(i-1), graph.Node(i), int64(i%7)+1)
 		}
@@ -56,7 +57,7 @@ func FuzzStreamAssign(f *testing.F) {
 			u := int(data[i]) % n
 			v := int(data[i+1]) % n
 			if u != v {
-				g.MustAddEdge(graph.Node(u), graph.Node(v), int64(data[i+2]%9)+1)
+				g.MustAddEdge(graph.Node(u), graph.Node(v), int64(data[i+2]%10))
 			}
 		}
 

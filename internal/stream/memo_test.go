@@ -11,21 +11,22 @@ import (
 	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/pstate"
 )
 
 // scoreDirect is score as it stood before the penalty memo and the
 // bandwidth early-out: both powers of the imbalance penalty computed by
 // math.Pow, and the bandwidth-excess delta, for every candidate part.
-func (s *streamer) scoreDirect(p int, w int64, from int, conn []int64, touched []int) float64 {
+func (s *streamer) scoreDirect(p int, w int64, from int, r *pstate.Row) float64 {
 	load := s.res[p]
 	if p == from {
 		load -= w
 	}
-	sc := float64(conn[p])
+	sc := float64(r.W[p])
 	if s.alpha > 0 {
 		sc -= s.alpha * (math.Pow(float64(load+w), s.gamma) - math.Pow(float64(load), s.gamma))
 	}
-	if d := s.bwExcessDelta(p, from, conn, touched); d != 0 {
+	if d := r.BandwidthDelta(s.bw, s.cons.Bmax, from, p); d != 0 {
 		sc -= s.bwBase * float64(d)
 	}
 	return sc
@@ -34,10 +35,10 @@ func (s *streamer) scoreDirect(p int, w int64, from int, conn []int64, touched [
 // pickDirect is the reference chooser: pick over scoreDirect, ignoring
 // the memo and bwLive. The production chooser must reproduce its every
 // choice.
-func (s *streamer) pickDirect(w int64, from int, conn []int64, touched []int, _ *powMemo) int {
+func (s *streamer) pickDirect(w int64, from int, r *pstate.Row, _ *powMemo) int {
 	best, bestScore := from, math.Inf(-1)
 	if from >= 0 {
-		bestScore = s.scoreDirect(from, w, from, conn, touched)
+		bestScore = s.scoreDirect(from, w, from, r)
 	}
 	for p := 0; p < s.k; p++ {
 		if p == from {
@@ -46,7 +47,7 @@ func (s *streamer) pickDirect(w int64, from int, conn []int64, touched []int, _ 
 		if lim := s.cons.RmaxFor(p); lim > 0 && s.res[p]+w > lim {
 			continue
 		}
-		if sc := s.scoreDirect(p, w, from, conn, touched); sc > bestScore {
+		if sc := s.scoreDirect(p, w, from, r); sc > bestScore {
 			best, bestScore = p, sc
 		}
 	}
@@ -123,18 +124,18 @@ func liveSwitch(t *testing.T, g *graph.Graph, opts Options) (first, last bool) {
 	t.Helper()
 	var seen []bool
 	opts.MaxIterations = -1
-	partitionWith(t, g, opts, func(s *streamer, w int64, from int, conn []int64, touched []int, memo *powMemo) int {
-		seen = append(seen, s.bwLive(conn, touched))
-		return s.pickDirect(w, from, conn, touched, memo)
+	partitionWith(t, g, opts, func(s *streamer, w int64, from int, r *pstate.Row, memo *powMemo) int {
+		seen = append(seen, s.bwLive(r))
+		return s.pickDirect(w, from, r, memo)
 	})
 	return seen[0], seen[len(seen)-1]
 }
 
 // TestMemoChooserMatchesDirect is the oracle for the memo and the
 // bandwidth early-out: on graphs whose weight span evicts memo slots,
-// the production chooser and the direct reference (math.Pow and
-// bwExcessDelta on every candidate) produce the same assignment and the
-// same per-pass trajectory, bit for bit, across gamma, stream order,
+// the production chooser and the direct reference (math.Pow and the
+// row's BandwidthDelta on every candidate) produce the same assignment
+// and the same per-pass trajectory, bit for bit, across gamma, stream order,
 // constraints and worker counts. The constraint cases are no bound, the
 // loose bounds, a tight Rmax and Bmax, and a Bmax that is slack at the
 // start of the initial stream and binds within it.
@@ -220,9 +221,9 @@ func TestPowMemoCollisionsAndZero(t *testing.T) {
 		// part 1 must read that very slot, and part 2 evicts it.
 		const w, load = 7, 123456
 		s := &streamer{k: 3, gamma: gamma, alpha: 1, res: []int64{load, load, load + slots}}
-		conn, touched := make([]int64, 3), []int(nil)
+		r := &pstate.Row{W: make([]int64, 3)}
 		slot := load & (slots - 1)
-		sc0 := s.score(0, w, -1, conn, touched, m, false)
+		sc0 := s.score(0, w, -1, r, m, false)
 		if m.keys[slot] != load {
 			t.Fatalf("gamma %v: scoring part 0 left key %d in slot %d, want %d", gamma, m.keys[slot], slot, load)
 		}
@@ -232,12 +233,12 @@ func TestPowMemoCollisionsAndZero(t *testing.T) {
 			t.Fatalf("gamma %v: load %d recomputed (%v) instead of reading the shared slot", gamma, load, got)
 		}
 		m.vals[slot] = stored
-		sc1 := s.score(1, w, -1, conn, touched, m, false)
+		sc1 := s.score(1, w, -1, r, m, false)
 		if math.Float64bits(sc0) != math.Float64bits(sc1) ||
-			math.Float64bits(sc1) != math.Float64bits(s.scoreDirect(1, w, -1, conn, touched)) {
-			t.Fatalf("gamma %v: part 1 scored %v, part 0 %v, direct %v", gamma, sc1, sc0, s.scoreDirect(1, w, -1, conn, touched))
+			math.Float64bits(sc1) != math.Float64bits(s.scoreDirect(1, w, -1, r)) {
+			t.Fatalf("gamma %v: part 1 scored %v, part 0 %v, direct %v", gamma, sc1, sc0, s.scoreDirect(1, w, -1, r))
 		}
-		if got, want := s.score(2, w, -1, conn, touched, m, false), s.scoreDirect(2, w, -1, conn, touched); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := s.score(2, w, -1, r, m, false), s.scoreDirect(2, w, -1, r); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("gamma %v: colliding part 2 scored %v, direct %v", gamma, got, want)
 		}
 		if m.keys[slot] != load+slots {
@@ -249,8 +250,9 @@ func TestPowMemoCollisionsAndZero(t *testing.T) {
 }
 
 // TestBwExcessDeltaZeroWhenSlack is the early-out's proof obligation on
-// random matrices: whenever bwLive reports false, bwExcessDelta is 0 for
-// every target part and every origin, unassigned included.
+// random matrices: whenever bwLive reports false, the row's
+// BandwidthDelta is 0 for every target part and every origin, unassigned
+// included.
 func TestBwExcessDeltaZeroWhenSlack(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	slack := 0
@@ -270,28 +272,29 @@ func TestBwExcessDeltaZeroWhenSlack(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			s.bwMax += rng.Int63n(5)
 		}
-		conn := make([]int64, k)
-		var touched []int
+		r := &pstate.Row{W: make([]int64, k)}
 		for q := 0; q < k; q++ {
 			if rng.Intn(3) == 0 {
 				continue
 			}
-			touched = append(touched, q)
-			conn[q] = rng.Int63n(12) // zero-weight edges leave conn at 0
+			if w := rng.Int63n(12); w > 0 { // zero-weight edges add nothing to a row
+				r.W[q] = w
+				r.Parts = append(r.Parts, q)
+			}
 		}
 		s.cons.Bmax = s.bwMax + rng.Int63n(40) - 5
 		if rng.Intn(10) == 0 {
 			s.cons.Bmax = 0
 		}
-		if s.bwLive(conn, touched) {
+		if s.bwLive(r) {
 			continue
 		}
 		slack++
 		for to := 0; to < k; to++ {
 			for from := -1; from < k; from++ {
-				if d := s.bwExcessDelta(to, from, conn, touched); d != 0 {
-					t.Fatalf("trial %d: bwLive false but bwExcessDelta(%d, %d) = %d (bw %v, bwMax %d, Bmax %d, conn %v)",
-						trial, to, from, d, s.bw, s.bwMax, s.cons.Bmax, conn)
+				if d := r.BandwidthDelta(s.bw, s.cons.Bmax, from, to); d != 0 {
+					t.Fatalf("trial %d: bwLive false but BandwidthDelta(%d, %d) = %d (bw %v, bwMax %d, Bmax %d, row %v)",
+						trial, from, to, d, s.bw, s.bwMax, s.cons.Bmax, r.W)
 				}
 			}
 		}

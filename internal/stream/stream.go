@@ -11,10 +11,14 @@
 // shared by all parts and keyed by the exact integer load (powMemo): the
 // parts' loads move forward together, so a power computed for one part
 // serves the others, and a hit returns the bits of the math.Pow call a
-// miss makes, so the memo changes no result. The bandwidth term is skipped
-// outright while no candidate move can reach Bmax: the streamer keeps an
-// upper bound on every pairwise bandwidth, and a vertex whose affinity
-// added to that bound stays within Bmax cannot change the excess.
+// miss makes, so the memo changes no result. Affinities and the
+// bandwidth term come from internal/pstate's connectivity row, gathered
+// once per vertex against the streamer's own assignment (unassigned
+// neighbours skipped), and its BandwidthDelta over the streamer's running
+// matrix. The bandwidth term is skipped outright while no candidate move
+// can reach Bmax: the streamer keeps an upper bound on every pairwise
+// bandwidth, and a vertex whose affinity added to that bound stays within
+// Bmax cannot change the excess.
 //
 // A restreaming loop then re-feeds the stream with the previous
 // assignment as prior: each pass recomputes every vertex's best part as a
@@ -206,48 +210,6 @@ func PartitionCSRWS(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, op
 	return run(ctx, ws, csr, opts, (*streamer).pick)
 }
 
-// over is the excess of v above lim (0 when lim disables the bound).
-func over(v, lim int64) int64 {
-	if lim > 0 && v > lim {
-		return v - lim
-	}
-	return 0
-}
-
-// bwExcessDelta is the change of the total pairwise bandwidth excess if a
-// vertex with per-part affinity conn (touched = parts with conn > 0)
-// moves from part `from` (-1 when unassigned) to part `to`. Mirrors
-// pstate.State.MoveDelta's bandwidth term.
-func (s *streamer) bwExcessDelta(to, from int, conn []int64, touched []int) int64 {
-	if s.cons.Bmax <= 0 || to == from {
-		return 0
-	}
-	k, bmax := s.k, s.cons.Bmax
-	var delta int64
-	if from < 0 {
-		for _, q := range touched {
-			if q == to {
-				continue
-			}
-			tq := s.bw[to*k+q]
-			delta += over(tq+conn[q], bmax) - over(tq, bmax)
-		}
-		return delta
-	}
-	for _, q := range touched {
-		if q == from || q == to {
-			continue
-		}
-		fq := s.bw[from*k+q]
-		delta += over(fq-conn[q], bmax) - over(fq, bmax)
-		tq := s.bw[to*k+q]
-		delta += over(tq+conn[q], bmax) - over(tq, bmax)
-	}
-	ft := s.bw[from*k+to]
-	delta += over(ft-conn[to]+conn[from], bmax) - over(ft, bmax)
-	return delta
-}
-
 // powMemoBits sizes the penalty memo: 1<<powMemoBits slots shared by
 // all parts.
 const powMemoBits = 16
@@ -291,14 +253,14 @@ func (m *powMemo) pow(x int64) float64 {
 	return m.vals[i]
 }
 
-// bwLive reports whether moving a vertex with per-part affinity conn
-// (touched = parts with conn > 0) can change the total bandwidth excess.
-// It cannot when Bmax is disabled, or when the affinity A summed over
-// touched keeps bwMax + A <= Bmax: every pair total bwExcessDelta reads,
-// before or after the move, is at most bwMax + A (edge weights are
-// non-negative), so every over() term is 0. The sum is checked against
-// the remaining room term by term, which cannot overflow.
-func (s *streamer) bwLive(conn []int64, touched []int) bool {
+// bwLive reports whether moving a vertex with connectivity row r can
+// change the total bandwidth excess. It cannot when Bmax is disabled, or
+// when the affinity A summed over r keeps bwMax + A <= Bmax: every pair
+// total r.BandwidthDelta reads, before or after the move, is at most
+// bwMax + A (edge weights are non-negative), so every excess term is 0.
+// The sum is checked against the remaining room term by term, which
+// cannot overflow.
+func (s *streamer) bwLive(r *pstate.Row) bool {
 	if s.cons.Bmax <= 0 {
 		return false
 	}
@@ -306,32 +268,33 @@ func (s *streamer) bwLive(conn []int64, touched []int) bool {
 	if room < 0 {
 		return true
 	}
-	for _, q := range touched {
-		if conn[q] > room {
+	for _, q := range r.Parts {
+		if r.W[q] > room {
 			return true
 		}
-		room -= conn[q]
+		room -= r.W[q]
 	}
 	return false
 }
 
-// score rates moving a vertex of weight w from part `from` (-1 when
-// unassigned) into part p: affinity minus the convex imbalance penalty
-// minus the dominant bandwidth-excess penalty. Higher is better. live is
-// bwLive for the vertex: when false the excess delta is 0 and skipped.
-func (s *streamer) score(p int, w int64, from int, conn []int64, touched []int, memo *powMemo, live bool) float64 {
+// score rates moving a vertex of weight w and row r from part `from` (-1
+// when unassigned) into part p: affinity minus the convex imbalance
+// penalty minus the dominant bandwidth-excess penalty. Higher is better.
+// live is bwLive for the vertex: when false the excess delta is 0 and
+// skipped.
+func (s *streamer) score(p int, w int64, from int, r *pstate.Row, memo *powMemo, live bool) float64 {
 	load := s.res[p]
 	if p == from {
 		load -= w
 	}
-	sc := float64(conn[p])
+	sc := float64(r.W[p])
 	if s.alpha > 0 {
 		sc -= s.alpha * (memo.pow(load+w) - memo.pow(load))
 	}
 	if !live {
 		return sc
 	}
-	if d := s.bwExcessDelta(p, from, conn, touched); d != 0 {
+	if d := r.BandwidthDelta(s.bw, s.cons.Bmax, from, p); d != 0 {
 		sc -= s.bwBase * float64(d)
 	}
 	return sc
@@ -342,11 +305,11 @@ func (s *streamer) score(p int, w int64, from int, conn []int64, touched []int, 
 // id wins. On first assignment (from == -1) parts the vertex would push
 // over Rmax are ineligible; when every part is full the least-loaded part
 // takes the vertex anyway, so the stream always assigns.
-func (s *streamer) pick(w int64, from int, conn []int64, touched []int, memo *powMemo) int {
-	live := s.bwLive(conn, touched)
+func (s *streamer) pick(w int64, from int, r *pstate.Row, memo *powMemo) int {
+	live := s.bwLive(r)
 	best, bestScore := from, math.Inf(-1)
 	if from >= 0 {
-		bestScore = s.score(from, w, from, conn, touched, memo, live)
+		bestScore = s.score(from, w, from, r, memo, live)
 	}
 	for p := 0; p < s.k; p++ {
 		if p == from {
@@ -355,7 +318,7 @@ func (s *streamer) pick(w int64, from int, conn []int64, touched []int, memo *po
 		if lim := s.cons.RmaxFor(p); lim > 0 && s.res[p]+w > lim {
 			continue
 		}
-		if sc := s.score(p, w, from, conn, touched, memo, live); sc > bestScore {
+		if sc := s.score(p, w, from, r, memo, live); sc > bestScore {
 			best, bestScore = p, sc
 		}
 	}
@@ -384,7 +347,7 @@ func deriveAlpha(k int, edgeWT, nodeWT int64, gamma float64) float64 {
 
 // chooser picks the part for one vertex: (*streamer).pick, or in the
 // package tests the direct-math.Pow reference it must reproduce.
-type chooser func(s *streamer, w int64, from int, conn []int64, touched []int, memo *powMemo) int
+type chooser func(s *streamer, w int64, from int, r *pstate.Row, memo *powMemo) int
 
 // streamer is the streaming state, workspace-pooled. Its methods score
 // candidate parts for one vertex against the part totals.
@@ -427,8 +390,8 @@ func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options,
 		n:      n,
 	}
 	s.parts = ws.Ints.Cap(n)[:n]
-	s.res = zeroed64(&ws.Int64s, k)
-	s.bw = zeroed64(&ws.Int64s, k*k)
+	s.res = ws.Int64s.Get(k)
+	s.bw = ws.Int64s.Get(k * k)
 
 	res := &Result{K: k}
 	s.initialStream()
@@ -525,43 +488,27 @@ func (s *streamer) initialStream() {
 		rng := rand.New(rand.NewSource(s.opts.Seed))
 		rng.Shuffle(s.n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
-	conn := zeroed64(&s.ws.Int64s, s.k)
-	touched := s.ws.Ints.Cap(s.k)
+	row := pstate.NewRow(s.ws, s.k)
 	memo := newPowMemo(s.ws, s.gamma)
 	k := s.k
 	for _, ui := range order {
 		u := graph.Node(ui)
-		adj, wts := s.csr.Row(u)
-		touched = touched[:0]
-		for i, v := range adj {
-			q := s.parts[v]
-			if q < 0 {
-				continue
-			}
-			if conn[q] == 0 {
-				touched = append(touched, q)
-			}
-			conn[q] += wts[i]
-		}
+		row.Gather(s.csr, s.parts, u)
 		w := s.csr.NodeW[u]
-		p := s.choose(s, w, -1, conn, touched, memo)
+		p := s.choose(s, w, -1, &row, memo)
 		s.parts[u] = p
 		s.res[p] += w
-		for _, q := range touched {
+		for _, q := range row.Parts {
 			if q == p {
 				continue
 			}
-			s.bw[p*k+q] += conn[q]
-			s.bw[q*k+p] += conn[q]
+			s.bw[p*k+q] += row.W[q]
+			s.bw[q*k+p] += row.W[q]
 			s.bwMax = max(s.bwMax, s.bw[p*k+q])
-		}
-		for _, q := range touched {
-			conn[q] = 0
 		}
 	}
 	memo.release(s.ws)
-	s.ws.Int64s.Put(conn)
-	s.ws.Ints.Put(touched)
+	row.Release(s.ws)
 	s.ws.Ints.Put(order)
 }
 
@@ -593,48 +540,26 @@ func (s *streamer) restreamSweep(newParts []int) int {
 			hi = s.n
 		}
 		cws := children[w]
-		conn := zeroed64(&cws.Int64s, s.k)
-		touched := cws.Ints.Cap(s.k)
+		row := pstate.NewRow(cws, s.k)
 		memo := newPowMemo(cws, s.gamma)
 		chunkMoved := 0
 		for ui := lo; ui < hi; ui++ {
 			u := graph.Node(ui)
-			adj, wts := s.csr.Row(u)
-			touched = touched[:0]
-			for i, v := range adj {
-				q := s.parts[v]
-				if conn[q] == 0 {
-					touched = append(touched, q)
-				}
-				conn[q] += wts[i]
-			}
+			row.Gather(s.csr, s.parts, u)
 			from := s.parts[u]
-			p := s.choose(s, s.csr.NodeW[u], from, conn, touched, memo)
+			p := s.choose(s, s.csr.NodeW[u], from, &row, memo)
 			newParts[u] = p
 			if p != from {
 				chunkMoved++
 			}
-			for _, q := range touched {
-				conn[q] = 0
-			}
 		}
 		moved[w] = chunkMoved
 		memo.release(cws)
-		cws.Int64s.Put(conn)
-		cws.Ints.Put(touched)
+		row.Release(cws)
 	})
 	total := 0
 	for _, m := range moved {
 		total += m
 	}
 	return total
-}
-
-// zeroed64 draws a zero-filled int64 slice of length n from p.
-func zeroed64(p *arena.Pool[int64], n int) []int64 {
-	s := p.Cap(n)[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }

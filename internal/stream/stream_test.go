@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/gen"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
@@ -149,6 +150,67 @@ func TestOptionsValidate(t *testing.T) {
 	for _, opts := range cases {
 		if _, err := Partition(g, opts); err == nil {
 			t.Errorf("Partition(%+v) accepted invalid options", opts)
+		}
+	}
+}
+
+// TestInitialStreamBandwidthWithZeroWeightEdges pins the streamer's
+// running bandwidth matrix after the initial pass to the from-scratch
+// one. A zero-weight edge into a part, followed by a positive edge into
+// the same part, once listed that part twice in the vertex's gather, and
+// the pass added the affinity twice: on the three-node graph below node
+// 2 joins part 1 and the streamer held bw[0][1] = 10 against a true 5.
+func TestInitialStreamBandwidthWithZeroWeightEdges(t *testing.T) {
+	small := graph.New(3)
+	small.MustAddEdge(0, 1, 3)
+	small.MustAddEdge(2, 0, 0)
+	small.MustAddEdge(2, 1, 5)
+	rng := rand.New(rand.NewSource(41))
+	wide := graph.New(200)
+	for i := 1; i < 200; i++ {
+		wide.MustAddEdge(graph.Node(rng.Intn(i)), graph.Node(i), int64(rng.Intn(4)))
+	}
+	for i := 0; i < 600; i++ {
+		if u, v := rng.Intn(200), rng.Intn(200); u != v {
+			_ = wide.AddEdge(graph.Node(u), graph.Node(v), int64(rng.Intn(4)))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"three-node", small, Options{K: 2, Constraints: metrics.Constraints{Rmax: 2}}},
+		{"random", wide, Options{K: 5, Constraints: looseConstraints(wide, 5)}},
+	} {
+		csr := tc.g.ToCSR()
+		opts := tc.opts.withDefaults()
+		ws := &arena.Workspace{}
+		n, k := csr.NumNodes(), opts.K
+		s := &streamer{
+			choose: (*streamer).pick,
+			k:      k,
+			cons:   opts.Constraints,
+			gamma:  opts.Gamma,
+			alpha:  deriveAlpha(k, csr.EdgeWT, csr.NodeWT, opts.Gamma),
+			bwBase: float64(csr.EdgeWT + 1),
+			res:    make([]int64, k),
+			bw:     make([]int64, k*k),
+			ws:     ws,
+			csr:    csr,
+			opts:   opts,
+			n:      n,
+			parts:  make([]int, n),
+		}
+		s.initialStream()
+		want := metrics.BandwidthMatrix(tc.g, s.parts, k)
+		for p := 0; p < k; p++ {
+			for q := 0; q < k; q++ {
+				if got := s.bw[p*k+q]; got != want[p][q] {
+					t.Fatalf("%s: parts %v: running bw[%d][%d] = %d, from scratch %d",
+						tc.name, s.parts, p, q, got, want[p][q])
+				}
+			}
 		}
 	}
 }
