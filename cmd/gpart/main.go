@@ -14,14 +14,12 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"ppnpart/internal/core"
@@ -139,7 +137,12 @@ func run(cfg config) error {
 
 	var parts []int
 	if cfg.evalPath != "" {
-		parts, err = readPartition(cfg.evalPath, g.NumNodes())
+		f, err := os.Open(cfg.evalPath)
+		if err != nil {
+			return err
+		}
+		parts, err = graph.ReadPartition(f, g.NumNodes())
+		f.Close()
 		if err != nil {
 			return err
 		}
@@ -276,7 +279,15 @@ func report(g *graph.Graph, parts []int, k int, c metrics.Constraints,
 		}
 	}
 	if outPath != "" {
-		if err := writePartition(outPath, parts); err != nil {
+		f, err := os.Create(outPath)
+		if err != nil {
+			return err
+		}
+		err = graph.WritePartition(f, parts)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -339,58 +350,4 @@ func writeStreamTrace(path string, iters []stream.IterTrace) error {
 	}
 	fmt.Printf("trace: %d streaming passes -> %s\n", len(iters), path)
 	return nil
-}
-
-// writePartition writes "node part" lines.
-func writePartition(path string, parts []int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for u, p := range parts {
-		if _, err := fmt.Fprintf(f, "%d %d\n", u, p); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
-}
-
-// readPartition parses "node part" lines into an assignment vector.
-func readPartition(path string, n int) ([]int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	parts := make([]int, n)
-	seen := make([]bool, n)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var u, p int
-		if _, err := fmt.Sscanf(line, "%d %d", &u, &p); err != nil {
-			return nil, fmt.Errorf("partition file: malformed line %q", line)
-		}
-		if u < 0 || u >= n {
-			return nil, fmt.Errorf("partition file: node %d out of range [0,%d)", u, n)
-		}
-		if seen[u] {
-			return nil, fmt.Errorf("partition file: node %d assigned twice", u)
-		}
-		seen[u] = true
-		parts[u] = p
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for u, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("partition file: node %d unassigned", u)
-		}
-	}
-	return parts, nil
 }

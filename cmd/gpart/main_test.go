@@ -107,35 +107,42 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestPartitionFileParsing drives -eval through the shared partition
+// reader (graph.ReadPartition, whose format cases graph's own tests
+// cover): a valid file evaluates, a bad or absent one fails the run.
 func TestPartitionFileParsing(t *testing.T) {
 	dir := t.TempDir()
-	good := filepath.Join(dir, "good.part")
-	os.WriteFile(good, []byte("# comment\n0 1\n1 0\n"), 0o644)
-	parts, err := readPartition(good, 2)
-	if err != nil {
+	gpath := writeInstance(t, dir)
+	parts := make([]int, 12) // paper instance 1 has 12 processes
+	for u := range parts {
+		parts[u] = u % 4
+	}
+	var good strings.Builder
+	if err := graph.WritePartition(&good, parts); err != nil {
 		t.Fatal(err)
 	}
-	if parts[0] != 1 || parts[1] != 0 {
-		t.Fatalf("parts = %v", parts)
-	}
-	cases := map[string]string{
-		"malformed":  "x y\n",
-		"outOfRange": "5 0\n0 0\n",
-		"duplicate":  "0 0\n0 1\n1 0\n",
-		"missing":    "0 0\n",
-	}
-	for name, content := range cases {
-		p := filepath.Join(dir, name)
-		os.WriteFile(p, []byte(content), 0o644)
-		if _, err := readPartition(p, 2); err == nil {
-			t.Errorf("case %s accepted", name)
+	for name, tc := range map[string]struct {
+		content string
+		ok      bool
+	}{
+		"good":      {"# comment\n" + good.String(), true},
+		"malformed": {"x y\n", false},
+		"missing":   {"0 0\n", false},
+	} {
+		p := filepath.Join(dir, name+".part")
+		if err := os.WriteFile(p, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := gpConfig(gpath)
+		cfg.evalPath = p
+		if err := run(cfg); (err == nil) != tc.ok {
+			t.Errorf("case %s: run error %v, want ok=%v", name, err, tc.ok)
 		}
 	}
-	if _, err := readPartition(filepath.Join(dir, "absent"), 2); err == nil {
+	cfg := gpConfig(gpath)
+	cfg.evalPath = filepath.Join(dir, "absent")
+	if err := run(cfg); err == nil {
 		t.Error("absent file accepted")
-	}
-	if !strings.Contains(good, dir) {
-		t.Fatal("sanity")
 	}
 }
 

@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -179,7 +178,12 @@ func run(cfg config) error {
 	// abstraction of the heterogeneous system).
 	var parts []int
 	if cfg.partPath != "" {
-		parts, err = readPartition(cfg.partPath, g.NumNodes())
+		f, err := os.Open(cfg.partPath)
+		if err != nil {
+			return err
+		}
+		parts, err = graph.ReadPartition(f, g.NumNodes())
+		f.Close()
 		if err != nil {
 			return err
 		}
@@ -476,40 +480,4 @@ func nominalRounds(net *ppn.PPN) int64 {
 		}
 	}
 	return r
-}
-
-// readPartition parses "node part" lines.
-func readPartition(path string, n int) ([]int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	parts := make([]int, n)
-	seen := make([]bool, n)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var u, p int
-		if _, err := fmt.Sscanf(line, "%d %d", &u, &p); err != nil {
-			return nil, fmt.Errorf("partition file: malformed line %q", line)
-		}
-		if u < 0 || u >= n || seen[u] {
-			return nil, fmt.Errorf("partition file: bad or duplicate node %d", u)
-		}
-		seen[u] = true
-		parts[u] = p
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	for u, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("partition file: node %d unassigned", u)
-		}
-	}
-	return parts, nil
 }

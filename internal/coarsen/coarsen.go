@@ -120,24 +120,11 @@ func ContractWS(ws *arena.Workspace, g *graph.CSR, m match.Matching) (*Level, er
 	return &Level{Coarse: c, FineToCoarse: fineToCoarse}, nil
 }
 
-// ProjectUp lifts a partition of the coarse graph to the fine graph: each
-// fine node inherits the part of its coarse image. This is the projection
-// step of un-coarsening.
-func (l *Level) ProjectUp(coarseParts []int) ([]int, error) {
-	if len(coarseParts) != l.Coarse.NumNodes() {
-		return nil, fmt.Errorf("coarsen: projection input length %d != coarse nodes %d",
-			len(coarseParts), l.Coarse.NumNodes())
-	}
-	fine := make([]int, len(l.FineToCoarse))
-	for u, c := range l.FineToCoarse {
-		fine[u] = coarseParts[c]
-	}
-	return fine, nil
-}
-
-// ProjectUpInto is ProjectUp writing into a caller-provided slice of
-// length len(FineToCoarse), so the uncoarsening loop can recycle its
-// per-level assignment buffers instead of allocating one per level.
+// ProjectUpInto lifts a partition of the coarse graph to the fine graph,
+// writing into fine, of length len(FineToCoarse): each fine node inherits
+// the part of its coarse image. This is the projection step of
+// un-coarsening; the uncoarsening loop recycles its per-level assignment
+// buffers through it.
 func (l *Level) ProjectUpInto(coarseParts, fine []int) error {
 	if len(coarseParts) != l.Coarse.NumNodes() {
 		return fmt.Errorf("coarsen: projection input length %d != coarse nodes %d",
@@ -223,18 +210,20 @@ func (h *Hierarchy) GraphAt(level int) *graph.CSR {
 }
 
 // ProjectTo lifts a partition at fromLevel (Depth() = coarsest, 0 =
-// original) up to toLevel < fromLevel.
+// original) up to toLevel <= fromLevel, allocating each finer level's
+// assignment.
 func (h *Hierarchy) ProjectTo(parts []int, fromLevel, toLevel int) ([]int, error) {
 	if fromLevel < toLevel {
 		return nil, fmt.Errorf("coarsen: cannot project from level %d to coarser level %d", fromLevel, toLevel)
 	}
 	cur := parts
 	for lvl := fromLevel; lvl > toLevel; lvl-- {
-		var err error
-		cur, err = h.Levels[lvl-1].ProjectUp(cur)
-		if err != nil {
+		l := h.Levels[lvl-1]
+		fine := make([]int, len(l.FineToCoarse))
+		if err := l.ProjectUpInto(cur, fine); err != nil {
 			return nil, err
 		}
+		cur = fine
 	}
 	return cur, nil
 }

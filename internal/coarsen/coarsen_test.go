@@ -121,15 +121,19 @@ func TestProjectUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := lvl.ProjectUp([]int{0, 1})
+	h := &Hierarchy{Original: g.ToCSR(), Levels: []*Level{lvl}}
+	fine, err := h.ProjectTo([]int{0, 1}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fine[0] != fine[1] || fine[2] != fine[3] || fine[0] == fine[2] {
 		t.Fatalf("projection = %v", fine)
 	}
-	if _, err := lvl.ProjectUp([]int{0}); err == nil {
+	if _, err := h.ProjectTo([]int{0}, 1, 0); err == nil {
 		t.Fatal("short projection input accepted")
+	}
+	if err := lvl.ProjectUpInto([]int{0, 1}, make([]int, 3)); err == nil {
+		t.Fatal("short projection output accepted")
 	}
 }
 

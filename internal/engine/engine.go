@@ -610,12 +610,7 @@ func (s *Solver) gpCycle(cy *Cycle) (result []int, pruned bool) {
 		cy.trace.SeedNS = cy.since(t)
 	}
 	if cy.Ctx.Err() != nil {
-		cy.markCancelled()
-		full, perr := cy.Hier.ProjectTo(cy.Parts, cy.Level, 0)
-		if perr != nil {
-			return nil, false
-		}
-		return full, false
+		return cy.cancelToFinest(), false
 	}
 	s.runStage(cy, PhaseRefine)
 
@@ -636,18 +631,23 @@ func (s *Solver) gpCycle(cy *Cycle) (result []int, pruned bool) {
 			break
 		}
 		if cy.Ctx.Err() != nil {
-			// Deadline hit mid-uncoarsening: project the current level's
-			// assignment to the finest graph without further refinement.
-			cy.markCancelled()
-			full, perr := cy.Hier.ProjectTo(cy.Parts, cy.Level, 0)
-			if perr != nil {
-				return nil, false
-			}
-			return full, false
+			return cy.cancelToFinest(), false
 		}
 		s.runStage(cy, PhaseRefine)
 	}
 	return cy.Parts, false
+}
+
+// cancelToFinest marks the cycle cancelled and projects the current
+// level's assignment to the finest graph without further refinement
+// (nil when the projection fails).
+func (cy *Cycle) cancelToFinest() []int {
+	cy.markCancelled()
+	full, err := cy.Hier.ProjectTo(cy.Parts, cy.Level, 0)
+	if err != nil {
+		return nil
+	}
+	return full
 }
 
 func (cy *Cycle) markCancelled() {

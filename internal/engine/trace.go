@@ -255,7 +255,42 @@ func DecodeTrace(b []byte) (*TraceData, error) {
 	if err := strictUnmarshal(b, &d); err != nil {
 		return nil, fmt.Errorf("engine: invalid trace: %w", err)
 	}
+	d.nilEmpty()
 	return &d, nil
+}
+
+// nilEmpty sets every empty omitempty list to nil, the value that
+// encoding it and decoding the result yields, so that a decoded trace
+// equals its own round trip.
+func (d *TraceData) nilEmpty() {
+	for _, c := range d.Cycles {
+		if c == nil {
+			continue
+		}
+		c.Levels = nilIfEmpty(c.Levels)
+		c.Refines = nilIfEmpty(c.Refines)
+		for i := range c.Levels {
+			c.Levels[i].Candidates = nilIfEmpty(c.Levels[i].Candidates)
+		}
+		if c.Seeding != nil {
+			c.Seeding.Stream = nilIfEmpty(c.Seeding.Stream)
+		}
+		for _, r := range c.Refines {
+			if b := r.Batch; b != nil {
+				b.RoundSizes = nilIfEmpty(b.RoundSizes)
+				b.RoundGains = nilIfEmpty(b.RoundGains)
+				b.RoundCands = nilIfEmpty(b.RoundCands)
+				b.RoundQuotas = nilIfEmpty(b.RoundQuotas)
+			}
+		}
+	}
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 func strictUnmarshal(b []byte, v any) error {

@@ -18,7 +18,8 @@ import (
 //   - a JSON format carrying names and weights (used by the CLI tools);
 //   - a whitespace incidence-matrix format (the paper fed incidence
 //     matrices to MATLAB);
-//   - a plain weighted edge list.
+//   - a plain weighted edge list;
+//   - the partition file: one "node part" line per node.
 
 // MaxNodes is the largest node count ReadMETIS and ReadEdgeList accept
 // from a header: 2^24, sixteen times the 10^6-node scale the partitioner
@@ -445,4 +446,54 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("edgelist: header declares %d edges, body has %d", m, got)
 	}
 	return g, nil
+}
+
+// WritePartition writes an assignment as "node part" lines in node order.
+func WritePartition(w io.Writer, parts []int) error {
+	bw := bufio.NewWriter(w)
+	for u, p := range parts {
+		fmt.Fprintf(bw, "%d %d\n", u, p)
+	}
+	return bw.Flush()
+}
+
+// ReadPartition parses the "node part" lines WritePartition writes into
+// an assignment of n nodes. Blank lines and lines starting with '#' are
+// skipped; every node in [0,n) must be assigned exactly once.
+func ReadPartition(r io.Reader, n int) ([]int, error) {
+	parts := make([]int, n)
+	seen := make([]bool, n)
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("partition: malformed line %q", line)
+		}
+		u, err1 := strconv.Atoi(fields[0])
+		p, err2 := strconv.Atoi(fields[1])
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("partition: malformed line %q", line)
+		}
+		if u < 0 || u >= n {
+			return nil, fmt.Errorf("partition: node %d out of range [0,%d)", u, n)
+		}
+		if seen[u] {
+			return nil, fmt.Errorf("partition: node %d assigned twice", u)
+		}
+		seen[u] = true
+		parts[u] = p
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
+	}
+	for u, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("partition: node %d unassigned", u)
+		}
+	}
+	return parts, nil
 }

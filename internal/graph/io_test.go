@@ -286,3 +286,53 @@ func TestReadersRejectHugeNodeCount(t *testing.T) {
 		t.Fatalf("metis: a count of MaxNodes gave %v, want a missing-rows error", err)
 	}
 }
+
+func TestPartitionFormat(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		n        int
+		want     []int // nil: the reader must fail
+		errHas   string
+	}{
+		{"comments and blanks", "# header\n\n0 1\n  \n# mid\n1 0\n2 2\n", 3, []int{1, 0, 2}, ""},
+		{"any line order", "2 0\n0 1\n1 1\n", 3, []int{1, 1, 0}, ""},
+		{"malformed", "0 1\nx y\n", 2, nil, "malformed"},
+		{"extra field", "0 1 7\n1 0\n", 2, nil, "malformed"},
+		{"out of range", "0 0\n5 1\n1 0\n", 2, nil, "out of range"},
+		{"negative node", "-1 0\n0 0\n1 0\n", 2, nil, "out of range"},
+		{"duplicate", "0 0\n0 1\n1 0\n", 2, nil, "assigned twice"},
+		{"unassigned", "0 0\n", 2, nil, "node 1 unassigned"},
+	} {
+		got, err := ReadPartition(strings.NewReader(tc.in), tc.n)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+				t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.errHas)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: parts = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// Writer → reader round trip.
+	rng := rand.New(rand.NewSource(1))
+	parts := make([]int, 50)
+	for u := range parts {
+		parts[u] = rng.Intn(7)
+	}
+	var buf bytes.Buffer
+	if err := WritePartition(&buf, parts); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadPartition(&buf, len(parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(parts) {
+		t.Fatalf("round trip = %v, want %v", got, parts)
+	}
+}

@@ -2,79 +2,87 @@ package initpart
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 	"ppnpart/internal/metrics"
+	"ppnpart/internal/refine"
 )
 
 // White-box tests for the grower's internal helpers: the frontier's
 // selection order, empty-part repair, and the recursive-bisect
 // rebalancer's edge cases.
 
-// testFrontier builds a frontier over n nodes the way growOnce does from
-// its workspace-pooled tables.
-func testFrontier(n int) *frontier {
-	return &frontier{weight: make([]int64, n), in: make([]bool, n)}
+// testFrontier builds the grower's frontier, a refine.GainQueue, over n
+// nodes from a fresh workspace, the way GreedyGrowWS draws it.
+func testFrontier(n int) *refine.GainQueue {
+	f := refine.NewGainQueue(new(arena.Workspace), n)
+	return &f
+}
+
+// popAll drains f in pop order.
+func popAll(f *refine.GainQueue) []graph.Node {
+	var got []graph.Node
+	for f.Len() > 0 {
+		u, _ := f.Pop()
+		got = append(got, u)
+	}
+	return got
 }
 
 func TestFrontierPopMaxOrdersByWeightThenID(t *testing.T) {
 	f := testFrontier(8)
-	f.add(3, 5)
-	f.add(1, 9)
-	f.add(6, 2)
-	f.add(4, 9) // ties node 1 on weight; higher id must lose
-	var got []graph.Node
-	for f.len() > 0 {
-		got = append(got, f.popMax())
-	}
+	f.Add(3, 5)
+	f.Add(1, 9)
+	f.Add(6, 2)
+	f.Add(4, 9) // ties node 1 on weight; higher id must lose
+	got := popAll(f)
 	want := []graph.Node{1, 4, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("popped %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v (weight desc, id asc)", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pop order %v, want %v (weight desc, id asc)", got, want)
 	}
 }
 
 func TestFrontierAddAccumulatesWeight(t *testing.T) {
 	f := testFrontier(4)
-	f.add(0, 3)
-	f.add(2, 5)
-	f.add(0, 4) // 0 now totals 7, overtaking 2
-	if got := f.popMax(); got != 0 {
-		t.Fatalf("popMax = %d, want 0 (accumulated weight 7 beats 5)", got)
+	f.Add(0, 3)
+	f.Add(2, 5)
+	f.Add(0, 4) // 0 now totals 7, overtaking 2
+	if got, w := f.Pop(); got != 0 || w != 7 {
+		t.Fatalf("Pop = %d/%d, want 0/7 (accumulated weight 7 beats 5)", got, w)
 	}
-	if got := f.popMax(); got != 2 {
-		t.Fatalf("popMax = %d, want 2", got)
+	if got, _ := f.Pop(); got != 2 {
+		t.Fatalf("Pop = %d, want 2", got)
 	}
 }
 
 func TestFrontierPopLeavesNoResidue(t *testing.T) {
 	f := testFrontier(4)
-	f.add(1, 10)
-	f.add(2, 6)
-	if got := f.popMax(); got != 1 {
-		t.Fatalf("popMax = %d, want 1", got)
+	f.Add(1, 10)
+	f.Add(2, 6)
+	if got, _ := f.Pop(); got != 1 {
+		t.Fatalf("Pop = %d, want 1", got)
 	}
 	// Re-adding a popped node starts from zero: 3 < 6, so 2 wins now.
-	f.add(1, 3)
-	if got := f.popMax(); got != 2 {
-		t.Fatalf("popMax after re-add = %d, want 2 (old weight must not linger)", got)
+	f.Add(1, 3)
+	if got, _ := f.Pop(); got != 2 {
+		t.Fatalf("Pop after re-add = %d, want 2 (old weight must not linger)", got)
 	}
-	if got := f.popMax(); got != 1 {
-		t.Fatalf("popMax = %d, want 1", got)
+	if got, w := f.Pop(); got != 1 || w != 3 {
+		t.Fatalf("Pop = %d/%d, want 1/3", got, w)
 	}
-	if f.len() != 0 {
-		t.Fatalf("frontier not drained: len = %d", f.len())
+	if f.Len() != 0 {
+		t.Fatalf("frontier not drained: len = %d", f.Len())
 	}
-	for u, in := range f.in {
-		if in || f.weight[u] != 0 {
-			t.Fatalf("node %d left residue: in=%v weight=%d", u, in, f.weight[u])
-		}
+	// A drained frontier is as good as a fresh one: equal additions to
+	// every node pop in id order, so no popped weight lingers.
+	for u := 3; u >= 0; u-- {
+		f.Add(graph.Node(u), 1)
+	}
+	if got, want := popAll(f), []graph.Node{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("pop order after drain %v, want %v", got, want)
 	}
 }
 

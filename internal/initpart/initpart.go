@@ -7,10 +7,10 @@
 package initpart
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
@@ -51,9 +51,12 @@ func (o GreedyOptions) withDefaults() GreedyOptions {
 // repeated Restarts times with random seeds and the goodness-best
 // assignment wins.
 //
-// The one csr serves growth, repair and scoring of every restart. Every
-// restart's assignment, resource totals, frontier tables, and
-// repair-and-scoring state are drawn from ws; one frontier serves all
+// One heavy-first order of the nodes (weight desc, id asc), sorted once
+// per call, serves every restart: the first attempt's seed, each next
+// part's seed and the leftover pass. The one csr serves growth, repair
+// and scoring of every restart. Every restart's assignment, resource
+// totals, and repair-and-scoring state are drawn from ws, as are the
+// order and the frontier; one frontier, a refine.GainQueue, serves all
 // grows of all restarts (it drains to empty after every grow, so reuse
 // needs no clearing). The winning assignment is returned still backed by
 // ws memory and is never put back by this call: callers may keep it past
@@ -68,13 +71,18 @@ func GreedyGrowWS(ws *arena.Workspace, csr *graph.CSR, opts GreedyOptions, rng *
 	if n < opts.K {
 		return nil, fmt.Errorf("initpart: cannot split %d nodes into %d parts", n, opts.K)
 	}
-	// The heaviest node (lowest id on ties) seeds the first attempt.
-	var heaviest graph.Node
-	for u, w := range csr.NodeW {
-		if w > csr.NodeW[heaviest] {
-			heaviest = graph.Node(u)
-		}
+	order := ws.Nodes.Cap(n)[:n]
+	for i := range order {
+		order[i] = graph.Node(i)
 	}
+	slices.SortFunc(order, func(a, b graph.Node) int {
+		if c := cmp.Compare(csr.NodeW[b], csr.NodeW[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// The heaviest node (lowest id on ties) seeds the first attempt.
+	heaviest := order[0]
 	// Per-part growth bounds: each part's cap, or, for a part without
 	// one, the balanced share plus one heaviest node of slack so the
 	// last partition is not starved by rounding.
@@ -84,18 +92,7 @@ func GreedyGrowWS(ws *arena.Workspace, csr *graph.CSR, opts GreedyOptions, rng *
 			lims[p] = csr.NodeWT/int64(opts.K) + csr.NodeW[heaviest]
 		}
 	}
-	// Scoring through a pstate build costs a single adjacency sweep and is
-	// bit-identical to metrics.Goodness.
-	f := frontier{
-		weight: ws.Int64s.Get(n),
-		in:     ws.Bools.Get(n),
-		items:  ws.Nodes.Cap(8),
-		heap:   ws.Int64s.Cap(512),
-		// Packed lazy-heap pops need (weight, id) to fit one int64 key: a
-		// node's accumulated frontier weight is bounded by the total edge
-		// weight, so both bounds guarantee every key is exact.
-		packed: int64(n) <= frontierIDMask && csr.EdgeWT <= frontierIDMask,
-	}
+	f := refine.NewGainQueue(ws, n)
 	var best []int
 	bestScore := 0.0
 	for attempt := 0; attempt < opts.Restarts; attempt++ {
@@ -105,8 +102,10 @@ func GreedyGrowWS(ws *arena.Workspace, csr *graph.CSR, opts GreedyOptions, rng *
 		} else {
 			seed = graph.Node(rng.Intn(n))
 		}
-		parts := growOnce(ws, csr, opts.K, lims, seed, rng, &f)
-		// One state serves the restart's bandwidth repair and scoring.
+		parts := growOnce(ws, csr, opts.K, lims, order, seed, rng, &f)
+		// One state serves the restart's bandwidth repair and scoring;
+		// its build costs a single adjacency sweep, and its goodness is
+		// bit-identical to metrics.Goodness.
 		s, err := pstate.NewWS(ws, csr, parts, pstate.Config{K: opts.K, Constraints: opts.Constraints})
 		if err != nil {
 			return nil, fmt.Errorf("initpart: %v", err)
@@ -126,17 +125,16 @@ func GreedyGrowWS(ws *arena.Workspace, csr *graph.CSR, opts GreedyOptions, rng *
 		}
 	}
 	ws.Int64s.Put(lims)
-	ws.Int64s.Put(f.weight)
-	ws.Bools.Put(f.in)
-	ws.Nodes.Put(f.items)
-	ws.Int64s.Put(f.heap)
+	ws.Nodes.Put(order)
+	f.Release(ws)
 	return best, nil
 }
 
-// growOnce performs a single greedy growth from the given seed. f is a
-// drained frontier over n nodes; it is returned drained. lims[p] bounds
-// part p's growth.
-func growOnce(ws *arena.Workspace, csr *graph.CSR, k int, lims []int64, seed graph.Node, rng *rand.Rand, f *frontier) []int {
+// growOnce performs a single greedy growth from the given seed. order
+// lists the nodes heavy-first; f is a drained frontier over n nodes,
+// keyed by connection to the growing part, and is returned drained.
+// lims[p] bounds part p's growth.
+func growOnce(ws *arena.Workspace, csr *graph.CSR, k int, lims []int64, order []graph.Node, seed graph.Node, rng *rand.Rand, f *refine.GainQueue) []int {
 	n := csr.NumNodes()
 	nodeW := csr.NodeW
 	parts := ws.Ints.Get(n)
@@ -150,9 +148,6 @@ func growOnce(ws *arena.Workspace, csr *graph.CSR, k int, lims []int64, seed gra
 	// grow fills part p starting from node s via weighted-degree-greedy
 	// BFS, stopping at the resource bound.
 	grow := func(p int, s graph.Node) {
-		if parts[s] != Unassigned {
-			return
-		}
 		parts[s] = p
 		res[p] += nodeW[s]
 		assigned++
@@ -162,16 +157,13 @@ func growOnce(ws *arena.Workspace, csr *graph.CSR, k int, lims []int64, seed gra
 			nbrs, wts := csr.Row(u)
 			for i, v := range nbrs {
 				if parts[v] == Unassigned {
-					f.add(v, wts[i])
+					f.Add(v, wts[i])
 				}
 			}
 		}
 		push(s)
-		for f.len() > 0 {
-			u := f.popMax()
-			if parts[u] != Unassigned {
-				continue
-			}
+		for f.Len() > 0 {
+			u, _ := f.Pop()
 			w := nodeW[u]
 			if res[p]+w > lims[p] {
 				continue // try other frontier nodes; some may be lighter
@@ -184,21 +176,28 @@ func growOnce(ws *arena.Workspace, csr *graph.CSR, k int, lims []int64, seed gra
 	}
 
 	grow(0, seed)
+	// Seed each next partition at the heaviest unassigned node (paper:
+	// "we apply the same for the other partitions"). Placed nodes stay
+	// placed, so the cursor into order only moves forward, and every
+	// node before it is placed.
+	next := 0
 	for p := 1; p < k; p++ {
-		// Seed each next partition at the heaviest unassigned node
-		// (paper: "we apply the same for the other partitions").
-		s := heaviestUnassigned(nodeW, parts)
-		if s < 0 {
+		for next < n && parts[order[next]] != Unassigned {
+			next++
+		}
+		if next == n {
 			break
 		}
-		grow(p, s)
+		grow(p, order[next])
 	}
 
-	// Leftovers: best-fit by free space (paper: "the first partition which
-	// has biggest free space for that node").
+	// Leftovers, heaviest first: best-fit by free space (paper: "the
+	// first partition which has biggest free space for that node").
 	if assigned < n {
-		order := unassignedByWeightDesc(nodeW, parts)
-		for _, u := range order {
+		for _, u := range order[next:] {
+			if parts[u] != Unassigned {
+				continue
+			}
 			w := nodeW[u]
 			bestP := -1
 			var bestFree int64
@@ -242,37 +241,6 @@ func growOnce(ws *arena.Workspace, csr *graph.CSR, k int, lims []int64, seed gra
 	return parts
 }
 
-// heaviestUnassigned returns the heaviest node not yet placed, or -1.
-func heaviestUnassigned(nodeW []int64, parts []int) graph.Node {
-	best := graph.Node(-1)
-	var bw int64 = -1
-	for u, w := range nodeW {
-		if parts[u] == Unassigned && w > bw {
-			best = graph.Node(u)
-			bw = w
-		}
-	}
-	return best
-}
-
-// unassignedByWeightDesc lists unplaced nodes heaviest-first.
-func unassignedByWeightDesc(nodeW []int64, parts []int) []graph.Node {
-	var out []graph.Node
-	for u := range nodeW {
-		if parts[u] == Unassigned {
-			out = append(out, graph.Node(u))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		wi, wj := nodeW[out[i]], nodeW[out[j]]
-		if wi != wj {
-			return wi > wj
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
 // fixEmptyParts ensures every part id in [0,k) owns at least one node.
 func fixEmptyParts(nodeW []int64, parts []int, k int, rng *rand.Rand) {
 	sizes := metrics.PartSizes(parts, k)
@@ -302,131 +270,6 @@ func fixEmptyParts(nodeW []int64, parts []int, k int, rng *rand.Rand) {
 			sizes[donor]--
 			sizes[p]++
 		}
-	}
-}
-
-// frontierIDMask bounds node ids and accumulated weights on the packed
-// lazy-heap fast path: key = weight<<31 | (mask - id) keeps the integer
-// order of keys identical to the frontier's (weight desc, id asc) total
-// order.
-const frontierIDMask = 1<<31 - 1
-
-// frontier is a max-priority frontier keyed by connection weight; repeated
-// adds accumulate weight, mirroring "most connected first" growth.
-// Membership and accumulated weight are dense per-node tables. Selection
-// follows the total order (weight desc, node id asc), so the pop sequence
-// is independent of insertion or storage order — the same nodes come out
-// as with any other container, deterministically.
-//
-// Two interchangeable pop engines sit behind that order. The packed fast
-// path keeps a lazy max-heap of (weight, id) keys: every add pushes the
-// node's new cumulative key, and popMax discards stale entries (weight no
-// longer current, or node already popped) until the root is live — the
-// live root is exactly the linear scan's argmax, so the engines are
-// bit-interchangeable. The heap resets whenever the frontier drains,
-// which bounds it by one grow's pushes. Graphs whose ids or weights
-// exceed the packed key bounds fall back to scanning the member list.
-type frontier struct {
-	weight []int64
-	in     []bool
-	items  []graph.Node // member list (fallback engine only)
-	heap   []int64      // packed lazy entries (fast path only)
-	size   int          // live members (fast path only)
-	packed bool
-}
-
-func (f *frontier) add(u graph.Node, w int64) {
-	if !f.in[u] {
-		f.in[u] = true
-		if f.packed {
-			f.size++
-		} else {
-			f.items = append(f.items, u)
-		}
-	}
-	f.weight[u] += w
-	if f.packed {
-		f.heap = append(f.heap, f.weight[u]<<31|(frontierIDMask-int64(u)))
-		// Sift up.
-		for i := len(f.heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if f.heap[p] >= f.heap[i] {
-				break
-			}
-			f.heap[p], f.heap[i] = f.heap[i], f.heap[p]
-			i = p
-		}
-	}
-}
-
-func (f *frontier) len() int {
-	if f.packed {
-		return f.size
-	}
-	return len(f.items)
-}
-
-// popMax removes and returns the strongest-connected node (ties: lowest
-// id, keeping the growth deterministic). A popped node leaves no residue:
-// re-adding it later starts accumulating from zero again.
-func (f *frontier) popMax() graph.Node {
-	if f.packed {
-		return f.popMaxHeap()
-	}
-	best := graph.Node(-1)
-	bi := -1
-	var bw int64 = -1
-	for i, u := range f.items {
-		if w := f.weight[u]; w > bw || (w == bw && u < best) {
-			best, bw, bi = u, w, i
-		}
-	}
-	last := len(f.items) - 1
-	f.items[bi] = f.items[last]
-	f.items = f.items[:last]
-	f.weight[best] = 0
-	f.in[best] = false
-	return best
-}
-
-// popMaxHeap is popMax's packed lazy-heap engine: pop keys in descending
-// order, skipping entries superseded by a later add or an earlier pop.
-// A live node's highest (current) key always outranks its stale lower
-// keys, so the first live entry popped is the frontier's true argmax.
-func (f *frontier) popMaxHeap() graph.Node {
-	for {
-		key := f.heap[0]
-		last := len(f.heap) - 1
-		f.heap[0] = f.heap[last]
-		f.heap = f.heap[:last]
-		// Sift down.
-		for i := 0; ; {
-			c := 2*i + 1
-			if c >= last {
-				break
-			}
-			if c+1 < last && f.heap[c+1] > f.heap[c] {
-				c++
-			}
-			if f.heap[i] >= f.heap[c] {
-				break
-			}
-			f.heap[i], f.heap[c] = f.heap[c], f.heap[i]
-			i = c
-		}
-		u := graph.Node(frontierIDMask - key&frontierIDMask)
-		if !f.in[u] || f.weight[u] != key>>31 {
-			continue // stale: superseded or already popped
-		}
-		f.weight[u] = 0
-		f.in[u] = false
-		f.size--
-		if f.size == 0 {
-			// Drained: drop the remaining stale entries so reuse across
-			// grows and restarts starts from an empty heap.
-			f.heap = f.heap[:0]
-		}
-		return u
 	}
 }
 

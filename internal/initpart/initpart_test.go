@@ -2,6 +2,7 @@ package initpart
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +131,51 @@ func TestGreedyGrowRestartsImproveOrEqual(t *testing.T) {
 	}
 	if metrics.Goodness(g, many, 4, c) > metrics.Goodness(g, one, 4, c) {
 		t.Fatal("more restarts produced a worse goodness than the deterministic first attempt")
+	}
+}
+
+// TestGreedyGrowEdgeScaleInvariant is metamorphic: multiplying every
+// edge weight by 2^32 scales every frontier key and every cut by the
+// same factor, so neither the pop order nor the restart winner can
+// change. 2^32 lifts the total edge weight far past 2^31-1, so the same
+// frontier order must hold for heavy bandwidths too. Node weights are
+// drawn from {1,2,3} so heavy-first seeding meets many weight ties; Bmax
+// is off and Rmax loose, so every restart is scored by its cut alone.
+func TestGreedyGrowEdgeScaleInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 8; trial++ {
+		n := 20 + rng.Intn(150)
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = int64(1 + rng.Intn(3))
+		}
+		g := graph.NewWithWeights(w)
+		for i := 1; i < n; i++ {
+			g.MustAddEdge(graph.Node(i-1), graph.Node(i), int64(1+rng.Intn(15)))
+		}
+		for i := 0; i < 2*n; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				g.MustAddEdge(graph.Node(u), graph.Node(v), int64(1+rng.Intn(15)))
+			}
+		}
+		scaled := graph.NewWithWeights(w)
+		for _, e := range g.Edges() {
+			scaled.MustAddEdge(e.U, e.V, e.Weight<<32)
+		}
+		k := 2 + rng.Intn(4)
+		opts := GreedyOptions{K: k, Constraints: metrics.Constraints{Rmax: g.TotalNodeWeight()/int64(k) + 3}}
+		seed := rng.Int63()
+		want, err := GreedyGrowWS(new(arena.Workspace), g.ToCSR(), opts, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := GreedyGrowWS(new(arena.Workspace), scaled.ToCSR(), opts, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, K=%d): scaled edges changed the parts\nunscaled: %v\nscaled:   %v", trial, n, k, want, got)
+		}
 	}
 }
 

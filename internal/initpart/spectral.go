@@ -1,10 +1,11 @@
 package initpart
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ppnpart/internal/graph"
 )
@@ -27,11 +28,11 @@ func SpectralBisect(csr *graph.CSR, rng *rand.Rand) ([]int, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if f[idx[a]] != f[idx[b]] {
-			return f[idx[a]] < f[idx[b]]
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(f[a], f[b]); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
 	half := csr.NodeWT / 2
 	parts := make([]int, n)

@@ -29,7 +29,7 @@ type Stats struct {
 // The passes move nodes through one K=2 pstate.State drawn from ws:
 // gains start from the state's connectivity row, s.Fits and s.Count decide
 // admissibility, and the rollback undoes the log down to the best
-// prefix. The lock table also comes from ws.
+// prefix. The lock table and the gain queue also come from ws.
 func FMBisectWS(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource int64, maxPasses int) Stats {
 	if maxPasses <= 0 {
 		maxPasses = 8
@@ -39,13 +39,13 @@ func FMBisectWS(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource in
 		panic("refine: FMBisectWS: " + err.Error())
 	}
 	n := csr.NumNodes()
-	pq := newGainPQ(n)
+	pq := NewGainQueue(ws, n)
 	locked := ws.Bools.Get(n)
 	st := Stats{CutBefore: s.Cut()}
 	for pass := 0; pass < maxPasses; pass++ {
 		st.Passes++
 		startCut := s.Cut()
-		st.Moves += fmBisectPass(s, pq, locked)
+		st.Moves += fmBisectPass(s, &pq, locked)
 		if s.Cut() >= startCut {
 			break
 		}
@@ -53,6 +53,7 @@ func FMBisectWS(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource in
 	st.CutAfter = s.Cut()
 	copy(parts, s.Parts())
 	s.Release(ws)
+	pq.Release(ws)
 	ws.Bools.Put(locked)
 	return st
 }
@@ -60,7 +61,7 @@ func FMBisectWS(ws *arena.Workspace, csr *graph.CSR, parts []int, maxResource in
 // fmBisectPass runs one FM pass on s, leaving s at the best prefix with
 // an empty undo log, and returns the moves kept. pq must be empty;
 // locked is cleared here.
-func fmBisectPass(s *pstate.State, pq *gainPQ, locked []bool) int {
+func fmBisectPass(s *pstate.State, pq *GainQueue, locked []bool) int {
 	n := s.C.NumNodes()
 	// gain(u) = external(u) - internal(u): cut reduction if u switches side.
 	for u := 0; u < n; u++ {

@@ -359,7 +359,7 @@ func fmBisectReference(csr *graph.CSR, parts []int, maxResource int64, maxPasses
 			res[parts[u]] += csr.NodeW[u]
 			cnt[parts[u]]++
 		}
-		pq := newGainPQ(n)
+		pq := NewGainQueue(new(arena.Workspace), n)
 		gains := make([]int64, n)
 		for u := 0; u < n; u++ {
 			adj, wts := csr.Row(graph.Node(u))

@@ -6,7 +6,7 @@ import (
 )
 
 // gainBuckets is the batch sweep's incremental candidate ranking. The
-// gainPQ note above explains why classic FM bucket arrays don't fit
+// GainQueue note explains why classic FM bucket arrays don't fit
 // arbitrary int64 bandwidth gains directly — one bucket per gain value
 // needs a small integer domain. This structure quantizes instead: bucket
 // b holds the candidates whose gain g has bits.Len64(g) == b, i.e.

@@ -10,28 +10,38 @@
 // (KWayFM, BatchKWay, RepairBandwidth, RebalanceResources,
 // RebalanceVector) run on the caller's state and report what they
 // changed; FMBisectWS refines an assignment vector in place on a K=2
-// state of its own, ordering moves with the gainPQ heap below.
+// state of its own, ordering moves with the GainQueue heap below.
 package refine
 
-import "ppnpart/internal/graph"
+import (
+	"ppnpart/internal/arena"
+	"ppnpart/internal/graph"
+)
 
-// gainPQ is a max-priority queue of nodes keyed by int64 gain with
-// O(log n) update-key, used by the FM passes. Fiduccia–Mattheyses used
-// bucket arrays, which require small integer gain ranges; process-network
-// edge weights are arbitrary int64 bandwidths, so a binary heap with a
-// position index gives the same amortized behaviour without bounding the
-// gain domain. Ties break toward the lower node id for determinism.
-type gainPQ struct {
+// GainQueue is a max-priority queue of nodes keyed by int64 gain with
+// O(log n) update-key: the solver's one indexed gain heap. FMBisectWS
+// orders its moves with it, and initpart's greedy grower pops its
+// frontier from it (Add accumulates a node's connection to the growing
+// part). Fiduccia–Mattheyses used bucket arrays, which require small
+// integer gain ranges; process-network edge weights are arbitrary int64
+// bandwidths, so a binary heap with a position index gives the same
+// amortized behaviour without bounding the gain domain. Pops follow the
+// total order (gain desc, node id asc), so the pop sequence does not
+// depend on insertion order. A popped node leaves the queue entirely:
+// adding to it again starts its key from the delta, not its last key.
+type GainQueue struct {
 	heap []graph.Node // heap of node ids
 	pos  []int        // pos[node] = index in heap, -1 if absent
 	gain []int64      // gain[node] = current key
 }
 
-func newGainPQ(n int) *gainPQ {
-	pq := &gainPQ{
-		heap: make([]graph.Node, 0, n),
-		pos:  make([]int, n),
-		gain: make([]int64, n),
+// NewGainQueue draws an empty queue over nodes [0,n) from ws; Release
+// returns its storage.
+func NewGainQueue(ws *arena.Workspace, n int) GainQueue {
+	pq := GainQueue{
+		heap: ws.Nodes.Cap(n),
+		pos:  ws.Ints.Get(n),
+		gain: ws.Int64s.Get(n),
 	}
 	for i := range pq.pos {
 		pq.pos[i] = -1
@@ -39,10 +49,18 @@ func newGainPQ(n int) *gainPQ {
 	return pq
 }
 
-func (pq *gainPQ) Len() int { return len(pq.heap) }
+// Release returns the queue's storage to ws and leaves pq empty.
+func (pq *GainQueue) Release(ws *arena.Workspace) {
+	ws.Nodes.Put(pq.heap)
+	ws.Ints.Put(pq.pos)
+	ws.Int64s.Put(pq.gain)
+	*pq = GainQueue{}
+}
+
+func (pq *GainQueue) Len() int { return len(pq.heap) }
 
 // clear empties the queue for reuse.
-func (pq *gainPQ) clear() {
+func (pq *GainQueue) clear() {
 	for _, u := range pq.heap {
 		pq.pos[u] = -1
 	}
@@ -50,7 +68,7 @@ func (pq *gainPQ) clear() {
 }
 
 // less orders the heap: higher gain first, then lower id.
-func (pq *gainPQ) less(i, j int) bool {
+func (pq *GainQueue) less(i, j int) bool {
 	gi, gj := pq.gain[pq.heap[i]], pq.gain[pq.heap[j]]
 	if gi != gj {
 		return gi > gj
@@ -58,13 +76,13 @@ func (pq *gainPQ) less(i, j int) bool {
 	return pq.heap[i] < pq.heap[j]
 }
 
-func (pq *gainPQ) swap(i, j int) {
+func (pq *GainQueue) swap(i, j int) {
 	pq.heap[i], pq.heap[j] = pq.heap[j], pq.heap[i]
 	pq.pos[pq.heap[i]] = i
 	pq.pos[pq.heap[j]] = j
 }
 
-func (pq *gainPQ) up(i int) {
+func (pq *GainQueue) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
 		if !pq.less(i, p) {
@@ -75,7 +93,7 @@ func (pq *gainPQ) up(i int) {
 	}
 }
 
-func (pq *gainPQ) down(i int) {
+func (pq *GainQueue) down(i int) {
 	n := len(pq.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -95,7 +113,7 @@ func (pq *gainPQ) down(i int) {
 }
 
 // Push inserts u with the given gain; if u is present its key is updated.
-func (pq *gainPQ) Push(u graph.Node, gain int64) {
+func (pq *GainQueue) Push(u graph.Node, gain int64) {
 	if pq.pos[u] >= 0 {
 		pq.Update(u, gain)
 		return
@@ -107,7 +125,7 @@ func (pq *gainPQ) Push(u graph.Node, gain int64) {
 }
 
 // Update changes u's key.
-func (pq *gainPQ) Update(u graph.Node, gain int64) {
+func (pq *GainQueue) Update(u graph.Node, gain int64) {
 	i := pq.pos[u]
 	if i < 0 {
 		pq.Push(u, gain)
@@ -123,14 +141,23 @@ func (pq *gainPQ) Update(u graph.Node, gain int64) {
 }
 
 // Adjust adds delta to u's key if present.
-func (pq *gainPQ) Adjust(u graph.Node, delta int64) {
+func (pq *GainQueue) Adjust(u graph.Node, delta int64) {
 	if pq.pos[u] >= 0 {
 		pq.Update(u, pq.gain[u]+delta)
 	}
 }
 
+// Add adds delta to u's key, inserting u with key delta when absent.
+func (pq *GainQueue) Add(u graph.Node, delta int64) {
+	if pq.pos[u] >= 0 {
+		pq.Update(u, pq.gain[u]+delta)
+		return
+	}
+	pq.Push(u, delta)
+}
+
 // Pop removes and returns the max-gain node.
-func (pq *gainPQ) Pop() (graph.Node, int64) {
+func (pq *GainQueue) Pop() (graph.Node, int64) {
 	u := pq.heap[0]
 	g := pq.gain[u]
 	pq.Remove(u)
@@ -138,7 +165,7 @@ func (pq *gainPQ) Pop() (graph.Node, int64) {
 }
 
 // Remove deletes u from the queue if present.
-func (pq *gainPQ) Remove(u graph.Node) {
+func (pq *GainQueue) Remove(u graph.Node) {
 	i := pq.pos[u]
 	if i < 0 {
 		return

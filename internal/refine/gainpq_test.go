@@ -6,11 +6,12 @@ import (
 	"sort"
 	"testing"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/graph"
 )
 
 func TestGainPQBasicOrdering(t *testing.T) {
-	pq := newGainPQ(5)
+	pq := NewGainQueue(new(arena.Workspace), 5)
 	pq.Push(0, 10)
 	pq.Push(1, 30)
 	pq.Push(2, 20)
@@ -35,7 +36,7 @@ func TestGainPQBasicOrdering(t *testing.T) {
 }
 
 func TestGainPQTieBreaksByLowerID(t *testing.T) {
-	pq := newGainPQ(4)
+	pq := NewGainQueue(new(arena.Workspace), 4)
 	pq.Push(3, 7)
 	pq.Push(1, 7)
 	pq.Push(2, 7)
@@ -47,14 +48,14 @@ func TestGainPQTieBreaksByLowerID(t *testing.T) {
 
 // peekByPop reads the max-gain entry through Pop and pushes it back,
 // leaving the queue's contents unchanged.
-func peekByPop(pq *gainPQ) (graph.Node, int64) {
+func peekByPop(pq *GainQueue) (graph.Node, int64) {
 	u, g := pq.Pop()
 	pq.Push(u, g)
 	return u, g
 }
 
 // drainPQ pops every entry, highest gain (then lowest id) first.
-func drainPQ(pq *gainPQ) [][2]int64 {
+func drainPQ(pq *GainQueue) [][2]int64 {
 	var out [][2]int64
 	for pq.Len() > 0 {
 		u, g := pq.Pop()
@@ -64,15 +65,15 @@ func drainPQ(pq *gainPQ) [][2]int64 {
 }
 
 func TestGainPQUpdateAndAdjust(t *testing.T) {
-	pq := newGainPQ(4)
+	pq := NewGainQueue(new(arena.Workspace), 4)
 	pq.Push(0, 1)
 	pq.Push(1, 2)
 	pq.Update(0, 100)
-	if u, g := peekByPop(pq); u != 0 || g != 100 {
+	if u, g := peekByPop(&pq); u != 0 || g != 100 {
 		t.Fatalf("after Update top = %d/%d", u, g)
 	}
 	pq.Adjust(1, 200) // 2 + 200 = 202
-	if u, g := peekByPop(pq); u != 1 || g != 202 {
+	if u, g := peekByPop(&pq); u != 1 || g != 202 {
 		t.Fatalf("after Adjust top = %d/%d", u, g)
 	}
 	pq.Adjust(3, 50) // absent: no-op
@@ -88,18 +89,18 @@ func TestGainPQUpdateAndAdjust(t *testing.T) {
 		t.Fatal("Push on present node should update, not insert")
 	}
 	want := [][2]int64{{0, 100}, {3, 5}, {1, 1}}
-	if got := drainPQ(pq); !reflect.DeepEqual(got, want) {
+	if got := drainPQ(&pq); !reflect.DeepEqual(got, want) {
 		t.Fatalf("drain = %v, want %v", got, want)
 	}
 }
 
 func TestGainPQRemove(t *testing.T) {
-	pq := newGainPQ(5)
+	pq := NewGainQueue(new(arena.Workspace), 5)
 	for i := 0; i < 5; i++ {
 		pq.Push(graph.Node(i), int64(i))
 	}
 	pq.Remove(4) // max
-	if u, _ := peekByPop(pq); u != 3 {
+	if u, _ := peekByPop(&pq); u != 3 {
 		t.Fatalf("after removing max, top = %d, want 3", u)
 	}
 	pq.Remove(0)
@@ -108,7 +109,7 @@ func TestGainPQRemove(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", pq.Len())
 	}
 	want := [][2]int64{{3, 3}, {2, 2}, {1, 1}}
-	if got := drainPQ(pq); !reflect.DeepEqual(got, want) {
+	if got := drainPQ(&pq); !reflect.DeepEqual(got, want) {
 		t.Fatalf("drain = %v, want %v", got, want)
 	}
 }
@@ -117,7 +118,7 @@ func TestGainPQRandomizedAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(200)
-		pq := newGainPQ(n)
+		pq := NewGainQueue(new(arena.Workspace), n)
 		gains := make([]int64, n)
 		for i := 0; i < n; i++ {
 			gains[i] = int64(rng.Intn(1000) - 500)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,7 +33,7 @@ func benchStream(b *testing.B, g *graph.Graph, k int, c metrics.Constraints) {
 	var res *Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		if res, err = Partition(g, Options{K: k, Constraints: c}); err != nil {
+		if res, err = PartitionCtx(context.Background(), g, Options{K: k, Constraints: c}); err != nil {
 			b.Fatal(err)
 		}
 	}

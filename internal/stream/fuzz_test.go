@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -61,9 +62,9 @@ func FuzzStreamAssign(f *testing.F) {
 			}
 		}
 
-		res, err := Partition(g, opts)
+		res, err := PartitionCtx(context.Background(), g, opts)
 		if err != nil {
-			t.Fatalf("Partition rejected valid input %+v: %v", opts, err)
+			t.Fatalf("PartitionCtx rejected valid input %+v: %v", opts, err)
 		}
 		checkInvariants(t, g, res, c)
 
@@ -76,7 +77,7 @@ func FuzzStreamAssign(f *testing.F) {
 		}
 
 		opts.Workers = 4
-		res4, err := Partition(g, opts)
+		res4, err := PartitionCtx(context.Background(), g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -158,7 +159,7 @@ func TestStreamInvariants(t *testing.T) {
 	}
 	for i := 0; i < cases; i++ {
 		cse := randomCase(t, rng)
-		res, err := Partition(cse.g, cse.opts)
+		res, err := PartitionCtx(context.Background(), cse.g, cse.opts)
 		if err != nil {
 			t.Fatalf("case %d (%+v): %v", i, cse.opts, err)
 		}

@@ -178,14 +178,10 @@ type Result struct {
 	Stopped bool
 }
 
-// Partition streams g into opts.K parts.
-func Partition(g *graph.Graph, opts Options) (*Result, error) {
-	return PartitionCtx(context.Background(), g, opts)
-}
-
-// PartitionCtx is Partition under a context, honored between passes: on
-// cancellation the last accepted assignment is returned with
-// Result.Stopped set (never an error for cancellation alone).
+// PartitionCtx streams g into opts.K parts under a context, honored
+// between passes: on cancellation the last accepted assignment is
+// returned with Result.Stopped set (never an error for cancellation
+// alone).
 func PartitionCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -368,15 +364,28 @@ type streamer struct {
 	n    int
 
 	parts []int
+	chunk int    // vertices per restream chunk
+	slots []slot // one per restream chunk; slot 0 also runs the initial stream
 }
 
-// run executes the initial stream plus the restream loop, placing every
-// vertex with choose. All scratch, including the returned Parts, comes
-// from ws.
-func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options, choose chooser) (*Result, error) {
-	opts = opts.withDefaults()
-	n := csr.NumNodes()
-	k := opts.K
+// slot is one restream chunk's scratch, kept for the whole run: the
+// connectivity row and penalty memo its vertices are scored with, drawn
+// from the chunk's own child workspace (chunks run concurrently), and
+// the chunk's move count in the current sweep. Gather rewrites the row's
+// header for every vertex, so the padding keeps concurrent chunks off
+// each other's cache lines.
+type slot struct {
+	ws    *arena.Workspace
+	row   pstate.Row
+	memo  *powMemo
+	moved int
+	_     [64]byte
+}
+
+// newStreamer sets up a streamer over csr with defaulted opts: running
+// totals, the assignment and one slot per restream chunk, all from ws.
+func newStreamer(ws *arena.Workspace, csr *graph.CSR, opts Options, choose chooser) *streamer {
+	n, k := csr.NumNodes(), opts.K
 	s := &streamer{
 		choose: choose,
 		k:      k,
@@ -384,14 +393,38 @@ func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options,
 		gamma:  opts.Gamma,
 		alpha:  deriveAlpha(k, csr.EdgeWT, csr.NodeWT, opts.Gamma),
 		bwBase: float64(csr.EdgeWT + 1),
+		res:    ws.Int64s.Get(k),
+		bw:     ws.Int64s.Get(k * k),
 		ws:     ws,
 		csr:    csr,
 		opts:   opts,
 		n:      n,
+		parts:  ws.Ints.Cap(n)[:n],
 	}
-	s.parts = ws.Ints.Cap(n)[:n]
-	s.res = ws.Int64s.Get(k)
-	s.bw = ws.Int64s.Get(k * k)
+	// The chunk split is fixed by Workers and n alone, so every sweep
+	// reuses the same slots.
+	workers := max(min(opts.Workers, n), 1)
+	s.chunk = (n + workers - 1) / workers
+	tasks := 1
+	if n > 0 {
+		tasks = (n + s.chunk - 1) / s.chunk
+	}
+	s.slots = make([]slot, tasks)
+	for w := range s.slots {
+		cws := ws.Child(w)
+		s.slots[w] = slot{ws: cws, row: pstate.NewRow(cws, k), memo: newPowMemo(cws, opts.Gamma)}
+	}
+	return s
+}
+
+// run executes the initial stream plus the restream loop, placing every
+// vertex with choose. All scratch, including the returned Parts, comes
+// from ws.
+func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options, choose chooser) (*Result, error) {
+	opts = opts.withDefaults()
+	n, k := csr.NumNodes(), opts.K
+	s := newStreamer(ws, csr, opts, choose)
+	defer s.releaseSlots()
 
 	res := &Result{K: k}
 	s.initialStream()
@@ -445,6 +478,15 @@ func run(ctx context.Context, ws *arena.Workspace, csr *graph.CSR, opts Options,
 	return res, nil
 }
 
+// releaseSlots returns every slot's storage to its workspace.
+func (s *streamer) releaseSlots() {
+	for w := range s.slots {
+		sl := &s.slots[w]
+		sl.row.Release(sl.ws)
+		sl.memo.release(sl.ws)
+	}
+}
+
 // iterTrace snapshots one pass's canonical evaluation.
 func (s *streamer) iterTrace(iter, moves int, accepted bool, st *pstate.State) IterTrace {
 	bwEx, resEx, _ := st.Excess()
@@ -488,14 +530,13 @@ func (s *streamer) initialStream() {
 		rng := rand.New(rand.NewSource(s.opts.Seed))
 		rng.Shuffle(s.n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
-	row := pstate.NewRow(s.ws, s.k)
-	memo := newPowMemo(s.ws, s.gamma)
+	row, memo := &s.slots[0].row, s.slots[0].memo
 	k := s.k
 	for _, ui := range order {
 		u := graph.Node(ui)
 		row.Gather(s.csr, s.parts, u)
 		w := s.csr.NodeW[u]
-		p := s.choose(s, w, -1, &row, memo)
+		p := s.choose(s, w, -1, row, memo)
 		s.parts[u] = p
 		s.res[p] += w
 		for _, q := range row.Parts {
@@ -507,8 +548,6 @@ func (s *streamer) initialStream() {
 			s.bwMax = max(s.bwMax, s.bw[p*k+q])
 		}
 	}
-	memo.release(s.ws)
-	row.Release(s.ws)
 	s.ws.Ints.Put(order)
 }
 
@@ -518,48 +557,29 @@ func (s *streamer) initialStream() {
 // whose choice differs from their current part. Chunking cannot change
 // any slot, so the sweep is bit-identical for every worker count.
 func (s *streamer) restreamSweep(newParts []int) int {
-	workers := s.opts.Workers
-	if workers > s.n {
-		workers = s.n
-	}
-	if workers == 0 {
+	if s.n == 0 {
 		return 0
 	}
-	chunk := (s.n + workers - 1) / workers
-	tasks := (s.n + chunk - 1) / chunk
-	moved := make([]int, tasks)
-	// Children must be materialized before the pool tasks fork.
-	children := make([]*arena.Workspace, tasks)
-	for w := 0; w < tasks; w++ {
-		children[w] = s.ws.Child(w)
-	}
-	s.opts.Pool.Run(tasks, func(w int) {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > s.n {
-			hi = s.n
-		}
-		cws := children[w]
-		row := pstate.NewRow(cws, s.k)
-		memo := newPowMemo(cws, s.gamma)
-		chunkMoved := 0
+	s.opts.Pool.Run(len(s.slots), func(w int) {
+		lo := w * s.chunk
+		hi := min(lo+s.chunk, s.n)
+		sl := &s.slots[w]
+		moved := 0
 		for ui := lo; ui < hi; ui++ {
 			u := graph.Node(ui)
-			row.Gather(s.csr, s.parts, u)
+			sl.row.Gather(s.csr, s.parts, u)
 			from := s.parts[u]
-			p := s.choose(s, s.csr.NodeW[u], from, &row, memo)
+			p := s.choose(s, s.csr.NodeW[u], from, &sl.row, sl.memo)
 			newParts[u] = p
 			if p != from {
-				chunkMoved++
+				moved++
 			}
 		}
-		moved[w] = chunkMoved
-		memo.release(cws)
-		row.Release(cws)
+		sl.moved = moved
 	})
 	total := 0
-	for _, m := range moved {
-		total += m
+	for _, sl := range s.slots {
+		total += sl.moved
 	}
 	return total
 }

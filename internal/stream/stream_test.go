@@ -36,7 +36,7 @@ func looseConstraints(g *graph.Graph, k int) metrics.Constraints {
 func TestPartitionBasic(t *testing.T) {
 	g := testGraph(t, 400, 1600, 7)
 	k := 4
-	res, err := Partition(g, Options{K: k, Constraints: looseConstraints(g, k)})
+	res, err := PartitionCtx(context.Background(), g, Options{K: k, Constraints: looseConstraints(g, k)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestRestreamingImproves(t *testing.T) {
 	g := testGraph(t, 600, 2400, 11)
 	k := 4
 	c := looseConstraints(g, k)
-	one, err := Partition(g, Options{K: k, Constraints: c, MaxIterations: -1})
+	one, err := PartitionCtx(context.Background(), g, Options{K: k, Constraints: c, MaxIterations: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Partition(g, Options{K: k, Constraints: c, MaxIterations: 8})
+	many, err := PartitionCtx(context.Background(), g, Options{K: k, Constraints: c, MaxIterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	c := looseConstraints(g, k)
 	var want *Result
 	for _, workers := range []int{1, 2, 3, 4, 7, 8, 13, 16} {
-		res, err := Partition(g, Options{
+		res, err := PartitionCtx(context.Background(), g, Options{
 			K: k, Constraints: c, Workers: workers, Seed: 3, Order: OrderShuffle,
 		})
 		if err != nil {
@@ -106,11 +106,11 @@ func TestOrderShuffleSeeded(t *testing.T) {
 	g := testGraph(t, 300, 900, 17)
 	k := 3
 	c := looseConstraints(g, k)
-	a1, err := Partition(g, Options{K: k, Constraints: c, Seed: 5, Order: OrderShuffle})
+	a1, err := PartitionCtx(context.Background(), g, Options{K: k, Constraints: c, Seed: 5, Order: OrderShuffle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Partition(g, Options{K: k, Constraints: c, Seed: 5, Order: OrderShuffle})
+	a2, err := PartitionCtx(context.Background(), g, Options{K: k, Constraints: c, Seed: 5, Order: OrderShuffle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +148,8 @@ func TestOptionsValidate(t *testing.T) {
 		{K: 2, Order: Order(99)},
 	}
 	for _, opts := range cases {
-		if _, err := Partition(g, opts); err == nil {
-			t.Errorf("Partition(%+v) accepted invalid options", opts)
+		if _, err := PartitionCtx(context.Background(), g, opts); err == nil {
+			t.Errorf("PartitionCtx(context.Background(), %+v) accepted invalid options", opts)
 		}
 	}
 }
@@ -186,22 +186,8 @@ func TestInitialStreamBandwidthWithZeroWeightEdges(t *testing.T) {
 		csr := tc.g.ToCSR()
 		opts := tc.opts.withDefaults()
 		ws := &arena.Workspace{}
-		n, k := csr.NumNodes(), opts.K
-		s := &streamer{
-			choose: (*streamer).pick,
-			k:      k,
-			cons:   opts.Constraints,
-			gamma:  opts.Gamma,
-			alpha:  deriveAlpha(k, csr.EdgeWT, csr.NodeWT, opts.Gamma),
-			bwBase: float64(csr.EdgeWT + 1),
-			res:    make([]int64, k),
-			bw:     make([]int64, k*k),
-			ws:     ws,
-			csr:    csr,
-			opts:   opts,
-			n:      n,
-			parts:  make([]int, n),
-		}
+		k := opts.K
+		s := newStreamer(ws, csr, opts, (*streamer).pick)
 		s.initialStream()
 		want := metrics.BandwidthMatrix(tc.g, s.parts, k)
 		for p := 0; p < k; p++ {
