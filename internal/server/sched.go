@@ -822,12 +822,17 @@ func (s *Scheduler) QuarantinedGraphs() int {
 }
 
 // settle records the terminal state, closes Done, releases the coalescing
-// slot and trims the retention ring.
+// slot and trims the retention ring. A settled job answers from its
+// result alone, so settle drops the request and graph it solved and
+// cancels its context: the ring then holds results, not inputs, and the
+// scheduler's base context no longer tracks the job.
 func (s *Scheduler) settle(j *Job, st JobState, res *JobResult, elapsed time.Duration) {
 	j.mu.Lock()
 	j.state = st
 	j.result = res
+	j.req, j.g = nil, nil
 	j.mu.Unlock()
+	j.cancel()
 	close(j.done)
 
 	// Journaled jobs get a terminal record so recovery does not replay

@@ -224,6 +224,33 @@ func TestAsyncSubmitAndPoll(t *testing.T) {
 	assertResultInvariants(t, body, final.Result)
 }
 
+// A settled job still answers polls, but holds neither the request nor the
+// graph it solved, and its context is released.
+func TestSettledJobKeepsOnlyResult(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	_, env := postJob(t, ts, ringBody(16, 2, 0, 0, `"async":true,"options":{"max_cycles":2}`))
+	final := pollJob(t, ts, env.JobID)
+	if final.Result == nil || final.Result.Outcome != OutcomeFeasible {
+		t.Fatalf("final = %+v, want feasible result", final)
+	}
+	j, err := srv.Scheduler().Lookup(env.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	req, g := j.req, j.g
+	j.mu.Unlock()
+	if req != nil || g != nil {
+		t.Fatalf("settled job retains req=%v graph=%v", req != nil, g != nil)
+	}
+	if j.runCtx.Err() == nil {
+		t.Fatal("settled job's context is still live")
+	}
+	if got := j.Result(); got == nil || got.EdgeCut != final.Result.EdgeCut {
+		t.Fatalf("settled job result = %+v, want the polled one", got)
+	}
+}
+
 func TestCacheHitVsMiss(t *testing.T) {
 	var calls atomic.Int64
 	srv, ts := newTestServer(t, Config{
