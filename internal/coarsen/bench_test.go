@@ -1,6 +1,7 @@
 package coarsen
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,16 +34,22 @@ func BenchmarkBuildHierarchyHEMOnly(b *testing.B) {
 	}
 }
 
+// BenchmarkContract contracts a random connected graph under its
+// heavy-edge matching. At n10000 the coarse rows and any per-level
+// scratch fit in cache; n100000 is the size where they do not.
 func BenchmarkContract(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := randomConnected(rng, 10000)
-	m := mustCompute(b, match.HeuristicHeavyEdge, g, nil)
-	gc := g.ToCSR()
-	ws := new(arena.Workspace)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ContractWS(ws, gc, m); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{10000, 100000} {
+		rng := rand.New(rand.NewSource(1))
+		g := randomConnected(rng, n)
+		m := mustCompute(b, match.HeuristicHeavyEdge, g, nil)
+		gc := g.ToCSR()
+		ws := new(arena.Workspace)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ContractWS(ws, gc, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

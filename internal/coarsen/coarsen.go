@@ -52,12 +52,22 @@ func Contract(g *graph.Graph, m match.Matching) (*Level, error) {
 	return ContractWS(ws, g.ToCSR(), m)
 }
 
-// ContractWS is Contract on a CSR, drawing its degree-bound scratch from
-// ws. The coarse CSR comes straight out of graph.NewBuilderCap, whose
-// rows are carved from one bulk allocation; it is the level's only
-// graph form, read by matching, seeding and refinement alike. The Level
-// itself (coarse graph, fine→coarse map) outlives the call and stays
-// heap-allocated.
+// ContractWS is Contract on a CSR, with its row cursors and fold marker
+// drawn from ws. It builds the coarse CSR in three passes and no hash
+// table:
+//
+//  1. number the coarse nodes, sum their weights, and carve each coarse
+//     row's capacity (the sum of its fine degrees) from one backing array;
+//  2. for u ascending and each neighbour v > u in a different coarse node,
+//     append (cv, w) to row cu and (cu, w) to row cv, duplicates included;
+//  3. fold each row in place, keeping a neighbour's first occurrence and
+//     adding later weights into it, and compact the rows to the front.
+//
+// Within a row, the first raw occurrence of d is where sequential
+// Graph.AddEdge calls over the same edges would first meet {c, d}, so the
+// rows come out in the same first-encounter order with the same summed
+// weights (DESIGN.md §5c). The Level itself (coarse graph, fine→coarse
+// map) outlives the call and stays heap-allocated.
 func ContractWS(ws *arena.Workspace, g *graph.CSR, m match.Matching) (*Level, error) {
 	n := g.NumNodes()
 	if len(m) != n {
@@ -85,20 +95,22 @@ func ContractWS(ws *arena.Workspace, g *graph.CSR, m match.Matching) (*Level, er
 		next++
 	}
 	nc := int(next)
-	w := make([]int64, nc)
-	// A coarse node's degree is bounded by the sum of its fine nodes'
-	// degrees (duplicates fold, intra-pair edges vanish — both only
-	// shrink the row).
-	degCap := ws.Int32s.Get(nc)
+	c := &graph.CSR{XAdj: make([]int32, nc+1), NodeW: make([]int64, nc)}
+	// Pass 1. A coarse row holds at most its fine rows' degrees (the
+	// intra-pair edge vanishes, duplicates fold).
 	for u := 0; u < n; u++ {
-		c := fineToCoarse[u]
-		w[c] += g.NodeW[u]
-		degCap[c] += int32(g.Degree(graph.Node(u)))
+		cu := fineToCoarse[u]
+		c.NodeW[cu] += g.NodeW[u]
+		c.XAdj[cu+1] += int32(g.Degree(graph.Node(u)))
 	}
-	// The Builder folds duplicate coarse edges in O(1) (Graph.AddEdge's
-	// linear dup-scan is quadratic on dense coarse nodes) while keeping the
-	// exact first-encounter row order sequential AddEdge produces.
-	b := graph.NewBuilderCap(w, degCap)
+	for cu := 0; cu < nc; cu++ {
+		c.NodeWT += c.NodeW[cu]
+		c.XAdj[cu+1] += c.XAdj[cu]
+	}
+	c.Adj = make([]graph.Node, c.XAdj[nc])
+	c.AdjW = make([]int64, c.XAdj[nc])
+	// Pass 2. fill[cu] is one past row cu's last raw entry.
+	fill := append(ws.Int32s.Cap(nc), c.XAdj[:nc]...)
 	for u := 0; u < n; u++ {
 		cu := fineToCoarse[u]
 		nbrs, wts := g.Row(graph.Node(u))
@@ -110,13 +122,39 @@ func ContractWS(ws *arena.Workspace, g *graph.CSR, m match.Matching) (*Level, er
 			if cu == cv {
 				continue // intra-pair edge vanishes
 			}
-			if err := b.AddEdge(cu, cv, wts[i]); err != nil {
-				return nil, fmt.Errorf("coarsen: %v", err)
-			}
+			w := wts[i]
+			c.Adj[fill[cu]], c.AdjW[fill[cu]] = cv, w
+			c.Adj[fill[cv]], c.AdjW[fill[cv]] = cu, w
+			fill[cu]++
+			fill[cv]++
+			c.EdgeWT += w
 		}
 	}
-	c := b.CSR()
-	ws.Int32s.Put(degCap)
+	// Pass 3. mark[d] is one past the compacted slot where d was last
+	// kept, so it names an entry of the current row only when it
+	// exceeds the row's compacted start: the marker is never cleared.
+	// The compacted cursor never passes the raw one, so the fold is in
+	// place.
+	mark := ws.Int32s.Get(nc)
+	var out int32
+	for cu := 0; cu < nc; cu++ {
+		start := out
+		for i := c.XAdj[cu]; i < fill[cu]; i++ {
+			d, w := c.Adj[i], c.AdjW[i]
+			if p := mark[d]; p > start {
+				c.AdjW[p-1] += w
+				continue
+			}
+			c.Adj[out], c.AdjW[out] = d, w
+			out++
+			mark[d] = out
+		}
+		c.XAdj[cu] = start
+	}
+	c.XAdj[nc] = out
+	c.Adj, c.AdjW = c.Adj[:out], c.AdjW[:out]
+	ws.Int32s.Put(fill)
+	ws.Int32s.Put(mark)
 	return &Level{Coarse: c, FineToCoarse: fineToCoarse}, nil
 }
 
@@ -228,10 +266,21 @@ func (h *Hierarchy) ProjectTo(parts []int, fromLevel, toLevel int) ([]int, error
 	return cur, nil
 }
 
+// heuristicWS is the workspace heuristic i draws its scratch and its
+// matching from: ws itself for an RNG-consuming heuristic, whose chain
+// runs as one task while the caller waits, and a persistent child of ws
+// for an RNG-free one, which runs as a task of its own.
+func heuristicWS(ws *arena.Workspace, i int, h match.Heuristic) *arena.Workspace {
+	if h.UsesRNG() {
+		return ws
+	}
+	return ws.Child(i)
+}
+
 // bestMatchingWS runs the competing heuristics on g and returns the
 // matching that hides the most edge weight (ties: most pairs, then
-// heuristic order). This is the paper's per-level comparison of the three
-// strategies.
+// heuristic order), with the workspace it was drawn from. This is the
+// paper's per-level comparison of the three strategies.
 //
 // The heuristics run concurrently on the shared worker pool with a
 // deterministic split: every RNG-consuming heuristic stays in one task,
@@ -239,16 +288,17 @@ func (h *Hierarchy) ProjectTo(parts []int, fromLevel, toLevel int) ([]int, error
 // draws are exactly those of a serial run), while RNG-free heuristics fan
 // out as their own tasks. Results are reduced in heuristic order, which
 // makes the winner — and therefore the whole hierarchy — bit-identical to
-// a serial execution for a fixed seed and any pool width. The RNG chain
-// (which runs on one goroutine while the caller waits) draws scratch from
-// ws itself, and each RNG-free heuristic uses a persistent child
-// workspace so repeated levels and cycles reuse the same buffers.
+// a serial execution for a fixed seed and any pool width. Each heuristic
+// draws from heuristicWS, so repeated levels and cycles reuse the same
+// buffers. The losing matchings go back to their workspaces here, once
+// the tasks have joined; the caller puts the winner back to the returned
+// workspace when it is done with it.
 //
 // Under opts.RecordCandidates it also returns the per-heuristic quality
 // table the trace surfaces. Recording reuses the weights/pairs the
 // reduction computes anyway, so it cannot change the winner or any RNG
 // draw.
-func bestMatchingWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.Rand) (match.Matching, match.Heuristic, []MatchCandidate) {
+func bestMatchingWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.Rand) (match.Matching, match.Heuristic, *arena.Workspace, []MatchCandidate) {
 	opts = opts.withDefaults()
 	results := make([]match.Matching, len(opts.Heuristics))
 	var rngChain []int // indexes of RNG-consuming heuristics, in order
@@ -260,7 +310,7 @@ func bestMatchingWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.R
 		}
 		// Child must be materialized before the pool tasks fork: it
 		// appends to the parent's child list on first use.
-		i, h, cws := i, h, ws.Child(i)
+		i, h, cws := i, h, heuristicWS(ws, i, h)
 		tasks = append(tasks, func() {
 			// Unknown heuristics yield a nil matching and are skipped in
 			// the reduction; callers validate up front.
@@ -279,8 +329,7 @@ func bestMatchingWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.R
 	}
 	opts.Pool.Run(len(tasks), func(i int) { tasks[i]() })
 
-	var bestM match.Matching
-	var bestH match.Heuristic
+	best := -1
 	var bestW int64 = -1
 	bestPairs := -1
 	var cands []MatchCandidate
@@ -297,10 +346,19 @@ func bestMatchingWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.R
 			cands = append(cands, MatchCandidate{Heuristic: opts.Heuristics[i], MatchedWeight: w, Pairs: p})
 		}
 		if w > bestW || (w == bestW && p > bestPairs) {
-			bestM, bestH, bestW, bestPairs = m, opts.Heuristics[i], w, p
+			best, bestW, bestPairs = i, w, p
 		}
 	}
-	return bestM, bestH, cands
+	if best < 0 {
+		return nil, 0, ws, cands
+	}
+	for i, m := range results {
+		if i != best {
+			heuristicWS(ws, i, opts.Heuristics[i]).Nodes.Put(m)
+		}
+	}
+	h := opts.Heuristics[best]
+	return results[best], h, heuristicWS(ws, best, h), cands
 }
 
 // BuildWS constructs a hierarchy by repeated best-of-three contraction
@@ -312,11 +370,13 @@ func BuildWS(ws *arena.Workspace, g *graph.CSR, opts Options, rng *rand.Rand) (*
 	h := &Hierarchy{Original: g}
 	cur := g
 	for cur.NumNodes() > opts.TargetSize {
-		m, heur, cands := bestMatchingWS(ws, cur, opts, rng)
+		m, heur, mws, cands := bestMatchingWS(ws, cur, opts, rng)
 		if m.Pairs() == 0 {
+			mws.Nodes.Put(m)
 			break // nothing contractible (no edges)
 		}
 		lvl, err := ContractWS(ws, cur, m)
+		mws.Nodes.Put(m)
 		if err != nil {
 			return nil, err
 		}

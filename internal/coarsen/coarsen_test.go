@@ -241,7 +241,7 @@ func TestBestMatchingPicksHighestHiddenWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnected(rng, 60)
 	gc := g.ToCSR()
-	m, h, _ := bestMatchingWS(new(arena.Workspace), gc, Options{}, rng)
+	m, h, _, _ := bestMatchingWS(new(arena.Workspace), gc, Options{}, rng)
 	if err := m.Validate(g); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package coarsen
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"ppnpart/internal/arena"
@@ -103,28 +105,7 @@ func FuzzContract(f *testing.F) {
 				t.Fatalf("fine node %d maps to %d, reference %d", u, lvl.FineToCoarse[u], c)
 			}
 		}
-		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() ||
-			got.NodeWT != want.NodeWT || got.EdgeWT != want.EdgeWT {
-			t.Fatalf("coarse shape n=%d m=%d nw=%d ew=%d, reference n=%d m=%d nw=%d ew=%d",
-				got.NumNodes(), got.NumEdges(), got.NodeWT, got.EdgeWT,
-				want.NumNodes(), want.NumEdges(), want.NodeWT, want.EdgeWT)
-		}
-		for u := 0; u < got.NumNodes(); u++ {
-			if got.NodeW[u] != want.NodeW[u] {
-				t.Fatalf("coarse node %d weight %d, reference %d", u, got.NodeW[u], want.NodeW[u])
-			}
-			ga, gw := got.Row(graph.Node(u))
-			ra, rw := want.Row(graph.Node(u))
-			if len(ga) != len(ra) {
-				t.Fatalf("coarse node %d degree %d, reference %d", u, len(ga), len(ra))
-			}
-			for i := range ga {
-				if ga[i] != ra[i] || gw[i] != rw[i] {
-					t.Fatalf("coarse node %d entry %d {%d %d}, reference {%d %d}",
-						u, i, ga[i], gw[i], ra[i], rw[i])
-				}
-			}
-		}
+		sameCSR(t, "", got, want)
 		// Conservation, summed from the coarse arrays themselves.
 		var nodeW, halfW int64
 		for _, x := range got.NodeW {
@@ -141,4 +122,82 @@ func FuzzContract(f *testing.F) {
 				got.EdgeWT, halfW, g.TotalEdgeWeight(), hidden)
 		}
 	})
+}
+
+// sameCSR fails t, naming where, unless got and want have the same
+// shape, totals, node weights and rows, entry order included.
+func sameCSR(t *testing.T, where string, got, want *graph.CSR) {
+	t.Helper()
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() ||
+		got.NodeWT != want.NodeWT || got.EdgeWT != want.EdgeWT {
+		t.Fatalf("%scoarse shape n=%d m=%d nw=%d ew=%d, reference n=%d m=%d nw=%d ew=%d", where,
+			got.NumNodes(), got.NumEdges(), got.NodeWT, got.EdgeWT,
+			want.NumNodes(), want.NumEdges(), want.NodeWT, want.EdgeWT)
+	}
+	for u := 0; u < got.NumNodes(); u++ {
+		if got.NodeW[u] != want.NodeW[u] {
+			t.Fatalf("%scoarse node %d weight %d, reference %d", where, u, got.NodeW[u], want.NodeW[u])
+		}
+		ga, gw := got.Row(graph.Node(u))
+		ra, rw := want.Row(graph.Node(u))
+		if len(ga) != len(ra) {
+			t.Fatalf("%scoarse node %d degree %d, reference %d", where, u, len(ga), len(ra))
+		}
+		for i := range ga {
+			if ga[i] != ra[i] || gw[i] != rw[i] {
+				t.Fatalf("%scoarse node %d entry %d {%d %d}, reference {%d %d}", where,
+					u, i, ga[i], gw[i], ra[i], rw[i])
+			}
+		}
+	}
+}
+
+// TestContractDeepLevelsMatchReference contracts 200 seeded graphs level
+// after level down to at most 50 nodes and checks every level against
+// referenceContract. The deep levels have dense coarse rows in which most
+// raw entries fold into an earlier one, which FuzzContract's graphs of at
+// most 48 nodes never reach. Zero-weight edges keep a neighbour in a row
+// with nothing added to it.
+func TestContractDeepLevelsMatchReference(t *testing.T) {
+	heuristics := match.All()
+	ws := new(arena.Workspace)
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 200 + rng.Intn(4801)
+		w := make([]int64, n)
+		for i := range w {
+			w[i] = int64(1 + rng.Intn(30))
+		}
+		ref := graph.NewWithWeights(w)
+		for i := 0; i < 3*n; i++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				ref.MustAddEdge(graph.Node(u), graph.Node(v), int64(rng.Intn(10)))
+			}
+		}
+		cur := ref.ToCSR()
+		for level := 0; cur.NumNodes() > 50; level++ {
+			h := heuristics[rng.Intn(len(heuristics))]
+			m, err := match.ComputeWS(ws, h, cur, 0, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Pairs() == 0 {
+				break
+			}
+			lvl, err := ContractWS(ws, cur, m)
+			if err != nil {
+				t.Fatalf("seed %d level %d: %v", seed, level, err)
+			}
+			want, f2c := referenceContract(ref, m)
+			for u, c := range f2c {
+				if lvl.FineToCoarse[u] != c {
+					t.Fatalf("seed %d level %d: fine node %d maps to %d, reference %d",
+						seed, level, u, lvl.FineToCoarse[u], c)
+				}
+			}
+			sameCSR(t, fmt.Sprintf("seed %d level %d: ", seed, level), lvl.Coarse, want)
+			ws.Nodes.Put(m)
+			ref, cur = want.ToGraph(), lvl.Coarse
+		}
+	}
 }

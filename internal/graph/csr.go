@@ -1,7 +1,9 @@
 package graph
 
 // CSR is a compressed-sparse-row graph: a Graph's snapshot (ToCSR) or a
-// Builder's output (one per contracted hierarchy level). The partitioning
+// contracted hierarchy level, which coarsen.ContractWS builds in three
+// passes (carve row capacity, append every crossing half-edge, fold each
+// row's duplicates in place with a dense marker). The partitioning
 // hot loops (matching, FM refinement) iterate adjacency billions of times
 // on large instances; CSR gives contiguous memory and no per-node slice
 // headers. A CSR is immutable: mutate the Graph and re-snapshot.

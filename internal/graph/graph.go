@@ -2,9 +2,9 @@
 // throughout the partitioner: nodes carry a weight (FPGA resources consumed
 // by a process) and edges carry a weight (sustained bandwidth of a FIFO
 // channel). The package offers an adjacency-list graph, a compact CSR form
-// for the hot partitioning loops (a Graph's snapshot, or a Builder's
-// output when contraction emits one), structural queries, graph surgery
-// (induced subgraphs, quotients), and several interchange formats.
+// for the hot partitioning loops (a Graph's snapshot, or a contracted
+// hierarchy level), structural queries, graph surgery (induced
+// subgraphs, quotients), and several interchange formats.
 package graph
 
 import (

@@ -29,7 +29,15 @@ type Matching []graph.Node
 
 // NewMatching returns an all-unmatched matching over n nodes.
 func NewMatching(n int) Matching {
-	m := make(Matching, n)
+	return unmatched(make(Matching, n))
+}
+
+// newMatchingWS is NewMatching drawn from ws.Nodes.
+func newMatchingWS(ws *arena.Workspace, n int) Matching {
+	return unmatched(ws.Nodes.Cap(n)[:n])
+}
+
+func unmatched(m Matching) Matching {
 	for i := range m {
 		m[i] = Unmatched
 	}
@@ -151,7 +159,7 @@ func (h Heuristic) UsesRNG() bool {
 // Compute runs the named heuristic. kClusters is only used by KMeans; a
 // value <= 0 defaults to 4 weight clusters. An unknown heuristic yields
 // an error wrapping ErrUnknownHeuristic. It snapshots g once and matches
-// on the snapshot.
+// on the snapshot; the matching is the caller's.
 func Compute(h Heuristic, g *graph.Graph, kClusters int, rng *rand.Rand) (Matching, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
@@ -160,8 +168,8 @@ func Compute(h Heuristic, g *graph.Graph, kClusters int, rng *rand.Rand) (Matchi
 
 // ComputeWS is Compute on a CSR, with every internal buffer (visit
 // permutations, candidate lists, the edge sort array, k-means scratch)
-// drawn from ws. The returned Matching itself is freshly allocated — it
-// outlives the call — but everything transient is pooled.
+// drawn from ws. The returned Matching is drawn from ws.Nodes too: the
+// caller may Put it back there once nothing reads it, or keep it.
 func ComputeWS(ws *arena.Workspace, h Heuristic, g *graph.CSR, kClusters int, rng *rand.Rand) (Matching, error) {
 	switch h {
 	case HeuristicRandom:
@@ -199,7 +207,7 @@ func permInto(rng *rand.Rand, out []int) {
 // and candidate list are pooled.
 func randomWS(ws *arena.Workspace, g *graph.CSR, rng *rand.Rand) Matching {
 	n := g.NumNodes()
-	m := NewMatching(n)
+	m := newMatchingWS(ws, n)
 	order := ws.Ints.Cap(n)[:n]
 	permInto(rng, order)
 	cand := ws.Nodes.Cap(8)
@@ -275,7 +283,7 @@ func heavyEdgeComparatorWS(ws *arena.Workspace, g *graph.CSR) Matching {
 			return int(a.V) - int(b.V)
 		}
 	})
-	m := NewMatching(n)
+	m := newMatchingWS(ws, n)
 	for _, e := range edges {
 		if m[e.U] == Unmatched && m[e.V] == Unmatched {
 			m[e.U], m[e.V] = e.V, e.U
@@ -306,7 +314,7 @@ func heavyEdgePackedWS(ws *arena.Workspace, g *graph.CSR, idBits uint) Matching 
 		}
 	}
 	keys = sortPackedKeys(ws, keys)
-	m := NewMatching(n)
+	m := newMatchingWS(ws, n)
 	for _, key := range keys {
 		u := graph.Node(key >> idBits & mask)
 		v := graph.Node(key & mask)
@@ -382,7 +390,7 @@ func sortPackedKeys(ws *arena.Workspace, keys []int64) []int64 {
 // candidate lists, and Lloyd-iteration scratch are pooled.
 func kMeansWS(ws *arena.Workspace, g *graph.CSR, nClusters int, rng *rand.Rand) Matching {
 	n := g.NumNodes()
-	m := NewMatching(n)
+	m := newMatchingWS(ws, n)
 	if n == 0 {
 		return m
 	}
