@@ -235,8 +235,10 @@ func BenchmarkScaleGP(b *testing.B) {
 	// Million-node instance: out of reach for the multilevel hierarchy in
 	// one benchmark iteration, in reach for the streaming partitioner —
 	// one CSR snapshot plus O(K²+n) arena-pooled state, no per-level
-	// copies. The trajectory file records its cut and feasibility so the
-	// fast path's quality stays on the regression trail.
+	// copies. The snapshot is recycled (arena.Snapshot), so after the
+	// first iteration a solve allocates none. The trajectory file records
+	// its cut and feasibility so the fast path's quality stays on the
+	// regression trail.
 	b.Run("n1000000", func(b *testing.B) {
 		const n, k = 1_000_000, 16
 		g, err := gen.RandomConnected(n, 3*n,

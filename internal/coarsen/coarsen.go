@@ -45,11 +45,14 @@ type MatchCandidate struct {
 // node with summed weight; unmatched nodes carry over. Edges between
 // coarse nodes fold duplicates by summing weights; intra-pair edges
 // disappear (their weight is "hidden" inside the coarse node). It
-// snapshots g once and contracts the snapshot.
+// contracts a recycled snapshot of g (arena.Snapshot), which the Level
+// does not keep.
 func Contract(g *graph.Graph, m match.Matching) (*Level, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	return ContractWS(ws, g.ToCSR(), m)
+	csr := arena.Snapshot(g)
+	defer arena.ReleaseSnapshot(csr)
+	return ContractWS(ws, csr, m)
 }
 
 // ContractWS is Contract on a CSR, with its row cursors and fold marker

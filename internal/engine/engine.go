@@ -414,8 +414,9 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 	// The solve's one snapshot of g: every cycle coarsens from it and
 	// refines its finest level on it, and every candidate is scored
 	// against it. Cycles only read it, so sharing across goroutines is
-	// safe.
-	fcsr := g.ToCSR()
+	// safe. Its storage is recycled (arena.Snapshot); it goes back once
+	// the last reader is done, and a panicking cycle abandons it.
+	fcsr := arena.Snapshot(g)
 	inc := newIncumbent()
 
 	better := func(a, b candidate) bool {
@@ -512,6 +513,7 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 		best.parts = parts
 		best.goodness, best.feasible = s.cfg.Evaluate(fcsr, parts)
 	}
+	arena.ReleaseSnapshot(fcsr)
 
 	out := &Outcome{
 		Parts:     best.parts,

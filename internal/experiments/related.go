@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"ppnpart/internal/arena"
 	"ppnpart/internal/core"
 	"ppnpart/internal/galgo"
 	"ppnpart/internal/gen"
@@ -71,7 +72,9 @@ func RunRelated() ([]RelatedRow, error) {
 		eval("METIS-like", base.Parts, base.Runtime)
 
 		t0 := time.Now()
-		spec, err := initpart.SpectralKWay(w.g.ToCSR(), w.k, rand.New(rand.NewSource(1)))
+		csr := arena.Snapshot(w.g)
+		spec, err := initpart.SpectralKWay(csr, w.k, rand.New(rand.NewSource(1)))
+		arena.ReleaseSnapshot(csr)
 		if err != nil {
 			return nil, err
 		}

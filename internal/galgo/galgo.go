@@ -120,7 +120,8 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	// seeding and offspring improvement.
 	ws := arena.Get()
 	defer arena.Put(ws)
-	csr := g.ToCSR()
+	csr := arena.Snapshot(g)
+	defer arena.ReleaseSnapshot(csr)
 	stCfg := pstate.Config{K: opts.K, Constraints: opts.Constraints}
 
 	evalFit := func(parts []int) float64 {

@@ -24,11 +24,25 @@ func benchGraph(n, m int) *Graph {
 	return g
 }
 
+// BenchmarkToCSR times a snapshot into fresh storage.
 func BenchmarkToCSR(b *testing.B) {
 	g := benchGraph(10000, 30000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.ToCSR()
+	}
+}
+
+// BenchmarkSnapshot times the recycled form: each timed snapshot
+// rewrites a CSR that already held the graph, as arena.Snapshot does
+// across solves.
+func BenchmarkSnapshot(b *testing.B) {
+	g := benchGraph(10000, 30000)
+	var c CSR
+	g.SnapshotInto(&c)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.SnapshotInto(&c)
 	}
 }
 

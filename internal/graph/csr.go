@@ -1,12 +1,14 @@
 package graph
 
-// CSR is a compressed-sparse-row graph: a Graph's snapshot (ToCSR) or a
-// contracted hierarchy level, which coarsen.ContractWS builds in three
-// passes (carve row capacity, append every crossing half-edge, fold each
-// row's duplicates in place with a dense marker). The partitioning
-// hot loops (matching, FM refinement) iterate adjacency billions of times
-// on large instances; CSR gives contiguous memory and no per-node slice
-// headers. A CSR is immutable: mutate the Graph and re-snapshot.
+// CSR is a compressed-sparse-row graph: a Graph's snapshot (ToCSR,
+// SnapshotInto) or a contracted hierarchy level, which coarsen.ContractWS
+// builds in three passes (carve row capacity, append every crossing
+// half-edge, fold each row's duplicates in place with a dense marker).
+// The partitioning hot loops (matching, FM refinement) iterate adjacency
+// billions of times on large instances; CSR gives contiguous memory and
+// no per-node slice headers. A CSR is immutable while it is read: mutate
+// the Graph and re-snapshot. Only SnapshotInto rewrites one, for a
+// snapshot store that recycles storage between solves.
 type CSR struct {
 	XAdj   []int32 // offsets into Adj/AdjW, length NumNodes+1
 	Adj    []Node  // neighbor ids, length 2*NumEdges
@@ -15,7 +17,7 @@ type CSR struct {
 	EdgeWT int64   // total edge weight
 	NodeWT int64   // total node weight
 
-	// Hyperedge snapshot (nil for plain graphs; see hyper.go). HXPins
+	// Hyperedge snapshot (empty for plain graphs; see hyper.go). HXPins
 	// offsets into HPins per hyperedge (pin 0 = writer), HW carries the
 	// per-net weights, and HXInc/HInc is the transposed node->hyperedge
 	// incidence the incremental partition state walks on each move.
@@ -27,30 +29,52 @@ type CSR struct {
 	HWT    int64 // total hyperedge weight
 }
 
-// ToCSR snapshots the graph into CSR form. Neighbor order within a row
-// matches the Graph's insertion order, which keeps randomized algorithms
-// deterministic for a fixed build sequence.
+// ToCSR snapshots the graph into a freshly allocated CSR (see
+// SnapshotInto).
 func (g *Graph) ToCSR() *CSR {
+	c := &CSR{}
+	g.SnapshotInto(c)
+	return c
+}
+
+// SnapshotInto rebuilds c in place as the graph's CSR snapshot. Each of
+// c's arrays keeps its storage when it is large enough and is otherwise
+// replaced by one of exactly the needed size, so a CSR snapshotted again
+// and again (arena.Snapshot) stops allocating once it has held the
+// largest graph. Neighbor order within a row matches the Graph's
+// insertion order, which keeps randomized algorithms deterministic for a
+// fixed build sequence. Anything still reading c's old contents sees
+// them overwritten.
+func (g *Graph) SnapshotInto(c *CSR) {
 	n := g.NumNodes()
 	m2 := 2 * g.NumEdges()
-	c := &CSR{
-		XAdj:   make([]int32, n+1),
-		Adj:    make([]Node, 0, m2),
-		AdjW:   make([]int64, 0, m2),
-		NodeW:  append([]int64(nil), g.nodeWeights...),
-		EdgeWT: g.totalEdgeW,
-		NodeWT: g.totalNodeW,
-	}
+	c.XAdj = resize(c.XAdj, n+1)
+	c.Adj = resize(c.Adj, m2)
+	c.AdjW = resize(c.AdjW, m2)
+	c.NodeW = resize(c.NodeW, n)
+	copy(c.NodeW, g.nodeWeights)
+	c.EdgeWT = g.totalEdgeW
+	c.NodeWT = g.totalNodeW
+	var at int32
 	for u := 0; u < n; u++ {
-		c.XAdj[u] = int32(len(c.Adj))
+		c.XAdj[u] = at
 		for _, h := range g.adj[u] {
-			c.Adj = append(c.Adj, h.To)
-			c.AdjW = append(c.AdjW, h.Weight)
+			c.Adj[at], c.AdjW[at] = h.To, h.Weight
+			at++
 		}
 	}
-	c.XAdj[n] = int32(len(c.Adj))
+	c.XAdj[n] = at
 	g.fillHyperCSR(c)
-	return c
+}
+
+// resize returns s at length n: s's own storage when its capacity
+// suffices, else a new array of exactly n elements. Reused elements keep
+// their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NumNodes reports the number of nodes.

@@ -98,47 +98,53 @@ func (g *Graph) validateHyper() error {
 	return nil
 }
 
-// fillHyperCSR snapshots the hyperedge set into c: the pin lists in CSR
-// layout plus the transposed node->hyperedge incidence the incremental
-// partition state walks on every move. A graph without hyperedges leaves
-// every hyper field nil.
+// fillHyperCSR snapshots the hyperedge set into c, reusing c's storage
+// as SnapshotInto does: the pin lists in CSR layout plus the transposed
+// node->hyperedge incidence the incremental partition state walks on
+// every move. A graph without hyperedges leaves every hyper field empty.
 func (g *Graph) fillHyperCSR(c *CSR) {
 	c.HWT = g.totalHyperW
-	if len(g.hedges) == 0 {
+	nh := len(g.hedges)
+	if nh == 0 {
+		c.HXPins, c.HPins, c.HW = c.HXPins[:0], c.HPins[:0], c.HW[:0]
+		c.HXInc, c.HInc = c.HXInc[:0], c.HInc[:0]
 		return
 	}
 	n := g.NumNodes()
-	nh := len(g.hedges)
 	pins := 0
 	for _, h := range g.hedges {
 		pins += len(h.Pins)
 	}
-	c.HXPins = make([]int32, nh+1)
-	c.HPins = make([]Node, 0, pins)
-	c.HW = make([]int64, 0, nh)
-	c.HXInc = make([]int32, n+1)
-	c.HInc = make([]int32, pins)
+	c.HXPins = resize(c.HXPins, nh+1)
+	c.HPins = resize(c.HPins, pins)
+	c.HW = resize(c.HW, nh)
+	c.HXInc = resize(c.HXInc, n+1)
+	c.HInc = resize(c.HInc, pins)
+	clear(c.HXInc)
+	var at int32
 	for i, h := range g.hedges {
-		c.HXPins[i] = int32(len(c.HPins))
-		c.HPins = append(c.HPins, h.Pins...)
-		c.HW = append(c.HW, h.Weight)
+		c.HXPins[i] = at
+		at += int32(copy(c.HPins[at:], h.Pins))
+		c.HW[i] = h.Weight
 		for _, p := range h.Pins {
 			c.HXInc[p+1]++
 		}
 	}
-	c.HXPins[nh] = int32(len(c.HPins))
+	c.HXPins[nh] = at
 	for u := 0; u < n; u++ {
 		c.HXInc[u+1] += c.HXInc[u]
 	}
 	// Fill incidence in hyperedge order so each row lists nets ascending.
-	fill := make([]int32, n)
-	copy(fill, c.HXInc[:n])
+	// HXInc[u] serves as row u's fill cursor, which leaves it at row u's
+	// end; the shift below restores the row starts.
 	for i, h := range g.hedges {
 		for _, p := range h.Pins {
-			c.HInc[fill[p]] = int32(i)
-			fill[p]++
+			c.HInc[c.HXInc[p]] = int32(i)
+			c.HXInc[p]++
 		}
 	}
+	copy(c.HXInc[1:], c.HXInc[:n])
+	c.HXInc[0] = 0
 }
 
 // NumHyperEdges reports the number of hyperedges in the snapshot.

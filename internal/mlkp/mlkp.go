@@ -85,10 +85,12 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	ws := arena.Get()
 	defer arena.Put(ws)
+	csr := arena.Snapshot(g)
+	defer arena.ReleaseSnapshot(csr)
 
 	// Coarsening: heavy-edge matching only, the METIS default. Every
 	// level, the finest included, is refined on the hierarchy's CSRs.
-	hier, err := coarsen.BuildWS(ws, g.ToCSR(), coarsen.Options{
+	hier, err := coarsen.BuildWS(ws, csr, coarsen.Options{
 		TargetSize: opts.CoarsenTarget,
 		Heuristics: []match.Heuristic{match.HeuristicHeavyEdge},
 	}, rng)

@@ -182,8 +182,10 @@ func Repair(g *graph.Graph, parts []int, topo *fpga.Topology, failed []int, opts
 	compact := bestFitEvacuate(g, parts, topo, toCompact, survivors, res)
 	if m > 1 {
 		ws := arena.Get()
-		s, err := pstate.NewWS(ws, g.ToCSR(), compact, pstate.Config{K: m, Constraints: constraints})
+		csr := arena.Snapshot(g)
+		s, err := pstate.NewWS(ws, csr, compact, pstate.Config{K: m, Constraints: constraints})
 		if err != nil {
+			arena.ReleaseSnapshot(csr)
 			arena.Put(ws)
 			return nil, err
 		}
@@ -192,6 +194,7 @@ func Repair(g *graph.Graph, parts []int, topo *fpga.Topology, failed []int, opts
 		refine.RebalanceResources(s, opts.RefinePasses)
 		copy(compact, s.Parts())
 		s.Release(ws)
+		arena.ReleaseSnapshot(csr)
 		arena.Put(ws)
 	}
 	assignment := make([]int, len(compact))
