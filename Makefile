@@ -91,7 +91,7 @@ bench:
 # the output to JSON and merges the checked-in baseline so the file holds
 # before/after ns/op, allocs/op and cut metrics plus speedups.
 # BENCHPAT/BENCHTIME narrow the run (CI smoke uses the small instance).
-BENCHPAT ?= BenchmarkScaleGP|BenchmarkScaleBaseline|BenchmarkPState|BenchmarkStream|BenchmarkFMBisect|BenchmarkKWayFM|BenchmarkBatchKWay|BenchmarkReplicate|BenchmarkHeavyEdgeMatching|BenchmarkKMeansMatching|BenchmarkContract|BenchmarkBuildHierarchy|BenchmarkToCSR|BenchmarkSnapshot
+BENCHPAT ?= BenchmarkScaleGP|BenchmarkScaleBaseline|BenchmarkPState|BenchmarkStream|BenchmarkFMBisect|BenchmarkKWayFM|BenchmarkBatchKWay|BenchmarkReplicate|BenchmarkHeavyEdgeMatching|BenchmarkKMeansMatching|BenchmarkContract|BenchmarkBuildHierarchy|BenchmarkBuildFold|BenchmarkDecodeStarRequest
 BENCHTIME ?= 3x
 # BENCHJSONFLAGS=-allow-missing lets a deliberately narrowed run (the CI
 # smoke) skip baseline benchmarks its pattern excludes; the full run keeps

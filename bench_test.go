@@ -14,6 +14,8 @@
 package ppnpart_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -25,6 +27,7 @@ import (
 	"ppnpart/internal/metrics"
 	"ppnpart/internal/mlkp"
 	"ppnpart/internal/ppn"
+	"ppnpart/internal/server"
 )
 
 // benchTableGP regenerates one paper table's GP row.
@@ -234,11 +237,11 @@ func BenchmarkScaleGP(b *testing.B) {
 
 	// Million-node instance: out of reach for the multilevel hierarchy in
 	// one benchmark iteration, in reach for the streaming partitioner —
-	// one CSR snapshot plus O(K²+n) arena-pooled state, no per-level
-	// copies. The snapshot is recycled (arena.Snapshot), so after the
-	// first iteration a solve allocates none. The trajectory file records
-	// its cut and feasibility so the fast path's quality stays on the
-	// regression trail.
+	// the graph's own CSR plus O(K²+n) arena-pooled state, no per-level
+	// copies and no copy of the input, so after the first iteration a
+	// solve allocates little. The trajectory file records its cut and
+	// feasibility so the fast path's quality stays on the regression
+	// trail.
 	b.Run("n1000000", func(b *testing.B) {
 		const n, k = 1_000_000, 16
 		g, err := gen.RandomConnected(n, 3*n,
@@ -421,5 +424,35 @@ func BenchmarkVariance(b *testing.B) {
 	for _, r := range rows {
 		b.ReportMetric(float64(r.FeasibleRuns)/float64(r.Seeds),
 			fmt.Sprintf("feasibleRate%d", r.Instance))
+	}
+}
+
+// BenchmarkDecodeStarRequest decodes a ppnd job whose graph is a star of
+// 50,000 leaves and builds its graph, as ppnd does for every request
+// before admission. Every edge meets the hub, so a builder that scans a
+// row for an existing edge before appending costs O(leaves²) here.
+func BenchmarkDecodeStarRequest(b *testing.B) {
+	const leaves = 50_000
+	req := server.JobRequest{K: 2}
+	req.Graph.Nodes = make([]server.NodeSpec, leaves+1)
+	for i := range req.Graph.Nodes {
+		req.Graph.Nodes[i] = server.NodeSpec{ID: i, Weight: 1}
+	}
+	for i := 1; i <= leaves; i++ {
+		req.Graph.Edges = append(req.Graph.Edges, server.EdgeSpec{U: 0, V: i, Weight: 1})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, g, err := server.DecodeJobRequest(bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.NumEdges() != leaves {
+			b.Fatalf("%d edges, want %d", g.NumEdges(), leaves)
+		}
 	}
 }

@@ -3,9 +3,9 @@
 // (ints, weights, floats, node stacks, visited bitsets) and package-keyed
 // extension caches (pstate move logs, gain-PQ storage) so that coarsening
 // levels, GP cycles, greedy restarts, and refine passes reuse the same
-// geometrically-grown backing arrays instead of reallocating them. A
-// separate store (Snapshot, ReleaseSnapshot) recycles each solve's CSR
-// snapshot of its input graph.
+// geometrically-grown backing arrays instead of reallocating them. The
+// input graph itself needs no scratch: a solve reads the graph's own CSR
+// (graph.Graph.ToCSR).
 //
 // Ownership model:
 //
@@ -148,27 +148,6 @@ func Prewarm(n int) {
 	for _, ws := range wss {
 		Put(ws)
 	}
-}
-
-// snapshots recycles input-graph snapshots between solves. It is a
-// store of its own, not a Workspace pool: a snapshot parked in a
-// workspace would travel with whichever workspace sync.Pool hands out
-// next, until every workspace held a copy (DESIGN.md §5d).
-var snapshots = sync.Pool{New: func() any { return new(graph.CSR) }}
-
-// Snapshot returns g's CSR snapshot, built in the storage of a released
-// one when the store holds one (graph.SnapshotInto). The caller owns it
-// until ReleaseSnapshot; concurrent readers are safe, as for any CSR.
-func Snapshot(g *graph.Graph) *graph.CSR {
-	c := snapshots.Get().(*graph.CSR)
-	g.SnapshotInto(c)
-	return c
-}
-
-// ReleaseSnapshot returns a snapshot taken by Snapshot to the store. The
-// caller must hold no reference into it: the next Snapshot rewrites it.
-func ReleaseSnapshot(c *graph.CSR) {
-	snapshots.Put(c)
 }
 
 // Stats reports cumulative checkout counters: total Gets, how many of

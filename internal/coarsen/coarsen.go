@@ -45,26 +45,22 @@ type MatchCandidate struct {
 // node with summed weight; unmatched nodes carry over. Edges between
 // coarse nodes fold duplicates by summing weights; intra-pair edges
 // disappear (their weight is "hidden" inside the coarse node). It
-// contracts a recycled snapshot of g (arena.Snapshot), which the Level
-// does not keep.
+// contracts g's CSR.
 func Contract(g *graph.Graph, m match.Matching) (*Level, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	csr := arena.Snapshot(g)
-	defer arena.ReleaseSnapshot(csr)
-	return ContractWS(ws, csr, m)
+	return ContractWS(ws, g.ToCSR(), m)
 }
 
 // ContractWS is Contract on a CSR, with its row cursors and fold marker
 // drawn from ws. It builds the coarse CSR in three passes and no hash
-// table:
+// table, as a Graph folds its queued edges:
 //
 //  1. number the coarse nodes, sum their weights, and carve each coarse
 //     row's capacity (the sum of its fine degrees) from one backing array;
 //  2. for u ascending and each neighbour v > u in a different coarse node,
-//     append (cv, w) to row cu and (cu, w) to row cv, duplicates included;
-//  3. fold each row in place, keeping a neighbour's first occurrence and
-//     adding later weights into it, and compact the rows to the front.
+//     append the halves of {cu, cv} (CSR.PushEdge), duplicates included;
+//  3. fold each row in place (CSR.FoldRows).
 //
 // Within a row, the first raw occurrence of d is where sequential
 // Graph.AddEdge calls over the same edges would first meet {c, d}, so the
@@ -125,37 +121,13 @@ func ContractWS(ws *arena.Workspace, g *graph.CSR, m match.Matching) (*Level, er
 			if cu == cv {
 				continue // intra-pair edge vanishes
 			}
-			w := wts[i]
-			c.Adj[fill[cu]], c.AdjW[fill[cu]] = cv, w
-			c.Adj[fill[cv]], c.AdjW[fill[cv]] = cu, w
-			fill[cu]++
-			fill[cv]++
-			c.EdgeWT += w
+			c.PushEdge(fill, cu, cv, wts[i])
+			c.EdgeWT += wts[i]
 		}
 	}
-	// Pass 3. mark[d] is one past the compacted slot where d was last
-	// kept, so it names an entry of the current row only when it
-	// exceeds the row's compacted start: the marker is never cleared.
-	// The compacted cursor never passes the raw one, so the fold is in
-	// place.
+	// Pass 3.
 	mark := ws.Int32s.Get(nc)
-	var out int32
-	for cu := 0; cu < nc; cu++ {
-		start := out
-		for i := c.XAdj[cu]; i < fill[cu]; i++ {
-			d, w := c.Adj[i], c.AdjW[i]
-			if p := mark[d]; p > start {
-				c.AdjW[p-1] += w
-				continue
-			}
-			c.Adj[out], c.AdjW[out] = d, w
-			out++
-			mark[d] = out
-		}
-		c.XAdj[cu] = start
-	}
-	c.XAdj[nc] = out
-	c.Adj, c.AdjW = c.Adj[:out], c.AdjW[:out]
+	c.FoldRows(fill, mark)
 	ws.Int32s.Put(fill)
 	ws.Int32s.Put(mark)
 	return &Level{Coarse: c, FineToCoarse: fineToCoarse}, nil
@@ -223,7 +195,7 @@ func (o Options) withDefaults() Options {
 // Hierarchy is a full coarsening stack. Levels[0] contracts the original
 // graph; Levels[len-1].Coarse is the coarsest graph.
 type Hierarchy struct {
-	// Original is the input graph's snapshot.
+	// Original is the input graph's CSR.
 	Original *graph.CSR
 	// Levels are the contraction steps, finest first.
 	Levels []*Level

@@ -74,9 +74,10 @@ func referenceContract(g *graph.Graph, m match.Matching) (*graph.CSR, []graph.No
 	}
 	ref := graph.NewWithWeights(w)
 	for u := 0; u < n; u++ {
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) < h.To && f2c[u] != f2c[h.To] {
-				ref.MustAddEdge(f2c[u], f2c[h.To], h.Weight)
+		nbrs, wts := g.Row(graph.Node(u))
+		for i, v := range nbrs {
+			if graph.Node(u) < v && f2c[u] != f2c[v] {
+				ref.MustAddEdge(f2c[u], f2c[v], wts[i])
 			}
 		}
 	}

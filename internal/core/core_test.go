@@ -379,13 +379,16 @@ func TestPartitionStress50k(t *testing.T) {
 		w[i] = int64(1 + rng.Intn(100))
 	}
 	g := graph.NewWithWeights(w)
+	seen := map[graph.Edge]bool{} // distinct pairs so far: {U, V} weighs 0
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(graph.Node(i-1), graph.Node(i), int64(1+rng.Intn(20)))
+		seen[graph.Edge{U: graph.Node(i - 1), V: graph.Node(i)}] = true
 	}
-	for g.NumEdges() < 3*n {
+	for len(seen) < 3*n {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
 			g.MustAddEdge(graph.Node(u), graph.Node(v), int64(1+rng.Intn(20)))
+			seen[graph.Edge{U: graph.Node(u), V: graph.Node(v)}.Normalize()] = true
 		}
 	}
 	c := metrics.Constraints{Rmax: g.TotalNodeWeight()*30/100 + g.MaxNodeWeight()}

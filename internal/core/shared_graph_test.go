@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ppnpart/internal/engine"
@@ -12,11 +13,11 @@ import (
 )
 
 // TestInterleavedSolvesMatchFirstSolve alternates solves of two different
-// graphs. Every solve snapshots its input into storage the previous solve
-// released, so a snapshot that kept a length or a value of the other
-// graph, or a reader that outlived its solve, would change a repeated
-// solve's result. At Parallelism 2 the GP cycles read the recycled
-// snapshot concurrently, which the race detector then sees.
+// graphs. Every solve reads its graph's own CSR, so state that leaked
+// from one solve into the next (a length or a value of the other graph,
+// or scratch a reader kept past its solve) would change a repeated
+// solve's result. At Parallelism 2 the GP cycles read the CSR
+// concurrently, which the race detector then sees.
 func TestInterleavedSolvesMatchFirstSolve(t *testing.T) {
 	plain := func(n int, seed int64) *graph.Graph {
 		g, err := gen.RandomConnected(n, 3*n, gen.WeightRange{Lo: 10, Hi: 100},
@@ -52,8 +53,8 @@ func TestInterleavedSolvesMatchFirstSolve(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// The graph-side oracle, which takes no snapshot, catches a
-					// corrupted snapshot on a first solve too.
+					// The graph-side oracle, which reads the graph through its
+					// own methods, catches a corrupted CSR on a first solve too.
 					if !opts.Replicate && res.Goodness != metrics.Goodness(g, res.Parts, opts.K, opts.Constraints) {
 						t.Fatalf("round %d, graph %d: goodness %v, recomputed %v", round, i,
 							res.Goodness, metrics.Goodness(g, res.Parts, opts.K, opts.Constraints))
@@ -71,5 +72,46 @@ func TestInterleavedSolvesMatchFirstSolve(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConcurrentFirstReadsAgree gives two goroutines one graph whose last
+// AddEdge is still queued. Each takes the graph's CSR, which makes both
+// race to fold it, and then partitions the graph at Parallelism 2. Both
+// must see the same CSR and return the same result; the race detector
+// checks the fold's locking.
+func TestConcurrentFirstReadsAgree(t *testing.T) {
+	g, err := gen.RandomConnected(300, 900, gen.WeightRange{Lo: 10, Hi: 100},
+		gen.WeightRange{Lo: 1, Hi: 20}, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.ToCSR()
+	g.MustAddEdge(0, 299, 7)
+	opts := Options{K: 4, Parallelism: 2, Seed: 3, MaxCycles: 3,
+		Constraints: metrics.Constraints{Rmax: g.TotalNodeWeight()*3/10 + g.MaxNodeWeight()}}
+	var csrs [2]*graph.CSR
+	var results [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			csrs[i] = g.ToCSR()
+			results[i], errs[i] = Partition(g, opts)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if csrs[0] != csrs[1] || !g.HasEdge(0, 299) {
+		t.Fatal("the two first reads folded different CSRs or lost the queued edge")
+	}
+	if !reflect.DeepEqual(results[0].Parts, results[1].Parts) || results[0].Goodness != results[1].Goodness {
+		t.Fatalf("concurrent solves differ: goodness %v and %v", results[0].Goodness, results[1].Goodness)
 	}
 }

@@ -411,12 +411,10 @@ type candidate struct {
 func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome {
 	cfg := &s.cfg
 	tr.begin(cfg)
-	// The solve's one snapshot of g: every cycle coarsens from it and
-	// refines its finest level on it, and every candidate is scored
-	// against it. Cycles only read it, so sharing across goroutines is
-	// safe. Its storage is recycled (arena.Snapshot); it goes back once
-	// the last reader is done, and a panicking cycle abandons it.
-	fcsr := arena.Snapshot(g)
+	// g's own CSR: every cycle coarsens from it and refines its finest
+	// level on it, and every candidate is scored against it. It never
+	// changes, so sharing it across goroutines is safe.
+	fcsr := g.ToCSR()
 	inc := newIncumbent()
 
 	better := func(a, b candidate) bool {
@@ -513,7 +511,6 @@ func (s *Solver) Solve(ctx context.Context, g *graph.Graph, tr *Trace) *Outcome 
 		best.parts = parts
 		best.goodness, best.feasible = s.cfg.Evaluate(fcsr, parts)
 	}
-	arena.ReleaseSnapshot(fcsr)
 
 	out := &Outcome{
 		Parts:     best.parts,

@@ -185,10 +185,11 @@ func (s *solver) search(depth int) {
 	// bounded together.
 	conn := make([]int64, s.k)
 	var connTotal int64
-	for _, h := range s.g.Neighbors(u) {
-		if q := s.assign[h.To]; q >= 0 {
-			conn[q] += h.Weight
-			connTotal += h.Weight
+	nbrs, wts := s.g.Row(u)
+	for i, v := range nbrs {
+		if q := s.assign[v]; q >= 0 {
+			conn[q] += wts[i]
+			connTotal += wts[i]
 		}
 	}
 	// Symmetry breaking: try each currently used part, plus exactly one

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"ppnpart/internal/arena"
 	"ppnpart/internal/core"
 	"ppnpart/internal/engine"
 	"ppnpart/internal/gen"
@@ -179,10 +178,9 @@ func partitionPolished(g *graph.Graph, opts core.Options, p polishStrategy) (*co
 		return res, err
 	}
 	start := time.Now()
-	csr := arena.Snapshot(g)
+	csr := g.ToCSR()
 	p.run(csr, res.Parts, opts.K, opts.Constraints, opts.Seed)
 	res.Goodness, res.Feasible = engine.Config{K: opts.K, Constraints: opts.Constraints}.Evaluate(csr, res.Parts)
-	arena.ReleaseSnapshot(csr)
 	res.Report = metrics.Evaluate(g, res.Parts, opts.K, opts.Constraints)
 	res.Runtime += time.Since(start)
 	return res, nil

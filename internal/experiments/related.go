@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"ppnpart/internal/arena"
 	"ppnpart/internal/core"
 	"ppnpart/internal/galgo"
 	"ppnpart/internal/gen"
@@ -72,9 +71,7 @@ func RunRelated() ([]RelatedRow, error) {
 		eval("METIS-like", base.Parts, base.Runtime)
 
 		t0 := time.Now()
-		csr := arena.Snapshot(w.g)
-		spec, err := initpart.SpectralKWay(csr, w.k, rand.New(rand.NewSource(1)))
-		arena.ReleaseSnapshot(csr)
+		spec, err := initpart.SpectralKWay(w.g.ToCSR(), w.k, rand.New(rand.NewSource(1)))
 		if err != nil {
 			return nil, err
 		}

@@ -116,12 +116,11 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	}
 	start := time.Now()
 	rng := rand.New(rand.NewSource(opts.Seed))
-	// g never changes, so one workspace and CSR snapshot serve every
-	// seeding and offspring improvement.
+	// g never changes, so one workspace and g's CSR serve every seeding
+	// and offspring improvement.
 	ws := arena.Get()
 	defer arena.Put(ws)
-	csr := arena.Snapshot(g)
-	defer arena.ReleaseSnapshot(csr)
+	csr := g.ToCSR()
 	stCfg := pstate.Config{K: opts.K, Constraints: opts.Constraints}
 
 	evalFit := func(parts []int) float64 {

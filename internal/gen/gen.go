@@ -9,6 +9,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ppnpart/internal/graph"
 )
@@ -43,21 +44,31 @@ func RandomConnected(n, m int, nodeW, edgeW WeightRange, rng *rand.Rand) (*graph
 		w[i] = nodeW.sample(rng)
 	}
 	g := graph.NewWithWeights(w)
+	// drawn holds the pairs drawn so far, lower node in the high half: it
+	// answers the membership test that keeps the graph simple, since g
+	// folds its edges only when first read.
+	drawn := make(map[uint64]bool, m)
+	pair := func(u, v graph.Node) uint64 { return uint64(min(u, v))<<32 | uint64(max(u, v)) }
+	add := func(u, v graph.Node) {
+		g.MustAddEdge(u, v, edgeW.sample(rng))
+		drawn[pair(u, v)] = true
+	}
 	// Random spanning tree: attach each node i > 0 to a random earlier
 	// node over a random permutation (uniform random recursive tree on a
 	// shuffled labeling).
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
 		j := rng.Intn(i)
-		g.MustAddEdge(graph.Node(perm[i]), graph.Node(perm[j]), edgeW.sample(rng))
+		add(graph.Node(perm[i]), graph.Node(perm[j]))
 	}
-	for g.NumEdges() < m {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u == v || g.HasEdge(graph.Node(u), graph.Node(v)) {
+	for edges := n - 1; edges < m; {
+		u := graph.Node(rng.Intn(n))
+		v := graph.Node(rng.Intn(n))
+		if u == v || drawn[pair(u, v)] {
 			continue
 		}
-		g.MustAddEdge(graph.Node(u), graph.Node(v), edgeW.sample(rng))
+		add(u, v)
+		edges++
 	}
 	return g, nil
 }
@@ -174,11 +185,13 @@ func Layered(layers, width, fanout int, nodeW, edgeW WeightRange, rng *rand.Rand
 	}
 	g := graph.NewWithWeights(w)
 	id := func(l, i int) graph.Node { return graph.Node(l*width + i) }
+	linked := make([]bool, n) // has a layer-to-layer edge
 	for l := 0; l+1 < layers; l++ {
 		for i := 0; i < width; i++ {
 			targets := rng.Perm(width)[:fanout]
 			for _, t := range targets {
 				g.MustAddEdge(id(l, i), id(l+1, t), edgeW.sample(rng))
+				linked[id(l, i)], linked[id(l+1, t)] = true, true
 			}
 		}
 	}
@@ -186,7 +199,7 @@ func Layered(layers, width, fanout int, nodeW, edgeW WeightRange, rng *rand.Rand
 	// even with fanout patterns that isolate columns.
 	for l := 0; l < layers; l++ {
 		for i := 1; i < width; i++ {
-			if g.Degree(id(l, i)) == 0 {
+			if !linked[id(l, i)] {
 				g.MustAddEdge(id(l, i), id(l, i-1), edgeW.sample(rng))
 			}
 		}
@@ -206,12 +219,15 @@ func PreferentialAttachment(n, attach int, nodeW, edgeW WeightRange, rng *rand.R
 		w[i] = nodeW.sample(rng)
 	}
 	g := graph.NewWithWeights(w)
-	// Degree-proportional sampling over a repeated-endpoints list.
-	var endpoints []graph.Node
+	// Degree-proportional sampling over a repeated-endpoints list. Node
+	// u's edges all arrive in its own round, so mine, its neighbours so
+	// far, answers whether {u, v} is already an edge.
+	var endpoints, mine []graph.Node
 	endpoints = append(endpoints, 0)
 	for u := 1; u < n; u++ {
 		added := 0
 		tries := 0
+		mine = mine[:0]
 		for added < attach && tries < 50 {
 			tries++
 			var v graph.Node
@@ -220,17 +236,18 @@ func PreferentialAttachment(n, attach int, nodeW, edgeW WeightRange, rng *rand.R
 			} else {
 				v = endpoints[rng.Intn(len(endpoints))]
 			}
-			if v == graph.Node(u) || g.HasEdge(graph.Node(u), v) {
+			if v == graph.Node(u) || slices.Contains(mine, v) {
 				continue
 			}
 			g.MustAddEdge(graph.Node(u), v, edgeW.sample(rng))
 			endpoints = append(endpoints, graph.Node(u), v)
+			mine = append(mine, v)
 			added++
 		}
 		if added == 0 {
 			// Guarantee connectivity.
 			v := graph.Node(rng.Intn(u))
-			if !g.HasEdge(graph.Node(u), v) {
+			if !slices.Contains(mine, v) {
 				g.MustAddEdge(graph.Node(u), v, edgeW.sample(rng))
 				endpoints = append(endpoints, graph.Node(u), v)
 			}

@@ -5,44 +5,52 @@ import (
 	"testing"
 )
 
-func benchGraph(n, m int) *Graph {
+// benchEdges draws a connected simple graph of n nodes and m edges: a
+// path, then distinct random pairs.
+func benchEdges(n, m int) ([]int64, []Edge) {
 	rng := rand.New(rand.NewSource(1))
 	w := make([]int64, n)
 	for i := range w {
 		w[i] = int64(1 + rng.Intn(100))
 	}
-	g := NewWithWeights(w)
-	for i := 1; i < n; i++ {
-		g.MustAddEdge(Node(i-1), Node(i), int64(1+rng.Intn(20)))
-	}
-	for g.NumEdges() < m {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u != v && !g.HasEdge(Node(u), Node(v)) {
-			g.MustAddEdge(Node(u), Node(v), int64(1+rng.Intn(20)))
+	var edges []Edge
+	seen := map[Edge]bool{}
+	add := func(u, v int) {
+		e := Edge{U: Node(u), V: Node(v)}.Normalize()
+		if u != v && !seen[e] {
+			seen[e] = true
+			edges = append(edges, Edge{U: Node(u), V: Node(v), Weight: int64(1 + rng.Intn(20))})
 		}
+	}
+	for i := 1; i < n; i++ {
+		add(i-1, i)
+	}
+	for len(edges) < m {
+		add(rng.Intn(n), rng.Intn(n))
+	}
+	return w, edges
+}
+
+func benchGraph(n, m int) *Graph {
+	w, edges := benchEdges(n, m)
+	g := NewWithWeights(w)
+	for _, e := range edges {
+		g.MustAddEdge(e.U, e.V, e.Weight)
 	}
 	return g
 }
 
-// BenchmarkToCSR times a snapshot into fresh storage.
-func BenchmarkToCSR(b *testing.B) {
-	g := benchGraph(10000, 30000)
+// BenchmarkBuildFold times building a graph from AddEdge calls and its
+// first read, which folds the queued edges into the graph's CSR.
+func BenchmarkBuildFold(b *testing.B) {
+	w, edges := benchEdges(10000, 30000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		g := NewWithWeights(w)
+		for _, e := range edges {
+			g.MustAddEdge(e.U, e.V, e.Weight)
+		}
 		_ = g.ToCSR()
-	}
-}
-
-// BenchmarkSnapshot times the recycled form: each timed snapshot
-// rewrites a CSR that already held the graph, as arena.Snapshot does
-// across solves.
-func BenchmarkSnapshot(b *testing.B) {
-	g := benchGraph(10000, 30000)
-	var c CSR
-	g.SnapshotInto(&c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.SnapshotInto(&c)
 	}
 }
 

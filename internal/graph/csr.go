@@ -1,14 +1,13 @@
 package graph
 
-// CSR is a compressed-sparse-row graph: a Graph's snapshot (ToCSR,
-// SnapshotInto) or a contracted hierarchy level, which coarsen.ContractWS
-// builds in three passes (carve row capacity, append every crossing
-// half-edge, fold each row's duplicates in place with a dense marker).
-// The partitioning hot loops (matching, FM refinement) iterate adjacency
+// CSR is a compressed-sparse-row graph: a Graph's own storage (ToCSR) or
+// a contracted hierarchy level. Both are built the same way: carve each
+// row's capacity, append every half-edge at its row's fill cursor
+// (PushEdge), and fold each row's duplicates in place (FoldRows). The
+// partitioning hot loops (matching, FM refinement) iterate adjacency
 // billions of times on large instances; CSR gives contiguous memory and
-// no per-node slice headers. A CSR is immutable while it is read: mutate
-// the Graph and re-snapshot. Only SnapshotInto rewrites one, for a
-// snapshot store that recycles storage between solves.
+// no per-node slice headers. A CSR never changes once built: a Graph's
+// next fold builds new arrays.
 type CSR struct {
 	XAdj   []int32 // offsets into Adj/AdjW, length NumNodes+1
 	Adj    []Node  // neighbor ids, length 2*NumEdges
@@ -17,10 +16,10 @@ type CSR struct {
 	EdgeWT int64   // total edge weight
 	NodeWT int64   // total node weight
 
-	// Hyperedge snapshot (empty for plain graphs; see hyper.go). HXPins
-	// offsets into HPins per hyperedge (pin 0 = writer), HW carries the
-	// per-net weights, and HXInc/HInc is the transposed node->hyperedge
-	// incidence the incremental partition state walks on each move.
+	// Hyperedges (empty for plain graphs; see hyper.go). HXPins offsets
+	// into HPins per hyperedge (pin 0 = writer), HW carries the per-net
+	// weights, and HXInc/HInc is the transposed node->hyperedge incidence
+	// the incremental partition state walks on each move.
 	HXPins []int32
 	HPins  []Node
 	HW     []int64
@@ -29,52 +28,48 @@ type CSR struct {
 	HWT    int64 // total hyperedge weight
 }
 
-// ToCSR snapshots the graph into a freshly allocated CSR (see
-// SnapshotInto).
-func (g *Graph) ToCSR() *CSR {
-	c := &CSR{}
-	g.SnapshotInto(c)
-	return c
+// PushEdge appends the two halves of edge {u, v}: (v, w) at row u's fill
+// cursor fill[u] and (u, w) at fill[v], advancing both. The rows' carved
+// capacity must have room.
+func (c *CSR) PushEdge(fill []int32, u, v Node, w int64) {
+	c.Adj[fill[u]], c.AdjW[fill[u]] = v, w
+	fill[u]++
+	c.Adj[fill[v]], c.AdjW[fill[v]] = u, w
+	fill[v]++
 }
 
-// SnapshotInto rebuilds c in place as the graph's CSR snapshot. Each of
-// c's arrays keeps its storage when it is large enough and is otherwise
-// replaced by one of exactly the needed size, so a CSR snapshotted again
-// and again (arena.Snapshot) stops allocating once it has held the
-// largest graph. Neighbor order within a row matches the Graph's
-// insertion order, which keeps randomized algorithms deterministic for a
-// fixed build sequence. Anything still reading c's old contents sees
-// them overwritten.
-func (g *Graph) SnapshotInto(c *CSR) {
-	n := g.NumNodes()
-	m2 := 2 * g.NumEdges()
-	c.XAdj = resize(c.XAdj, n+1)
-	c.Adj = resize(c.Adj, m2)
-	c.AdjW = resize(c.AdjW, m2)
-	c.NodeW = resize(c.NodeW, n)
-	copy(c.NodeW, g.nodeWeights)
-	c.EdgeWT = g.totalEdgeW
-	c.NodeWT = g.totalNodeW
-	var at int32
+// FoldRows folds the raw rows PushEdge filled, in place: row u's raw
+// entries are Adj[XAdj[u]:fill[u]]. Each row keeps a neighbour's first
+// occurrence and adds later weights into it, the rows are compacted to
+// the front, and XAdj, Adj and AdjW are rewritten to the folded rows.
+// Folding raw rows that list the halves of a sequence of edges in input
+// order gives the rows sequential AddEdge calls on adjacency lists would:
+// the same first-encounter order, the same summed weights (DESIGN.md
+// §5c). mark is scratch with one entry per node and must be all zero; it
+// is left dirty.
+func (c *CSR) FoldRows(fill, mark []int32) {
+	// mark[d] is one past the compacted slot where d was last kept, so it
+	// names an entry of the current row only when it exceeds the row's
+	// compacted start: the marker is never cleared. The compacted cursor
+	// never passes the raw one, so the fold is in place.
+	n := len(fill)
+	var out int32
 	for u := 0; u < n; u++ {
-		c.XAdj[u] = at
-		for _, h := range g.adj[u] {
-			c.Adj[at], c.AdjW[at] = h.To, h.Weight
-			at++
+		start := out
+		for i := c.XAdj[u]; i < fill[u]; i++ {
+			d, w := c.Adj[i], c.AdjW[i]
+			if p := mark[d]; p > start {
+				c.AdjW[p-1] += w
+				continue
+			}
+			c.Adj[out], c.AdjW[out] = d, w
+			out++
+			mark[d] = out
 		}
+		c.XAdj[u] = start
 	}
-	c.XAdj[n] = at
-	g.fillHyperCSR(c)
-}
-
-// resize returns s at length n: s's own storage when its capacity
-// suffices, else a new array of exactly n elements. Reused elements keep
-// their old values.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	c.XAdj[n] = out
+	c.Adj, c.AdjW = c.Adj[:out], c.AdjW[:out]
 }
 
 // NumNodes reports the number of nodes.
@@ -103,30 +98,19 @@ func (c *CSR) WeightedDegree(u Node) int64 {
 	return s
 }
 
-// ToGraph reconstructs an adjacency-list Graph from the CSR. Rows are
-// copied verbatim, so every adjacency list keeps the CSR's row order.
+// ToGraph returns a Graph whose storage is c itself, without a copy. c
+// must satisfy the CSR invariants (Graph.Validate checks them); a later
+// mutation of the Graph leaves c as it is.
 func (c *CSR) ToGraph() *Graph {
-	g := NewWithWeights(c.NodeW)
-	halves := make([]Half, len(c.Adj))
-	for i, v := range c.Adj {
-		halves[i] = Half{To: v, Weight: c.AdjW[i]}
-	}
-	for u := range g.adj {
-		lo, hi := c.XAdj[u], c.XAdj[u+1]
-		g.adj[u] = halves[lo:hi:hi]
-	}
-	g.numEdges = c.NumEdges()
-	g.totalEdgeW = c.EdgeWT
-	for e := 0; e < c.NumHyperEdges(); e++ {
-		g.MustAddHyperEdge(c.HyperPins(int32(e)), c.HW[e])
-	}
+	g := &Graph{nodeW: c.NodeW, nodeWShared: true, nodeWT: c.NodeWT, edgeWT: c.EdgeWT, hyperWT: c.HWT, last: c}
+	g.cur.Store(c)
 	return g
 }
 
 // InducedSubgraph returns the CSR induced by nodes: node i of the result
 // is nodes[i], and an edge survives when both its ends are listed. Row i
 // lists its lower-id neighbors in ascending id order, then its higher
-// ones in c's row order. Those are the rows a Graph snapshot gives when
+// ones in c's row order. Those are the rows a Graph's CSR holds when
 // each edge {i, j}, i < j, is added to it for i ascending and, within
 // one i, in c's row order. local is scratch with one entry per node of
 // c; it must be all zero and is left all zero. Hyperedges are not

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 func TestToCSRShape(t *testing.T) {
@@ -36,14 +35,10 @@ func sameRows(a, b *Graph) bool {
 		return false
 	}
 	for u := 0; u < a.NumNodes(); u++ {
-		ra, rb := a.Neighbors(Node(u)), b.Neighbors(Node(u))
-		if len(ra) != len(rb) {
+		na, wa := a.Row(Node(u))
+		nb, wb := b.Row(Node(u))
+		if !slices.Equal(na, nb) || !slices.Equal(wa, wb) {
 			return false
-		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				return false
-			}
 		}
 	}
 	return true
@@ -139,15 +134,15 @@ func TestInducedSubgraph(t *testing.T) {
 // TestPropertyCSRInducedSubgraphMatchesAddEdge checks the induced CSR of
 // random node subsets, in random order, against the graph built by
 // adding each induced edge {i, j}, i < j, row by row in the parent's row
-// order and snapshotting it: the same rows in the same order, the same
+// order and reading its CSR: the same rows in the same order, the same
 // weights and the same totals.
 func TestPropertyCSRInducedSubgraphMatchesAddEdge(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(50)
-		g := randomGraph(rng, n, rng.Intn(4*n))
+		g := randomGraph(rng, n+1, rng.Intn(4*n))
 		if rng.Intn(3) == 0 {
-			g.MustAddEdge(Node(rng.Intn(n)), g.AddNode(5), 0) // a zero-weight edge
+			g.MustAddEdge(Node(rng.Intn(n)), Node(n), 0) // a zero-weight edge
 		}
 		n = g.NumNodes()
 		c := g.ToCSR()
@@ -196,70 +191,5 @@ func TestBFSOrderCoversAllNodes(t *testing.T) {
 	}
 	if got := New(0).ToCSR().BFSOrder(0); len(got) != 0 {
 		t.Fatalf("empty graph BFS order %v", got)
-	}
-}
-
-// TestSnapshotIntoRecyclesStorage snapshots a sequence of graphs into one
-// CSR and checks every field of each result against a fresh ToCSR: a
-// recycled array must carry neither the previous graph's length nor its
-// contents, a plain graph must clear the nets a hypergraph left, and a
-// hypergraph must recount incidence over a stale one's. Each array must
-// also keep its storage while it is large enough, and grow to exactly
-// the needed size when it is not.
-func TestSnapshotIntoRecyclesStorage(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	steps := []struct {
-		name string
-		g    *Graph
-	}{
-		{"large plain", randomGraph(rng, 400, 1500)},
-		{"small hyper", randomHyperGraph(rng, 30, 40, 25)},
-		{"plain", randomGraph(rng, 60, 100)},
-		{"empty", New(0)},
-		{"larger plain", randomGraph(rng, 900, 4000)},
-		{"smaller hyper", randomHyperGraph(rng, 20, 30, 10)},
-	}
-	var c CSR
-	for _, s := range steps {
-		old := c
-		s.g.SnapshotInto(&c)
-		want := s.g.ToCSR()
-		sameField(t, s.name, "XAdj", old.XAdj, c.XAdj, want.XAdj)
-		sameField(t, s.name, "Adj", old.Adj, c.Adj, want.Adj)
-		sameField(t, s.name, "AdjW", old.AdjW, c.AdjW, want.AdjW)
-		sameField(t, s.name, "NodeW", old.NodeW, c.NodeW, want.NodeW)
-		sameField(t, s.name, "HXPins", old.HXPins, c.HXPins, want.HXPins)
-		sameField(t, s.name, "HPins", old.HPins, c.HPins, want.HPins)
-		sameField(t, s.name, "HW", old.HW, c.HW, want.HW)
-		sameField(t, s.name, "HXInc", old.HXInc, c.HXInc, want.HXInc)
-		sameField(t, s.name, "HInc", old.HInc, c.HInc, want.HInc)
-		if c.EdgeWT != want.EdgeWT || c.NodeWT != want.NodeWT || c.HWT != want.HWT {
-			t.Errorf("%s: totals (%d, %d, %d), want (%d, %d, %d)", s.name,
-				c.EdgeWT, c.NodeWT, c.HWT, want.EdgeWT, want.NodeWT, want.HWT)
-		}
-		if s.g.NumHyperEdges() == 0 && len(c.HXPins)+len(c.HPins)+len(c.HW)+len(c.HXInc)+len(c.HInc) != 0 {
-			t.Errorf("%s: plain graph left hyper fields of lengths %d %d %d %d %d", s.name,
-				len(c.HXPins), len(c.HPins), len(c.HW), len(c.HXInc), len(c.HInc))
-		}
-		if c.NumHyperEdges() != s.g.NumHyperEdges() {
-			t.Errorf("%s: %d nets, want %d", s.name, c.NumHyperEdges(), s.g.NumHyperEdges())
-		}
-	}
-}
-
-// sameField checks one array of a recycled snapshot: its contents against
-// a fresh snapshot's, and its storage against the array it replaced.
-func sameField[T comparable](t *testing.T, step, field string, old, got, want []T) {
-	t.Helper()
-	if !slices.Equal(got, want) {
-		t.Errorf("%s: %s differs from a fresh snapshot (len %d, want %d)", step, field, len(got), len(want))
-	}
-	switch {
-	case len(got) <= cap(old):
-		if cap(got) > 0 && unsafe.SliceData(got) != unsafe.SliceData(old) {
-			t.Errorf("%s: %s reallocated for %d elements though it had room for %d", step, field, len(got), cap(old))
-		}
-	case cap(got) != len(got):
-		t.Errorf("%s: %s grew to capacity %d for %d elements", step, field, cap(got), len(got))
 	}
 }

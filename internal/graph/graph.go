@@ -1,15 +1,18 @@
 // Package graph provides the weighted undirected graph representation used
 // throughout the partitioner: nodes carry a weight (FPGA resources consumed
 // by a process) and edges carry a weight (sustained bandwidth of a FIFO
-// channel). The package offers an adjacency-list graph, a compact CSR form
-// for the hot partitioning loops (a Graph's snapshot, or a contracted
-// hierarchy level), structural queries, graph surgery (induced
-// subgraphs, quotients), and several interchange formats.
+// channel). A Graph holds its adjacency and nets in one compact CSR form,
+// the form the hot partitioning loops read (a contracted hierarchy level
+// is a CSR too). The package also offers structural queries, graph
+// surgery (induced subgraphs, quotients), and several interchange formats.
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Node identifies a vertex. Nodes are dense integers in [0, NumNodes).
@@ -31,74 +34,63 @@ func (e Edge) Normalize() Edge {
 }
 
 // Graph is a weighted undirected simple graph. Node weights model resource
-// consumption; edge weights model channel bandwidth. The zero value is an
-// empty graph ready for AddNode/AddEdge.
+// consumption; edge weights model channel bandwidth. The node count is
+// fixed by the constructor.
+//
+// The graph's one copy of its adjacency and nets is a CSR. AddEdge and
+// AddHyperEdge queue their input, and the first read after a mutation
+// folds the queue into a new CSR (fold). A CSR that ToCSR has returned
+// never changes afterwards: the next fold builds new arrays, and
+// SetNodeWeight copies the node weights first. Reads may run from many
+// goroutines at once; a mutation must not overlap any other call.
 type Graph struct {
-	nodeWeights []int64
-	names       []string // optional labels, may be nil entries
-	adj         [][]Half // adjacency: for node u, list of (neighbor, weight)
-	numEdges    int
-	totalEdgeW  int64
-	totalNodeW  int64
+	names []string // optional labels, may be nil entries
 
-	// Optional hyperedges (one writer, many readers — a PPN channel's
-	// fanout). Empty for plain graphs; see hyper.go.
-	hedges      []HyperEdge
-	totalHyperW int64
-}
+	// Mutations write these; reads and the fold only read them, except
+	// that the fold empties the queues and sets nodeWShared.
+	nodeW       []int64
+	nodeWShared bool // a folded CSR holds nodeW: copy it before a write
+	nodeWT      int64
+	edgeWT      int64
+	hyperWT     int64
+	pend        []Edge  // edges queued since the last fold, in input order
+	netPins     []Node  // pins of the nets queued since the last fold
+	netEnd      []int32 // netPins end offset of each queued net
+	netW        []int64 // weight of each queued net
 
-// Half is one direction of an undirected edge as stored in adjacency lists.
-type Half struct {
-	To     Node
-	Weight int64
+	mu   sync.Mutex          // serialises the fold
+	last *CSR                // the last fold's result, nil before it; under mu
+	cur  atomic.Pointer[CSR] // last, or nil while a mutation is unfolded
 }
 
 // New returns a graph with n nodes of weight 1 and no edges.
 func New(n int) *Graph {
-	g := &Graph{
-		nodeWeights: make([]int64, n),
-		adj:         make([][]Half, n),
+	w := make([]int64, n)
+	for i := range w {
+		w[i] = 1
 	}
-	for i := range g.nodeWeights {
-		g.nodeWeights[i] = 1
-		g.totalNodeW++
-	}
-	return g
+	return &Graph{nodeW: w, nodeWT: int64(n)}
 }
 
 // NewWithWeights returns a graph whose node weights are copied from w.
 func NewWithWeights(w []int64) *Graph {
-	g := &Graph{
-		nodeWeights: append([]int64(nil), w...),
-		adj:         make([][]Half, len(w)),
-	}
+	g := &Graph{nodeW: slices.Clone(w)}
 	for _, x := range w {
-		g.totalNodeW += x
+		g.nodeWT += x
 	}
 	return g
 }
 
 // NumNodes reports the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.nodeWeights) }
+func (g *Graph) NumNodes() int { return len(g.nodeW) }
 
 // NumEdges reports the number of undirected edges.
-func (g *Graph) NumEdges() int { return g.numEdges }
-
-// AddNode appends a node with the given weight and returns its id.
-func (g *Graph) AddNode(weight int64) Node {
-	g.nodeWeights = append(g.nodeWeights, weight)
-	g.adj = append(g.adj, nil)
-	if g.names != nil {
-		g.names = append(g.names, "")
-	}
-	g.totalNodeW += weight
-	return Node(len(g.nodeWeights) - 1)
-}
+func (g *Graph) NumEdges() int { return g.ToCSR().NumEdges() }
 
 // SetName attaches a human-readable label to node u (used by DOT/SVG export).
 func (g *Graph) SetName(u Node, name string) {
 	if g.names == nil {
-		g.names = make([]string, len(g.nodeWeights))
+		g.names = make([]string, len(g.nodeW))
 	}
 	g.names[u] = name
 }
@@ -112,26 +104,32 @@ func (g *Graph) Name(u Node) string {
 }
 
 // NodeWeight returns the weight (resource demand) of node u.
-func (g *Graph) NodeWeight(u Node) int64 { return g.nodeWeights[u] }
+func (g *Graph) NodeWeight(u Node) int64 { return g.nodeW[u] }
 
 // SetNodeWeight overwrites the weight of node u.
 func (g *Graph) SetNodeWeight(u Node, w int64) {
-	g.totalNodeW += w - g.nodeWeights[u]
-	g.nodeWeights[u] = w
+	if g.nodeWShared {
+		g.nodeW = slices.Clone(g.nodeW)
+		g.nodeWShared = false
+	}
+	g.nodeWT += w - g.nodeW[u]
+	g.nodeW[u] = w
+	g.cur.Store(nil)
 }
 
 // TotalNodeWeight returns the sum of all node weights.
-func (g *Graph) TotalNodeWeight() int64 { return g.totalNodeW }
+func (g *Graph) TotalNodeWeight() int64 { return g.nodeWT }
 
 // TotalEdgeWeight returns the sum of all edge weights.
-func (g *Graph) TotalEdgeWeight() int64 { return g.totalEdgeW }
+func (g *Graph) TotalEdgeWeight() int64 { return g.edgeWT }
 
 // AddEdge inserts an undirected edge {u, v} with weight w. Adding an edge
 // that already exists accumulates the weight onto the existing edge (the
 // graph stays simple, mirroring the contraction semantics of the paper
 // where parallel channels merge with summed bandwidth). Self loops are
 // rejected: a FIFO from a process to itself never crosses a partition
-// boundary, so the partitioning model discards them.
+// boundary, so the partitioning model discards them. The edge is queued
+// in O(1); the next read folds it in.
 func (g *Graph) AddEdge(u, v Node, w int64) error {
 	if u == v {
 		return fmt.Errorf("graph: self loop on node %d rejected", u)
@@ -142,23 +140,9 @@ func (g *Graph) AddEdge(u, v Node, w int64) error {
 	if w < 0 {
 		return fmt.Errorf("graph: negative edge weight %d on {%d,%d}", w, u, v)
 	}
-	for i := range g.adj[u] {
-		if g.adj[u][i].To == v {
-			g.adj[u][i].Weight += w
-			for j := range g.adj[v] {
-				if g.adj[v][j].To == u {
-					g.adj[v][j].Weight += w
-					break
-				}
-			}
-			g.totalEdgeW += w
-			return nil
-		}
-	}
-	g.adj[u] = append(g.adj[u], Half{To: v, Weight: w})
-	g.adj[v] = append(g.adj[v], Half{To: u, Weight: w})
-	g.numEdges++
-	g.totalEdgeW += w
+	g.pend = append(g.pend, Edge{U: u, V: v, Weight: w})
+	g.edgeWT += w
+	g.cur.Store(nil)
 	return nil
 }
 
@@ -170,55 +154,116 @@ func (g *Graph) MustAddEdge(u, v Node, w int64) {
 	}
 }
 
+// ToCSR returns the graph's CSR, folding queued mutations first. The CSR
+// is the graph's own storage, shared by every caller: it must not be
+// mutated, and it never changes, not even when the graph does.
+func (g *Graph) ToCSR() *CSR {
+	if c := g.cur.Load(); c != nil {
+		return c
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c := g.cur.Load(); c != nil {
+		return c
+	}
+	c := g.fold()
+	g.cur.Store(c)
+	return c
+}
+
+// fold builds the CSR for the graph's current state. The header is new;
+// the adjacency arrays are rebuilt when edges are queued and the net
+// arrays when nets are queued, and are otherwise shared with the last
+// fold. Queued edges are appended to their rows in input order after
+// the rows' existing entries, and each row is then folded
+// (CSR.FoldRows), so the rows come out exactly as sequential AddEdge
+// calls on simple adjacency lists would leave them.
+func (g *Graph) fold() *CSR {
+	n := len(g.nodeW)
+	old := g.last
+	if old == nil {
+		old = &CSR{XAdj: make([]int32, n+1)}
+	}
+	c := *old
+	c.NodeW, c.NodeWT, c.EdgeWT, c.HWT = g.nodeW, g.nodeWT, g.edgeWT, g.hyperWT
+	if len(g.pend) > 0 {
+		c.XAdj = make([]int32, n+1)
+		for u := 0; u < n; u++ {
+			c.XAdj[u+1] = int32(old.Degree(Node(u)))
+		}
+		for _, e := range g.pend {
+			c.XAdj[e.U+1]++
+			c.XAdj[e.V+1]++
+		}
+		for u := 0; u < n; u++ {
+			c.XAdj[u+1] += c.XAdj[u]
+		}
+		c.Adj = make([]Node, c.XAdj[n])
+		c.AdjW = make([]int64, c.XAdj[n])
+		fill := make([]int32, n)
+		for u := 0; u < n; u++ {
+			nbrs, wts := old.Row(Node(u))
+			copy(c.Adj[c.XAdj[u]:], nbrs)
+			copy(c.AdjW[c.XAdj[u]:], wts)
+			fill[u] = c.XAdj[u] + int32(len(nbrs))
+		}
+		for _, e := range g.pend {
+			c.PushEdge(fill, e.U, e.V, e.Weight)
+		}
+		c.FoldRows(fill, make([]int32, n))
+		g.pend = nil
+	}
+	if len(g.netW) > 0 {
+		g.foldNets(&c)
+	}
+	g.last = &c
+	g.nodeWShared = true
+	return &c
+}
+
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v Node) bool {
-	if int(u) >= len(g.adj) {
+	c := g.ToCSR()
+	if int(u) >= c.NumNodes() {
 		return false
 	}
-	for _, h := range g.adj[u] {
-		if h.To == v {
-			return true
-		}
-	}
-	return false
+	nbrs, _ := c.Row(u)
+	return slices.Contains(nbrs, v)
 }
 
 // EdgeWeight returns the weight of edge {u, v}, or 0 if absent.
 func (g *Graph) EdgeWeight(u, v Node) int64 {
-	if int(u) >= len(g.adj) {
+	c := g.ToCSR()
+	if int(u) >= c.NumNodes() {
 		return 0
 	}
-	for _, h := range g.adj[u] {
-		if h.To == v {
-			return h.Weight
-		}
+	nbrs, wts := c.Row(u)
+	if i := slices.Index(nbrs, v); i >= 0 {
+		return wts[i]
 	}
 	return 0
 }
 
-// Neighbors returns the adjacency list of u. The returned slice is owned by
-// the graph and must not be mutated.
-func (g *Graph) Neighbors(u Node) []Half { return g.adj[u] }
+// Row returns the neighbor ids and weights of node u as parallel slices,
+// as CSR.Row does. The slices alias the graph's CSR and must not be
+// mutated.
+func (g *Graph) Row(u Node) ([]Node, []int64) { return g.ToCSR().Row(u) }
 
 // Degree returns the number of neighbors of u.
-func (g *Graph) Degree(u Node) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u Node) int { return g.ToCSR().Degree(u) }
 
 // WeightedDegree returns the total weight of edges incident to u.
-func (g *Graph) WeightedDegree(u Node) int64 {
-	var s int64
-	for _, h := range g.adj[u] {
-		s += h.Weight
-	}
-	return s
-}
+func (g *Graph) WeightedDegree(u Node) int64 { return g.ToCSR().WeightedDegree(u) }
 
 // Edges returns all edges in canonical (U <= V) order, sorted by (U, V).
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.numEdges)
-	for u := range g.adj {
-		for _, h := range g.adj[u] {
-			if Node(u) < h.To {
-				out = append(out, Edge{U: Node(u), V: h.To, Weight: h.Weight})
+	c := g.ToCSR()
+	out := make([]Edge, 0, c.NumEdges())
+	for u := 0; u < c.NumNodes(); u++ {
+		nbrs, wts := c.Row(Node(u))
+		for i, v := range nbrs {
+			if Node(u) < v {
+				out = append(out, Edge{U: Node(u), V: v, Weight: wts[i]})
 			}
 		}
 	}
@@ -232,79 +277,76 @@ func (g *Graph) Edges() []Edge {
 }
 
 // NodeWeights returns a copy of the node weight vector.
-func (g *Graph) NodeWeights() []int64 {
-	return append([]int64(nil), g.nodeWeights...)
-}
+func (g *Graph) NodeWeights() []int64 { return slices.Clone(g.nodeW) }
 
-// Validate checks structural invariants: symmetric adjacency, no self
-// loops, no duplicate neighbor entries, non-negative weights, and
-// consistent cached totals. It is used by tests and by the I/O layer after
-// parsing untrusted input.
+// Validate checks structural invariants of the graph's CSR: row offsets,
+// symmetric adjacency, no self loops, no duplicate neighbor entries,
+// non-negative weights, and consistent cached totals. It is used by tests
+// and by the I/O layer after parsing untrusted input.
 func (g *Graph) Validate() error {
-	var edgeW int64
-	var nodeW int64
-	cnt := 0
-	for u := range g.adj {
-		nodeW += g.nodeWeights[u]
-		if g.nodeWeights[u] < 0 {
-			return fmt.Errorf("graph: node %d has negative weight %d", u, g.nodeWeights[u])
+	c := g.ToCSR()
+	n := c.NumNodes()
+	if n != len(c.NodeW) || len(c.Adj) != len(c.AdjW) || c.XAdj[0] != 0 || int(c.XAdj[n]) != len(c.Adj) {
+		return fmt.Errorf("graph: CSR shape: %d offsets, %d node weights, %d/%d arcs",
+			len(c.XAdj), len(c.NodeW), len(c.Adj), len(c.AdjW))
+	}
+	var edgeW, nodeW int64
+	mark := make([]int32, n)
+	for u := 0; u < n; u++ {
+		nodeW += c.NodeW[u]
+		if c.NodeW[u] < 0 {
+			return fmt.Errorf("graph: node %d has negative weight %d", u, c.NodeW[u])
 		}
-		seen := make(map[Node]bool, len(g.adj[u]))
-		for _, h := range g.adj[u] {
-			if h.To == Node(u) {
+		if c.XAdj[u] > c.XAdj[u+1] {
+			return fmt.Errorf("graph: row %d has negative length", u)
+		}
+		nbrs, wts := c.Row(Node(u))
+		for i, v := range nbrs {
+			if v == Node(u) {
 				return fmt.Errorf("graph: self loop on node %d", u)
 			}
-			if int(h.To) >= len(g.adj) || h.To < 0 {
-				return fmt.Errorf("graph: node %d has dangling neighbor %d", u, h.To)
+			if int(v) >= n || v < 0 {
+				return fmt.Errorf("graph: node %d has dangling neighbor %d", u, v)
 			}
-			if seen[h.To] {
-				return fmt.Errorf("graph: duplicate edge {%d,%d}", u, h.To)
+			if mark[v] == int32(u)+1 {
+				return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
 			}
-			seen[h.To] = true
-			if h.Weight < 0 {
-				return fmt.Errorf("graph: negative weight on edge {%d,%d}", u, h.To)
+			mark[v] = int32(u) + 1
+			if wts[i] < 0 {
+				return fmt.Errorf("graph: negative weight on edge {%d,%d}", u, v)
 			}
-			back := false
-			for _, r := range g.adj[h.To] {
-				if r.To == Node(u) {
-					if r.Weight != h.Weight {
-						return fmt.Errorf("graph: asymmetric weight on {%d,%d}: %d vs %d", u, h.To, h.Weight, r.Weight)
-					}
-					back = true
-					break
-				}
+			back, backW := c.Row(v)
+			j := slices.Index(back, Node(u))
+			if j < 0 {
+				return fmt.Errorf("graph: missing reverse arc for {%d,%d}", u, v)
 			}
-			if !back {
-				return fmt.Errorf("graph: missing reverse arc for {%d,%d}", u, h.To)
+			if backW[j] != wts[i] {
+				return fmt.Errorf("graph: asymmetric weight on {%d,%d}: %d vs %d", u, v, wts[i], backW[j])
 			}
-			if Node(u) < h.To {
-				cnt++
-				edgeW += h.Weight
+			if Node(u) < v {
+				edgeW += wts[i]
 			}
 		}
 	}
-	if cnt != g.numEdges {
-		return fmt.Errorf("graph: edge count cache %d != actual %d", g.numEdges, cnt)
+	if edgeW != c.EdgeWT {
+		return fmt.Errorf("graph: edge weight cache %d != actual %d", c.EdgeWT, edgeW)
 	}
-	if edgeW != g.totalEdgeW {
-		return fmt.Errorf("graph: edge weight cache %d != actual %d", g.totalEdgeW, edgeW)
+	if nodeW != c.NodeWT {
+		return fmt.Errorf("graph: node weight cache %d != actual %d", c.NodeWT, nodeW)
 	}
-	if nodeW != g.totalNodeW {
-		return fmt.Errorf("graph: node weight cache %d != actual %d", g.totalNodeW, nodeW)
-	}
-	return g.validateHyper()
+	return c.validateHyper()
 }
 
 // String renders a compact human-readable summary.
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph(n=%d, m=%d, nodeW=%d, edgeW=%d)",
-		g.NumNodes(), g.NumEdges(), g.totalNodeW, g.totalEdgeW)
+		g.NumNodes(), g.NumEdges(), g.nodeWT, g.edgeWT)
 }
 
 // MaxNodeWeight returns the largest node weight, or 0 for an empty graph.
 func (g *Graph) MaxNodeWeight() int64 {
 	var m int64
-	for _, w := range g.nodeWeights {
+	for _, w := range g.nodeW {
 		if w > m {
 			m = w
 		}

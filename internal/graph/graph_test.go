@@ -100,14 +100,12 @@ func TestAddEdgeRejectsNegativeWeight(t *testing.T) {
 	}
 }
 
-func TestAddNodeGrowsGraph(t *testing.T) {
-	g := New(1)
-	id := g.AddNode(42)
-	if id != 1 {
-		t.Fatalf("AddNode id = %d, want 1", id)
-	}
-	if g.NodeWeight(id) != 42 {
-		t.Fatalf("new node weight = %d, want 42", g.NodeWeight(id))
+func TestNewWithWeightsTotals(t *testing.T) {
+	w := []int64{1, 42}
+	g := NewWithWeights(w)
+	w[1] = 7 // the graph keeps its own copy
+	if g.NumNodes() != 2 || g.NodeWeight(1) != 42 {
+		t.Fatalf("n = %d, node 1 weight = %d, want 2 and 42", g.NumNodes(), g.NodeWeight(1))
 	}
 	if g.TotalNodeWeight() != 43 {
 		t.Fatalf("TotalNodeWeight = %d, want 43", g.TotalNodeWeight())
@@ -137,9 +135,8 @@ func TestNames(t *testing.T) {
 	if g.Name(1) != "P1" {
 		t.Fatalf("name = %q, want P1", g.Name(1))
 	}
-	id := g.AddNode(1)
-	if g.Name(id) != "" {
-		t.Fatalf("name of appended node = %q, want empty", g.Name(id))
+	if g.Name(2) != "" {
+		t.Fatalf("name of node 2 = %q, want empty", g.Name(2))
 	}
 }
 

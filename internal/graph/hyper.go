@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // HyperEdge models a one-writer/many-reader PPN channel fanout as a single
 // net: Pins[0] is the producing process (the writer) and the remaining pins
@@ -43,8 +46,11 @@ func (g *Graph) AddHyperEdge(pins []Node, w int64) error {
 		}
 		seen[p] = true
 	}
-	g.hedges = append(g.hedges, HyperEdge{Pins: append([]Node(nil), pins...), Weight: w})
-	g.totalHyperW += w
+	g.netPins = append(g.netPins, pins...)
+	g.netEnd = append(g.netEnd, int32(len(g.netPins)))
+	g.netW = append(g.netW, w)
+	g.hyperWT += w
+	g.cur.Store(nil)
 	return nil
 }
 
@@ -56,90 +62,94 @@ func (g *Graph) MustAddHyperEdge(pins []Node, w int64) {
 }
 
 // NumHyperEdges reports the number of hyperedges (0 for pure graphs).
-func (g *Graph) NumHyperEdges() int { return len(g.hedges) }
+func (g *Graph) NumHyperEdges() int { return g.ToCSR().NumHyperEdges() }
 
-// HyperEdge returns the i-th hyperedge. The pin slice is owned by the
-// graph and must not be mutated.
-func (g *Graph) HyperEdge(i int) HyperEdge { return g.hedges[i] }
-
-// HyperEdges returns the hyperedge list. The slice and its pin lists are
-// owned by the graph and must not be mutated.
-func (g *Graph) HyperEdges() []HyperEdge { return g.hedges }
+// HyperEdge returns the i-th hyperedge. The pin slice aliases the graph's
+// CSR and must not be mutated.
+func (g *Graph) HyperEdge(i int) HyperEdge {
+	c := g.ToCSR()
+	return HyperEdge{Pins: c.HyperPins(int32(i)), Weight: c.HW[i]}
+}
 
 // TotalHyperWeight returns the sum of all hyperedge weights.
-func (g *Graph) TotalHyperWeight() int64 { return g.totalHyperW }
+func (g *Graph) TotalHyperWeight() int64 { return g.hyperWT }
 
 // validateHyper checks hyperedge invariants: >= 2 distinct in-range pins,
-// non-negative weights, and a consistent cached total.
-func (g *Graph) validateHyper() error {
-	var hw int64
-	for i, h := range g.hedges {
-		if len(h.Pins) < 2 {
-			return fmt.Errorf("graph: hyperedge %d has %d pins", i, len(h.Pins))
-		}
-		if h.Weight < 0 {
-			return fmt.Errorf("graph: hyperedge %d has negative weight %d", i, h.Weight)
-		}
-		seen := make(map[Node]bool, len(h.Pins))
-		for _, p := range h.Pins {
-			if p < 0 || int(p) >= g.NumNodes() {
-				return fmt.Errorf("graph: hyperedge %d pin %d outside [0,%d)", i, p, g.NumNodes())
-			}
-			if seen[p] {
-				return fmt.Errorf("graph: hyperedge %d has duplicate pin %d", i, p)
-			}
-			seen[p] = true
-		}
-		hw += h.Weight
+// non-negative weights, a consistent cached total, and an incidence that
+// transposes the pin lists.
+func (c *CSR) validateHyper() error {
+	n := c.NumNodes()
+	nh := c.NumHyperEdges()
+	if len(c.HW) != nh || (nh > 0 && (c.HXPins[0] != 0 || int(c.HXPins[nh]) != len(c.HPins))) {
+		return fmt.Errorf("graph: net arrays: %d offsets, %d weights, %d pins", len(c.HXPins), len(c.HW), len(c.HPins))
 	}
-	if hw != g.totalHyperW {
-		return fmt.Errorf("graph: hyperedge weight cache %d != actual %d", g.totalHyperW, hw)
+	var hw int64
+	mark := make([]int32, n)
+	for e := 0; e < nh; e++ {
+		if c.HXPins[e] > c.HXPins[e+1] {
+			return fmt.Errorf("graph: hyperedge %d has negative length", e)
+		}
+		pins := c.HyperPins(int32(e))
+		if len(pins) < 2 {
+			return fmt.Errorf("graph: hyperedge %d has %d pins", e, len(pins))
+		}
+		if c.HW[e] < 0 {
+			return fmt.Errorf("graph: hyperedge %d has negative weight %d", e, c.HW[e])
+		}
+		for _, p := range pins {
+			if p < 0 || int(p) >= n {
+				return fmt.Errorf("graph: hyperedge %d pin %d outside [0,%d)", e, p, n)
+			}
+			if mark[p] == int32(e)+1 {
+				return fmt.Errorf("graph: hyperedge %d has duplicate pin %d", e, p)
+			}
+			mark[p] = int32(e) + 1
+			if !slices.Contains(c.IncidentHyper(p), int32(e)) {
+				return fmt.Errorf("graph: hyperedge %d missing from pin %d's incidence", e, p)
+			}
+		}
+		hw += c.HW[e]
+	}
+	if nh > 0 && len(c.HInc) != len(c.HPins) {
+		return fmt.Errorf("graph: incidence lists %d pins, nets %d", len(c.HInc), len(c.HPins))
+	}
+	if hw != c.HWT {
+		return fmt.Errorf("graph: hyperedge weight cache %d != actual %d", c.HWT, hw)
 	}
 	return nil
 }
 
-// fillHyperCSR snapshots the hyperedge set into c, reusing c's storage
-// as SnapshotInto does: the pin lists in CSR layout plus the transposed
-// node->hyperedge incidence the incremental partition state walks on
-// every move. A graph without hyperedges leaves every hyper field empty.
-func (g *Graph) fillHyperCSR(c *CSR) {
-	c.HWT = g.totalHyperW
-	nh := len(g.hedges)
-	if nh == 0 {
-		c.HXPins, c.HPins, c.HW = c.HXPins[:0], c.HPins[:0], c.HW[:0]
-		c.HXInc, c.HInc = c.HXInc[:0], c.HInc[:0]
-		return
+// foldNets rebuilds c's net arrays as the last fold's nets followed by the
+// queued ones, and empties the queue: the pin lists in CSR layout plus the
+// transposed node->hyperedge incidence the incremental partition state
+// walks on every move. The new arrays share nothing with the old ones.
+func (g *Graph) foldNets(c *CSR) {
+	old := c.NumHyperEdges()
+	nh := old + len(g.netW)
+	base := int32(len(c.HPins))
+	c.HXPins = append(append(make([]int32, 0, nh+1), c.HXPins[:old]...), base)
+	for _, end := range g.netEnd {
+		c.HXPins = append(c.HXPins, base+end)
 	}
-	n := g.NumNodes()
-	pins := 0
-	for _, h := range g.hedges {
-		pins += len(h.Pins)
+	c.HPins = append(slices.Clip(c.HPins), g.netPins...)
+	c.HW = append(slices.Clip(c.HW), g.netW...)
+	g.netPins, g.netEnd, g.netW = nil, nil, nil
+
+	n := c.NumNodes()
+	c.HXInc = make([]int32, n+1)
+	c.HInc = make([]int32, len(c.HPins))
+	for _, p := range c.HPins {
+		c.HXInc[p+1]++
 	}
-	c.HXPins = resize(c.HXPins, nh+1)
-	c.HPins = resize(c.HPins, pins)
-	c.HW = resize(c.HW, nh)
-	c.HXInc = resize(c.HXInc, n+1)
-	c.HInc = resize(c.HInc, pins)
-	clear(c.HXInc)
-	var at int32
-	for i, h := range g.hedges {
-		c.HXPins[i] = at
-		at += int32(copy(c.HPins[at:], h.Pins))
-		c.HW[i] = h.Weight
-		for _, p := range h.Pins {
-			c.HXInc[p+1]++
-		}
-	}
-	c.HXPins[nh] = at
 	for u := 0; u < n; u++ {
 		c.HXInc[u+1] += c.HXInc[u]
 	}
 	// Fill incidence in hyperedge order so each row lists nets ascending.
 	// HXInc[u] serves as row u's fill cursor, which leaves it at row u's
 	// end; the shift below restores the row starts.
-	for i, h := range g.hedges {
-		for _, p := range h.Pins {
-			c.HInc[c.HXInc[p]] = int32(i)
+	for e := int32(0); e < int32(nh); e++ {
+		for _, p := range c.HyperPins(e) {
+			c.HInc[c.HXInc[p]] = e
 			c.HXInc[p]++
 		}
 	}
@@ -147,7 +157,7 @@ func (g *Graph) fillHyperCSR(c *CSR) {
 	c.HXInc[0] = 0
 }
 
-// NumHyperEdges reports the number of hyperedges in the snapshot.
+// NumHyperEdges reports the number of hyperedges in the CSR.
 func (c *CSR) NumHyperEdges() int {
 	if len(c.HXPins) == 0 {
 		return 0

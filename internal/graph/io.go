@@ -48,14 +48,19 @@ func parseNodeCount(format, field string) (int, error) {
 // edge weights (fmt code 011). Node ids are 1-based per the format.
 func WriteMETIS(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%d %d 011\n", g.NumNodes(), g.NumEdges())
-	for u := 0; u < g.NumNodes(); u++ {
-		parts := make([]string, 0, 1+2*g.Degree(Node(u)))
-		parts = append(parts, strconv.FormatInt(g.NodeWeight(Node(u)), 10))
-		nbrs := append([]Half(nil), g.Neighbors(Node(u))...)
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i].To < nbrs[j].To })
-		for _, h := range nbrs {
-			parts = append(parts, strconv.Itoa(int(h.To)+1), strconv.FormatInt(h.Weight, 10))
+	c := g.ToCSR()
+	fmt.Fprintf(bw, "%d %d 011\n", c.NumNodes(), c.NumEdges())
+	for u := 0; u < c.NumNodes(); u++ {
+		parts := make([]string, 0, 1+2*c.Degree(Node(u)))
+		parts = append(parts, strconv.FormatInt(c.NodeW[u], 10))
+		nbrs, wts := c.Row(Node(u))
+		order := make([]int, len(nbrs))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(i, j int) bool { return nbrs[order[i]] < nbrs[order[j]] })
+		for _, i := range order {
+			parts = append(parts, strconv.Itoa(int(nbrs[i])+1), strconv.FormatInt(wts[i], 10))
 		}
 		fmt.Fprintln(bw, strings.Join(parts, " "))
 	}
@@ -222,7 +227,8 @@ func WriteJSON(w io.Writer, g *Graph) error {
 	for _, e := range g.Edges() {
 		jg.Edges = append(jg.Edges, jsonEdge{U: int(e.U), V: int(e.V), Weight: e.Weight})
 	}
-	for _, h := range g.HyperEdges() {
+	for i := 0; i < g.NumHyperEdges(); i++ {
+		h := g.HyperEdge(i)
 		pins := make([]int, len(h.Pins))
 		for i, p := range h.Pins {
 			pins[i] = int(p)

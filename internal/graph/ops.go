@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ConnectedComponents returns, for each node, the id of its component
 // (components are numbered 0..k-1 in order of their lowest node), and the
@@ -11,7 +8,8 @@ import (
 // quality, not correctness, but the generators use this to guarantee
 // connected instances.
 func (g *Graph) ConnectedComponents() ([]int, int) {
-	n := g.NumNodes()
+	c := g.ToCSR()
+	n := c.NumNodes()
 	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = -1
@@ -27,10 +25,11 @@ func (g *Graph) ConnectedComponents() ([]int, int) {
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, h := range g.adj[u] {
-				if comp[h.To] == -1 {
-					comp[h.To] = next
-					stack = append(stack, h.To)
+			nbrs, _ := c.Row(u)
+			for _, v := range nbrs {
+				if comp[v] == -1 {
+					comp[v] = next
+					stack = append(stack, v)
 				}
 			}
 		}
@@ -64,40 +63,17 @@ func (g *Graph) Quotient(blocks []int, k int) (*Graph, error) {
 		if b < 0 || b >= k {
 			return nil, fmt.Errorf("graph: block id %d of node %d out of range [0,%d)", b, u, k)
 		}
-		w[b] += g.nodeWeights[u]
+		w[b] += g.nodeW[u]
 	}
 	q := NewWithWeights(w)
-	type pair struct{ a, b int }
-	acc := make(map[pair]int64)
-	for u := range g.adj {
-		bu := blocks[u]
-		for _, h := range g.adj[u] {
-			if Node(u) >= h.To {
-				continue
+	c := g.ToCSR()
+	for u, bu := range blocks {
+		nbrs, wts := c.Row(Node(u))
+		for i, v := range nbrs {
+			if Node(u) < v && bu != blocks[v] {
+				q.MustAddEdge(Node(bu), Node(blocks[v]), wts[i])
 			}
-			bv := blocks[h.To]
-			if bu == bv {
-				continue
-			}
-			p := pair{bu, bv}
-			if p.a > p.b {
-				p.a, p.b = p.b, p.a
-			}
-			acc[p] += h.Weight
 		}
-	}
-	keys := make([]pair, 0, len(acc))
-	for p := range acc {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
-	for _, p := range keys {
-		q.MustAddEdge(Node(p.a), Node(p.b), acc[p])
 	}
 	return q, nil
 }

@@ -51,10 +51,9 @@ func ComputeStats(g *Graph) Stats {
 			st.MaxDegree = d
 		}
 		weights[u] = g.NodeWeight(Node(u))
-		for _, h := range g.Neighbors(Node(u)) {
-			if h.Weight > st.MaxEdgeWeight {
-				st.MaxEdgeWeight = h.Weight
-			}
+		_, wts := g.Row(Node(u))
+		for _, w := range wts {
+			st.MaxEdgeWeight = max(st.MaxEdgeWeight, w)
 		}
 	}
 	st.MeanDegree = float64(degSum) / float64(n)

@@ -158,15 +158,12 @@ func (h Heuristic) UsesRNG() bool {
 
 // Compute runs the named heuristic. kClusters is only used by KMeans; a
 // value <= 0 defaults to 4 weight clusters. An unknown heuristic yields
-// an error wrapping ErrUnknownHeuristic. It matches on a recycled
-// snapshot of g (arena.Snapshot), which the matching does not keep; the
+// an error wrapping ErrUnknownHeuristic. It matches on g's CSR; the
 // matching is the caller's.
 func Compute(h Heuristic, g *graph.Graph, kClusters int, rng *rand.Rand) (Matching, error) {
 	ws := arena.Get()
 	defer arena.Put(ws)
-	csr := arena.Snapshot(g)
-	defer arena.ReleaseSnapshot(csr)
-	return ComputeWS(ws, h, csr, kClusters, rng)
+	return ComputeWS(ws, h, g.ToCSR(), kClusters, rng)
 }
 
 // ComputeWS is Compute on a CSR, with every internal buffer (visit

@@ -23,12 +23,12 @@ func HyperCut(g *graph.Graph, parts []int) int64 {
 func ReplicatedHyperCut(g *graph.Graph, parts []int, replicas []int) int64 {
 	var cost int64
 	seen := make(map[int]bool, 8)
-	for _, h := range g.HyperEdges() {
-		src := h.Pins[0]
-		for p := range seen {
-			delete(seen, p)
-		}
-		for _, r := range h.Pins[1:] {
+	c := g.ToCSR()
+	for e := 0; e < c.NumHyperEdges(); e++ {
+		pins := c.HyperPins(int32(e))
+		src := pins[0]
+		clear(seen)
+		for _, r := range pins[1:] {
 			seen[parts[r]] = true
 			if replicas != nil && replicas[r] >= 0 {
 				seen[replicas[r]] = true
@@ -41,7 +41,7 @@ func ReplicatedHyperCut(g *graph.Graph, parts []int, replicas []int) int64 {
 		if replicas != nil && replicas[src] >= 0 && replicas[src] != parts[src] && seen[replicas[src]] {
 			need--
 		}
-		cost += h.Weight * need
+		cost += c.HW[e] * need
 	}
 	return cost
 }
@@ -54,16 +54,14 @@ func ReplicatedEdgeCut(g *graph.Graph, parts []int, replicas []int) int64 {
 		return EdgeCut(g, parts)
 	}
 	var cut int64
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) >= h.To {
+	c := g.ToCSR()
+	for u := 0; u < c.NumNodes(); u++ {
+		nbrs, wts := c.Row(graph.Node(u))
+		for i, v := range nbrs {
+			if graph.Node(u) >= v || copiesIntersect(parts[u], replicas[u], parts[v], replicas[v]) {
 				continue
 			}
-			v := int(h.To)
-			if copiesIntersect(parts[u], replicas[u], parts[v], replicas[v]) {
-				continue
-			}
-			cut += h.Weight
+			cut += wts[i]
 		}
 	}
 	return cut

@@ -35,10 +35,12 @@ func Validate(g *graph.Graph, parts []int, k int) error {
 // different parts (the paper's "Global Edge Cut Sum").
 func EdgeCut(g *graph.Graph, parts []int) int64 {
 	var cut int64
-	for u := 0; u < g.NumNodes(); u++ {
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) < h.To && parts[u] != parts[h.To] {
-				cut += h.Weight
+	c := g.ToCSR()
+	for u := 0; u < c.NumNodes(); u++ {
+		nbrs, wts := c.Row(graph.Node(u))
+		for i, v := range nbrs {
+			if graph.Node(u) < v && parts[u] != parts[v] {
+				cut += wts[i]
 			}
 		}
 	}
@@ -53,16 +55,18 @@ func BandwidthMatrix(g *graph.Graph, parts []int, k int) [][]int64 {
 	for i := range m {
 		m[i] = make([]int64, k)
 	}
-	for u := 0; u < g.NumNodes(); u++ {
+	c := g.ToCSR()
+	for u := 0; u < c.NumNodes(); u++ {
 		pu := parts[u]
-		for _, h := range g.Neighbors(graph.Node(u)) {
-			if graph.Node(u) >= h.To {
+		nbrs, wts := c.Row(graph.Node(u))
+		for i, v := range nbrs {
+			if graph.Node(u) >= v {
 				continue
 			}
-			pv := parts[h.To]
+			pv := parts[v]
 			if pu != pv {
-				m[pu][pv] += h.Weight
-				m[pv][pu] += h.Weight
+				m[pu][pv] += wts[i]
+				m[pv][pu] += wts[i]
 			}
 		}
 	}

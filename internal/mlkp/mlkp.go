@@ -85,8 +85,7 @@ func Partition(g *graph.Graph, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	ws := arena.Get()
 	defer arena.Put(ws)
-	csr := arena.Snapshot(g)
-	defer arena.ReleaseSnapshot(csr)
+	csr := g.ToCSR()
 
 	// Coarsening: heavy-edge matching only, the METIS default. Every
 	// level, the finest included, is refined on the hierarchy's CSRs.

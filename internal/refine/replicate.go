@@ -65,13 +65,12 @@ type ReplicateStats struct {
 // the returned vector maps each node to its replica part (-1 = none).
 // cfg carries the constraint set; a clone that would breach it inflates
 // the score's dominant penalty and is therefore never committed. The pass
-// runs once per solve, so it checks out its own workspace and snapshot.
+// runs once per solve, so it checks out its own workspace.
 func Replicate(g *graph.Graph, parts []int, k int, cfg pstate.Config, opts ReplicateOptions) ([]int, ReplicateStats, error) {
 	opts = opts.withDefaults()
 	ws := arena.Get()
 	defer arena.Put(ws)
-	csr := arena.Snapshot(g)
-	defer arena.ReleaseSnapshot(csr)
+	csr := g.ToCSR()
 	st := ReplicateStats{}
 	s, err := pstate.NewWS(ws, csr, parts, cfg)
 	if err != nil {

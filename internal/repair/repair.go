@@ -182,10 +182,8 @@ func Repair(g *graph.Graph, parts []int, topo *fpga.Topology, failed []int, opts
 	compact := bestFitEvacuate(g, parts, topo, toCompact, survivors, res)
 	if m > 1 {
 		ws := arena.Get()
-		csr := arena.Snapshot(g)
-		s, err := pstate.NewWS(ws, csr, compact, pstate.Config{K: m, Constraints: constraints})
+		s, err := pstate.NewWS(ws, g.ToCSR(), compact, pstate.Config{K: m, Constraints: constraints})
 		if err != nil {
-			arena.ReleaseSnapshot(csr)
 			arena.Put(ws)
 			return nil, err
 		}
@@ -194,7 +192,6 @@ func Repair(g *graph.Graph, parts []int, topo *fpga.Topology, failed []int, opts
 		refine.RebalanceResources(s, opts.RefinePasses)
 		copy(compact, s.Parts())
 		s.Release(ws)
-		arena.ReleaseSnapshot(csr)
 		arena.Put(ws)
 	}
 	assignment := make([]int, len(compact))
@@ -272,9 +269,10 @@ func bestFitEvacuate(g *graph.Graph, parts []int, topo *fpga.Topology, toCompact
 	for _, u := range evacuees {
 		w := g.NodeWeight(u)
 		gain := make([]int64, m)
-		for _, h := range g.Neighbors(u) {
-			if c := compact[h.To]; c >= 0 {
-				gain[c] += h.Weight
+		nbrs, wts := g.Row(u)
+		for i, v := range nbrs {
+			if c := compact[v]; c >= 0 {
+				gain[c] += wts[i]
 			}
 		}
 		best, bestFits := -1, false

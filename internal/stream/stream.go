@@ -187,12 +187,10 @@ func PartitionCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, e
 		return nil, err
 	}
 	ws := arena.Get()
-	csr := arena.Snapshot(g)
-	res, err := run(ctx, ws, csr, opts, (*streamer).pick)
+	res, err := run(ctx, ws, g.ToCSR(), opts, (*streamer).pick)
 	if err == nil {
 		res.Parts = append([]int(nil), res.Parts...)
 	}
-	arena.ReleaseSnapshot(csr)
 	arena.Put(ws)
 	return res, err
 }
